@@ -3,14 +3,12 @@
 // One benchmark round is a representative comms-heavy step: every machine
 // rewrites one store blob and sends a fixed payload to every peer
 // (all-to-all), so a round moves M*M*payload message bytes plus M store
-// deltas. The in-process rows price the simulator's refcounted delivery;
-// the proc-fork rows add the pre-persistent per-round costs — fork,
-// serialize, transport hop, barrier — and the proc-persistent rows price
-// the kStep protocol (resident workers, dirty-key patches) against them,
-// each crossed with the transport axis (socketpair vs shared-memory
-// ring; see docs/ipc-transport.md), at M in {4, 8, 16}. Every row runs
-// the same registered named step so the comparison isolates the
-// substrate, not the step body.
+// deltas. The inproc rows price the simulator's refcounted delivery; the
+// proc rows add what a real process boundary costs — kStep shipping,
+// serialization through the shared-memory rings (docs/ipc-transport.md),
+// and the result barrier — at M in {4, 8, 16}. Both substrates run the
+// same registered named step so the comparison isolates the substrate,
+// not the step body.
 //
 // Artifacts, following the BENCH_simd convention:
 //   BENCH_ipc.json          rows of {backend, machines, round_ms,
@@ -37,8 +35,9 @@ namespace {
 
 constexpr std::size_t kPayloadBytes = 4096;
 
-/// The all-to-all round as a registered step: persistent workers resolve
-/// it by name; fork and inproc rows host the identical factory product.
+/// The all-to-all round as a registered step: proc workers resolve it by
+/// name from their own registry; the inproc row runs the same factory
+/// product in this process.
 mpc::Step make_all_to_all(mpc::StepParams params) {
   Deserializer d(params);
   const auto payload_bytes = d.read<std::uint64_t>();
@@ -131,44 +130,25 @@ class IpcBenchRecorder {
   std::vector<IpcRow> rows_;
 };
 
-/// The proc benchmark axis: worker provisioning x transport substrate.
-/// Mode 0 is the in-process baseline; 1-2 ride the socketpair, 3-4 the
-/// shared-memory ring (the default transport).
-struct ProcMode {
+/// The benchmark's substrate axis.
+struct Substrate {
   const char* name;
   mpc::Backend backend;
-  mpc::IpcOptions::WorkerMode workers;
-  mpc::IpcOptions::Transport transport;
 };
 
-constexpr ProcMode kModes[] = {
-    {"inproc", mpc::Backend::kInProcess,
-     mpc::IpcOptions::WorkerMode::kPersistent,
-     mpc::IpcOptions::Transport::kShmRing},
-    {"proc-fork-socketpair", mpc::Backend::kMultiProcess,
-     mpc::IpcOptions::WorkerMode::kForkPerRound,
-     mpc::IpcOptions::Transport::kSocketpair},
-    {"proc-persistent-socketpair", mpc::Backend::kMultiProcess,
-     mpc::IpcOptions::WorkerMode::kPersistent,
-     mpc::IpcOptions::Transport::kSocketpair},
-    {"proc-fork-shm", mpc::Backend::kMultiProcess,
-     mpc::IpcOptions::WorkerMode::kForkPerRound,
-     mpc::IpcOptions::Transport::kShmRing},
-    {"proc-persistent-shm", mpc::Backend::kMultiProcess,
-     mpc::IpcOptions::WorkerMode::kPersistent,
-     mpc::IpcOptions::Transport::kShmRing},
+constexpr Substrate kSubstrates[] = {
+    {"inproc", mpc::Backend::kInProcess},
+    {"proc", mpc::Backend::kMultiProcess},
 };
 
 void BM_AllToAllRound(benchmark::State& state) {
   const auto machines = static_cast<std::size_t>(state.range(0));
-  const ProcMode& mode = kModes[state.range(1)];
+  const Substrate& substrate = kSubstrates[state.range(1)];
 
   mpc::ClusterConfig config;
   config.num_machines = machines;
   config.local_memory_bytes = 1 << 22;
-  config.backend = mode.backend;
-  config.ipc.workers = mode.workers;
-  config.ipc.transport = mode.transport;
+  config.backend = substrate.backend;
   mpc::Cluster cluster(config);
 
   const double bytes_per_round =
@@ -186,7 +166,7 @@ void BM_AllToAllRound(benchmark::State& state) {
       bytes_per_round * static_cast<double>(state.iterations())));
 
   IpcRow row;
-  row.backend = mode.name;
+  row.backend = substrate.name;
   row.machines = machines;
   row.round_ms =
       state.iterations() > 0
@@ -204,8 +184,8 @@ void BM_AllToAllRound(benchmark::State& state) {
 }
 
 BENCHMARK(BM_AllToAllRound)
-    ->ArgNames({"machines", "mode"})
-    ->ArgsProduct({{4, 8, 16}, {0, 1, 2, 3, 4}})
+    ->ArgNames({"machines", "substrate"})
+    ->ArgsProduct({{4, 8, 16}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

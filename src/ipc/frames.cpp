@@ -59,9 +59,6 @@ Frame decode(std::span<const std::uint8_t> payload,
   Frame frame;
   frame.kind = static_cast<FrameKind>(d.read<std::uint32_t>());
   switch (frame.kind) {
-    case FrameKind::kCommit:
-      frame.round = d.read<std::uint64_t>();
-      return frame;
     case FrameKind::kError:
       frame.error.rank = d.read<mpc::MachineId>();
       frame.error.round = d.read<std::uint64_t>();
@@ -133,6 +130,30 @@ Frame decode(std::span<const std::uint8_t> payload,
                   std::to_string(static_cast<std::uint32_t>(frame.kind)));
 }
 
+/// Checks the digest trailing `body` (payload + u64 FNV-1a) and decodes
+/// the payload. Every failure, including a malformed payload, is
+/// kInvalidArgument.
+Result<Frame> verify_and_decode(std::span<const std::uint8_t> body,
+                                std::span<const std::uint8_t> arena) {
+  const auto payload = body.first(body.size() - kEnvelopeTrailerBytes);
+  std::uint64_t stored;
+  std::memcpy(&stored, body.data() + payload.size(), sizeof(stored));
+  if (stored != fnv1a64(payload)) {
+    return Status(StatusCode::kInvalidArgument,
+                  "ipc frame: checksum mismatch");
+  }
+  try {
+    Frame frame = decode(payload, arena);
+    frame.wire_bytes = kEnvelopeHeaderBytes + body.size();
+    return frame;
+  } catch (const MpteError& e) {
+    return Status(StatusCode::kInvalidArgument, e.what());
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string("ipc frame: ") + e.what());
+  }
+}
+
 }  // namespace
 
 mpc::Buffer encode_result(const ResultFrame& frame, BlobArena* arena) {
@@ -165,13 +186,6 @@ mpc::Buffer encode_error(const ErrorFrame& frame) {
   s.write(frame.rank);
   s.write(frame.round);
   s.write_string(frame.message);
-  return envelope(s);
-}
-
-mpc::Buffer encode_commit(std::uint64_t round) {
-  Serializer s;
-  s.write(static_cast<std::uint32_t>(FrameKind::kCommit));
-  s.write(round);
   return envelope(s);
 }
 
@@ -231,24 +245,10 @@ Result<Frame> decode_envelope(std::span<const std::uint8_t> envelope,
     return Status(StatusCode::kInvalidArgument,
                   "ipc frame: envelope size does not match header");
   }
-  const auto payload = envelope.subspan(kEnvelopeHeaderBytes, *payload_size);
-  std::uint64_t stored;
-  std::memcpy(&stored, envelope.data() + kEnvelopeHeaderBytes + *payload_size,
-              sizeof(stored));
-  if (stored != fnv1a64(payload)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "ipc frame: checksum mismatch");
-  }
-  try {
-    Frame frame = decode(payload, arena);
-    frame.wire_bytes = envelope.size();
-    return frame;
-  } catch (const MpteError& e) {
-    return Status(StatusCode::kInvalidArgument, e.what());
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string("ipc frame: ") + e.what());
-  }
+  return verify_and_decode(
+      envelope.subspan(kEnvelopeHeaderBytes,
+                       *payload_size + kEnvelopeTrailerBytes),
+      arena);
 }
 
 Result<Frame> read_frame(int fd, int timeout_ms,
@@ -276,23 +276,7 @@ Result<Frame> read_frame(int fd, int timeout_ms,
   const std::size_t body_size = *payload_size + kEnvelopeTrailerBytes;
   auto body = mpc::Buffer::from_fd(fd, body_size, remaining_ms());
   if (!body.ok()) return body.status();
-  const std::span<const std::uint8_t> payload(body->data(), *payload_size);
-  std::uint64_t stored;
-  std::memcpy(&stored, body->data() + *payload_size, sizeof(stored));
-  if (stored != fnv1a64(payload)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "ipc frame: checksum mismatch");
-  }
-  try {
-    Frame frame = decode(payload, arena);
-    frame.wire_bytes = kEnvelopeHeaderBytes + body_size;
-    return frame;
-  } catch (const MpteError& e) {
-    return Status(StatusCode::kInvalidArgument, e.what());
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string("ipc frame: ") + e.what());
-  }
+  return verify_and_decode(body->span(), arena);
 }
 
 }  // namespace mpte::ipc

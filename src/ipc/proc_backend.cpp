@@ -5,7 +5,6 @@
 
 #include <chrono>
 #include <exception>
-#include <functional>
 #include <utility>
 
 #include "common/parallel.hpp"
@@ -37,8 +36,7 @@ double seconds_since(Clock::time_point start) {
 }
 
 /// The rank's post-step result: its store delta (dirty keys, sorted) plus
-/// its captured outbox. Shared by both worker modes, so the delta a
-/// persistent worker ships is byte-identical to a forked worker's.
+/// its captured outbox.
 ResultFrame build_result(mpc::MachineId rank, std::size_t round,
                          const mpc::Machine& machine, mpc::Outbox& outbox) {
   ResultFrame frame;
@@ -57,60 +55,25 @@ ResultFrame build_result(mpc::MachineId rank, std::size_t round,
   return frame;
 }
 
-/// Rank-side body of one fork-per-round worker. Never returns: the child
-/// ships its result (or the step's error), waits for the coordinator's
-/// commit — the round barrier — and _exits without running static
-/// destructors or flushing stdio inherited from the coordinator.
-[[noreturn]] void worker_main(std::vector<mpc::Machine>& machines,
-                              std::vector<mpc::Outbox>& outboxes,
-                              const mpc::Step& step, std::size_t round,
-                              bool inject_kill, mpc::MachineId rank,
-                              Transport& transport) {
+/// Rank-side loop of one worker. The Machine (store + inbox) lives here
+/// across rounds; each kStep patches it, runs the registered step, and
+/// answers with the dirty-key result delta. The next kStep is the
+/// implicit commit; EOF (coordinator teardown or exit) or kShutdown ends
+/// the loop. A step exception answers kError and keeps looping — the
+/// coordinator decides whether the pool lives on. Never returns: it
+/// _exits without running static destructors or flushing stdio inherited
+/// from the coordinator.
+[[noreturn]] void worker_main(std::size_t m, mpc::MachineId rank,
+                              ShmChannel& channel) {
   // The fork copied the coordinator's thread-pool bookkeeping but none of
   // its threads; force the serial path so parallel_for never touches the
   // pool (degree-1 dispatch runs inline).
-  par::set_default_threads(1);
-  if (inject_kill) _exit(9);  // IpcOptions kill: vanish without a frame
-  try {
-    const std::size_t m = machines.size();
-    machines[rank].store.clear_dirty();
-    mpc::execute_rank_step(rank, m, machines[rank], outboxes[rank], step);
-    const ResultFrame frame =
-        build_result(rank, round, machines[rank], outboxes[rank]);
-    const mpc::Buffer encoded =
-        encode_result(frame, transport.encode_arena());
-    if (!transport.send_frame(encoded).ok()) _exit(2);
-    // Barrier: hold until the coordinator commits the round (or dies —
-    // either way the reply read ends) so it can still reach us if the
-    // round has to be aborted.
-    (void)transport.recv_frame(-1);
-    _exit(0);
-  } catch (const std::exception& e) {
-    ErrorFrame error;
-    error.rank = rank;
-    error.round = round;
-    error.message = e.what();
-    (void)transport.send_frame(encode_error(error));
-    _exit(1);
-  } catch (...) {
-    _exit(3);
-  }
-}
-
-/// Rank-side loop of one persistent worker. The Machine (store + inbox)
-/// lives here across rounds; each kStep patches it, runs the registered
-/// step, and answers with the dirty-key result delta. The next kStep is
-/// the implicit commit; EOF (coordinator teardown or exit) or kShutdown
-/// ends the loop. A step exception answers kError and keeps looping —
-/// the coordinator decides whether the pool lives on.
-[[noreturn]] void persistent_worker_main(std::size_t m, mpc::MachineId rank,
-                                         Transport& transport) {
   par::set_default_threads(1);
   mpc::Machine machine;
   mpc::Outbox outbox;
   outbox.fragments.resize(m);
   for (;;) {
-    auto frame = transport.recv_frame(-1);
+    auto frame = channel.recv_frame(-1);
     if (!frame.ok()) _exit(0);  // coordinator closed our channel: clean end
     if (frame->kind == FrameKind::kShutdown) _exit(0);
     if (frame->kind != FrameKind::kStep) _exit(4);
@@ -135,15 +98,15 @@ ResultFrame build_result(mpc::MachineId rank, std::size_t round,
       mpc::execute_rank_step(rank, m, machine, outbox, body);
       ResultFrame result = build_result(rank, step.round, machine, outbox);
       const mpc::Buffer encoded =
-          encode_result(result, transport.encode_arena());
-      if (!transport.send_frame(encoded).ok()) _exit(2);
+          encode_result(result, channel.encode_arena());
+      if (!channel.send_frame(encoded).ok()) _exit(2);
       outbox.fragments.assign(m, {});  // moved out by build_result
     } catch (const std::exception& e) {
       ErrorFrame error;
       error.rank = rank;
       error.round = step.round;
       error.message = e.what();
-      if (!transport.send_frame(encode_error(error)).ok()) _exit(1);
+      if (!channel.send_frame(encode_error(error)).ok()) _exit(1);
       // Our resident store may hold a half-executed step now; the
       // coordinator tears the pool down on kError, so the next read EOFs.
     } catch (...) {
@@ -152,16 +115,12 @@ ResultFrame build_result(mpc::MachineId rank, std::size_t round,
   }
 }
 
-/// IpcOptions -> per-pool transport configuration.
-Transport::Config transport_config(const mpc::ClusterConfig& config) {
-  Transport::Config transport;
-  transport.kind =
-      config.ipc.transport == mpc::IpcOptions::Transport::kShmRing
-          ? TransportKind::kShmRing
-          : TransportKind::kSocketpair;
-  transport.ring_bytes = config.ipc.shm_ring_bytes;
-  transport.arena_bytes = config.ipc.shm_arena_bytes;
-  return transport;
+/// IpcOptions -> per-worker channel geometry.
+ShmChannel::Config channel_config(const mpc::ClusterConfig& config) {
+  ShmChannel::Config channel;
+  channel.ring_bytes = config.ipc.shm_ring_bytes;
+  channel.arena_bytes = config.ipc.shm_arena_bytes;
+  return channel;
 }
 
 /// Folds every rank's ring/arena counter deltas into the stats. The
@@ -170,7 +129,7 @@ Transport::Config transport_config(const mpc::ClusterConfig& config) {
 /// as long as the pool (and with it the mapping) is alive.
 void drain_pool_counters(ProcessPool& pool, IpcStats& stats) {
   for (mpc::MachineId rank = 0; rank < pool.size(); ++rank) {
-    const RingCounters delta = pool.transport(rank).drain_counters();
+    const RingCounters delta = pool.channel(rank).drain_counters();
     stats.ring_wraps += delta.wraps;
     stats.ring_full_waits += delta.full_waits;
     stats.shm_bytes += delta.shm_bytes;
@@ -206,7 +165,7 @@ ProcBackend::~ProcBackend() {
   // when the pool closes fds; the pool destructor SIGKILLs stragglers.
   const mpc::Buffer shutdown = encode_shutdown();
   for (mpc::MachineId rank = 0; rank < pool_->size(); ++rank) {
-    (void)pool_->transport(rank).send_frame(shutdown);
+    (void)pool_->channel(rank).send_frame(shutdown);
   }
   (void)pool_->join_all(1000);
   drain_pool_counters(*pool_, stats_);
@@ -228,167 +187,14 @@ void ProcBackend::run_steps(const mpc::ClusterConfig& config,
                             std::vector<mpc::Machine>& machines,
                             std::vector<mpc::Outbox>& outboxes,
                             const mpc::StepSpec& spec, std::size_t round) {
-  const bool persistent =
-      config.ipc.workers == mpc::IpcOptions::WorkerMode::kPersistent;
-  if (persistent && spec.named()) {
-    run_persistent_round(config, machines, outboxes, spec, round);
-    return;
-  }
-  // A hosted closure cannot be shipped to a long-lived worker; execute it
-  // the pre-persistent way (fork inherits the closure copy-on-write). A
-  // live persistent pool just stays blocked in its frame read meanwhile —
-  // the coordinator's dirty keys accumulate this round's results, so the
-  // next kStep patches them across.
-  if (persistent) ++stats_.fallback_rounds;
-  run_fork_round(config, machines, outboxes, spec, round);
-}
-
-void ProcBackend::run_fork_round(const mpc::ClusterConfig& config,
-                                 std::vector<mpc::Machine>& machines,
-                                 std::vector<mpc::Outbox>& outboxes,
-                                 const mpc::StepSpec& spec,
-                                 std::size_t round) {
-  const std::size_t m = machines.size();
-  const obs::Span span("ipc",
-                       spec.named() ? "round/steps/" + spec.name
-                                    : std::string("round/steps"),
-                       "round", round);
-  const mpc::Step step = mpc::resolve_step(spec);
-
-  const bool inject_kill =
-      !kill_fired_ && config.ipc.kill_at_round >= 0 &&
-      static_cast<std::uint64_t>(config.ipc.kill_at_round) == round;
-  if (inject_kill) kill_fired_ = true;
-
-  auto spawned = ProcessPool::spawn(
-      m, transport_config(config),
-      [&](mpc::MachineId rank, Transport& transport) {
-        worker_main(machines, outboxes, step, round,
-                    inject_kill && rank == config.ipc.kill_rank, rank,
-                    transport);
-      });
-  if (!spawned.ok()) {
-    throw MpteError("ipc: " + spawned.status().to_string());
-  }
-  ProcessPool pool = std::move(*spawned);
-  ++stats_.rounds;
-  if (spec.named()) ++stats_.step_rounds[spec.name];
-  stats_.workers_forked += m;
-
-  // Barrier: one result (or error) frame per rank, bounded by the round
-  // deadline. Any failure kills the remaining workers (the pool reaps
-  // them — no zombies) and surfaces as a typed WorkerLost *before* any
-  // state was mutated, so a checkpointed run can retry the round.
-  const Clock::time_point barrier_start = Clock::now();
-  const Clock::time_point deadline =
-      barrier_start + std::chrono::milliseconds(config.ipc.round_deadline_ms);
-  std::vector<Frame> frames;
-  frames.reserve(m);
-  {
-    const obs::Span barrier_span("ipc", "round/barrier", "round", round);
-    for (mpc::MachineId rank = 0; rank < m; ++rank) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - Clock::now());
-      auto frame = pool.transport(rank).recv_frame(
-          static_cast<int>(std::max<std::int64_t>(0, remaining.count())));
-      if (!frame.ok()) {
-        ++stats_.workers_lost;
-        WorkerLost::Cause cause = WorkerLost::Cause::kDied;
-        if (frame.status().code() == StatusCode::kDeadlineExceeded) {
-          cause = WorkerLost::Cause::kDeadline;
-        } else if (frame.status().code() == StatusCode::kInvalidArgument) {
-          cause = WorkerLost::Cause::kProtocol;
-        }
-        std::string detail = frame.status().message();
-        if (pool.try_reap(rank)) {
-          detail += "; worker " + describe_exit(pool.exit_status(rank));
-        }
-        pool.kill_all();
-        drain_pool_counters(pool, stats_);
-        throw WorkerLost(rank, round, cause, detail);
-      }
-      ++stats_.frames_received;
-      stats_.result_wire_bytes += frame->wire_bytes;
-      frames.push_back(std::move(*frame));
-    }
-  }
-  stats_.barrier_seconds += seconds_since(barrier_start);
-
-  // Validate before mutating anything. A step exception propagates like
-  // the in-process backend's: the lowest rank's error wins (serial order).
-  for (mpc::MachineId rank = 0; rank < m; ++rank) {
-    const Frame& frame = frames[rank];
-    if (frame.kind == FrameKind::kError) {
-      pool.kill_all();
-      drain_pool_counters(pool, stats_);
-      throw MpteError(frames[rank].error.message);
-    }
-    if (frame.kind != FrameKind::kResult || frame.result.rank != rank ||
-        frame.result.round != round ||
-        frame.result.fragments.size() != m) {
-      ++stats_.workers_lost;
-      pool.kill_all();
-      drain_pool_counters(pool, stats_);
-      throw WorkerLost(rank, round, WorkerLost::Cause::kProtocol,
-                       "result frame does not match (rank, round, M)");
-    }
-  }
-
-  // Apply: the coordinator's state becomes the post-step state. From here
-  // run_round's shared audit/delivery path takes over. The applied keys
-  // stay dirty coordinator-side — a resident persistent pool (fallback
-  // round) has not seen them yet and needs them in its next patch.
-  const Clock::time_point apply_start = Clock::now();
-  {
-    const obs::Span apply_span("ipc", "round/apply", "round", round);
-    for (mpc::MachineId rank = 0; rank < m; ++rank) {
-      ResultFrame& result = frames[rank].result;
-      for (StoreDelta& delta : result.store_delta) {
-        stats_.store_delta_bytes += delta.blob.size();
-        if (delta.present) {
-          machines[rank].store.set_blob(delta.key, std::move(delta.blob));
-        } else {
-          machines[rank].store.erase(delta.key);
-        }
-      }
-      for (const auto& cell : result.fragments) {
-        for (const auto& fragment : cell) {
-          stats_.fragment_bytes += fragment.size();
-        }
-      }
-      outboxes[rank].fragments = std::move(result.fragments);
-      outboxes[rank].channel_bytes = std::move(result.channel_bytes);
-    }
-  }
-  stats_.apply_seconds += seconds_since(apply_start);
-
-  // Release the barrier and reap. A worker that died *after* its result
-  // frame cannot hurt the round (its data is already applied); join_all
-  // reaps it regardless, so no path leaks a child.
-  const mpc::Buffer commit = encode_commit(round);
-  for (mpc::MachineId rank = 0; rank < m; ++rank) {
-    if (pool.transport(rank).send_frame(commit).ok()) {
-      stats_.commit_wire_bytes += commit.size();
-    }
-  }
-  (void)pool.join_all(config.ipc.round_deadline_ms);
-  drain_pool_counters(pool, stats_);
-}
-
-void ProcBackend::run_persistent_round(const mpc::ClusterConfig& config,
-                                       std::vector<mpc::Machine>& machines,
-                                       std::vector<mpc::Outbox>& outboxes,
-                                       const mpc::StepSpec& spec,
-                                       std::size_t round) {
   const std::size_t m = machines.size();
   const obs::Span span("ipc", "round/steps/" + spec.name, "round", round);
 
   if (!pool_) {
     auto spawned = ProcessPool::spawn(
-        m, transport_config(config),
-        [m](mpc::MachineId rank, Transport& transport) {
-          persistent_worker_main(m, rank, transport);
+        m, channel_config(config),
+        [m](mpc::MachineId rank, ShmChannel& channel) {
+          worker_main(m, rank, channel);
         });
     if (!spawned.ok()) {
       throw MpteError("ipc: " + spawned.status().to_string());
@@ -412,10 +218,9 @@ void ProcBackend::run_persistent_round(const mpc::ClusterConfig& config,
       barrier_start + std::chrono::milliseconds(config.ipc.round_deadline_ms);
 
   // Ship one kStep per rank: the spec, the store patch (full resync for
-  // an unsynced worker; dirty keys — host writes since the last kStep,
-  // fallback-round results — otherwise), and the delivered inbox. Inbox
-  // Buffers are slab-shared with the coordinator's machines; only the
-  // wire serialization copies.
+  // an unsynced worker; dirty keys — host writes since the last kStep —
+  // otherwise), and the delivered inbox. Inbox Buffers are slab-shared
+  // with the coordinator's machines; only the wire serialization copies.
   const mpc::Buffer params_wire(spec.params);
   for (mpc::MachineId rank = 0; rank < m; ++rank) {
     StepFrame step;
@@ -445,8 +250,8 @@ void ProcBackend::run_persistent_round(const mpc::ClusterConfig& config,
     }
     step.inbox = machines[rank].inbox;
     const mpc::Buffer encoded =
-        encode_step(step, pool_->transport(rank).encode_arena());
-    if (!pool_->transport(rank).send_frame(encoded).ok()) {
+        encode_step(step, pool_->channel(rank).encode_arena());
+    if (!pool_->channel(rank).send_frame(encoded).ok()) {
       ++stats_.workers_lost;
       std::string detail = "step frame write failed";
       if (pool_->try_reap(rank)) {
@@ -464,8 +269,10 @@ void ProcBackend::run_persistent_round(const mpc::ClusterConfig& config,
   }
 
   // Barrier: one result (or error) frame per rank, bounded by the round
-  // deadline — identical failure taxonomy to fork mode, plus whole-pool
-  // teardown so the next round respawns + resyncs.
+  // deadline. Any failure tears the whole pool down (the pool reaps every
+  // worker — no zombies) so the next round respawns + resyncs, and
+  // surfaces as a typed WorkerLost *before* any state was mutated, so a
+  // checkpointed run can retry the round.
   std::vector<Frame> frames;
   frames.reserve(m);
   {
@@ -474,7 +281,7 @@ void ProcBackend::run_persistent_round(const mpc::ClusterConfig& config,
       const auto remaining =
           std::chrono::duration_cast<std::chrono::milliseconds>(
               deadline - Clock::now());
-      auto frame = pool_->transport(rank).recv_frame(
+      auto frame = pool_->channel(rank).recv_frame(
           static_cast<int>(std::max<std::int64_t>(0, remaining.count())));
       if (!frame.ok()) {
         ++stats_.workers_lost;
@@ -498,9 +305,11 @@ void ProcBackend::run_persistent_round(const mpc::ClusterConfig& config,
   }
   stats_.barrier_seconds += seconds_since(barrier_start);
 
-  // Validate before mutating anything. On kError the worker's resident
-  // store may hold a half-executed step, so the pool goes down with the
-  // round; the coordinator's own state is untouched either way.
+  // Validate before mutating anything. A step exception propagates like
+  // the in-process backend's: the lowest rank's error wins (serial order).
+  // On kError the worker's resident store may hold a half-executed step,
+  // so the pool goes down with the round; the coordinator's own state is
+  // untouched either way.
   for (mpc::MachineId rank = 0; rank < m; ++rank) {
     const Frame& frame = frames[rank];
     if (frame.kind == FrameKind::kError) {
@@ -566,9 +375,6 @@ void ProcBackend::export_metrics(obs::Registry& registry) const {
   c("mpte_ipc_result_wire_bytes_total",
     "Worker-to-coordinator result frame bytes on the wire.",
     stats_.result_wire_bytes);
-  c("mpte_ipc_commit_wire_bytes_total",
-    "Coordinator-to-worker commit frame bytes on the wire (fork mode).",
-    stats_.commit_wire_bytes);
   c("mpte_ipc_store_delta_bytes_total",
     "Store-delta payload bytes shipped inside result frames.",
     stats_.store_delta_bytes);
@@ -589,9 +395,6 @@ void ProcBackend::export_metrics(obs::Registry& registry) const {
   c("mpte_ipc_store_resyncs_total",
     "Full store resyncs shipped to (re)spawned persistent workers.",
     stats_.store_resyncs);
-  c("mpte_ipc_fallback_rounds_total",
-    "Rounds that fell back to fork-per-round (hosted closure spec).",
-    stats_.fallback_rounds);
   c("mpte_ipc_ring_wraps_total",
     "Shared-memory ring writes that wrapped past the buffer end.",
     stats_.ring_wraps);

@@ -1,45 +1,35 @@
 // The multi-process round executor behind ClusterConfig::backend =
 // Backend::kMultiProcess.
 //
-// Two worker provisioning modes (IpcOptions::workers):
+// The pool forks each rank **once**, lazily on the first round. A worker
+// keeps its LocalStore resident across rounds; each round the coordinator
+// ships a kStep frame — the StepSpec (name + serialized params, rebuilt
+// worker-side via the StepRegistry), a store patch covering what changed
+// coordinator-side since the last kStep (host writes; or a full resync
+// after (re)spawn), and the rank's delivered inbox — and the worker
+// answers with its store delta (LocalStore dirty keys) plus its outbox
+// as one checksummed result frame. Only named steps can cross the
+// process boundary; Cluster::run_round rejects hosted closures before
+// they reach this executor.
 //
-// * kPersistent (default): the pool forks each rank **once**, lazily on
-//   the first named round. A worker keeps its LocalStore resident across
-//   rounds; each round the coordinator ships a kStep frame — the StepSpec
-//   (name + serialized params, rebuilt worker-side via the StepRegistry),
-//   a store patch covering what changed coordinator-side since the last
-//   kStep (host writes, fork-fallback rounds; or a full resync after
-//   (re)spawn), and the rank's delivered inbox — and the worker answers
-//   with the same kResult delta fork mode uses. Rounds that run a hosted
-//   closure (unnamed spec) fall back to fork-per-round transparently; the
-//   resident pool just stays blocked in its frame read.
-//
-// * kForkPerRound: one worker per rank per round. The child inherits the
-//   resolved step and the entire pre-round cluster state copy-on-write,
-//   executes its own rank's step serially, and ships back only what
-//   changed — the rank's store delta (LocalStore dirty keys) plus its
-//   outbox — as one checksummed result frame.
-//
-// Either way the coordinator applies all M frames to its authoritative
-// state and then falls through to the same audit/delivery/stats code the
+// The coordinator applies all M result frames to its authoritative state
+// and then falls through to the same audit/delivery/stats code the
 // in-process backend uses, which is why RoundStats, channel byte totals,
 // and the golden fingerprints are byte-identical between backends.
 //
-// Frames travel the substrate IpcOptions::transport selects — per-worker
-// shared-memory rings + blob arenas (kShmRing, the default) or plain
-// socketpairs — through the Transport seam (shm_ring.hpp). Decoded
-// frames are identical on either substrate, so the transport choice
-// never affects results either; see docs/ipc-transport.md.
+// Frames travel per-worker shared-memory rings + blob arenas (ShmChannel,
+// shm_ring.hpp); a frame too large for its ring falls back to the rank's
+// socketpair. See docs/ipc-transport.md.
 //
-// Failure semantics: a worker that dies (EOF/EPIPE, observed exit),
+// Failure semantics: a worker that dies (EOF/POLLHUP, observed exit),
 // misses the round deadline, or sends garbage surfaces as WorkerLost —
 // a RankCrashed subclass, so ckpt::run_with_recovery restores the latest
 // snapshot (or restarts) exactly as for a simulated rank crash. The
 // coordinator's state is untouched on failure: deltas are applied only
-// after every frame arrived intact. A persistent failure additionally
-// tears the whole pool down; the next named round respawns it and
-// resyncs every worker's store from the coordinator's authoritative copy
-// (counted in workers_respawned / store_resyncs).
+// after every frame arrived intact. Any failure also tears the whole
+// pool down; the next round respawns it and resyncs every worker's store
+// from the coordinator's authoritative copy (counted in
+// workers_respawned / store_resyncs).
 #pragma once
 
 #include <cstddef>
@@ -87,16 +77,11 @@ struct IpcStats {
   std::uint64_t frames_received = 0;
   /// Worker -> coordinator result-frame envelope bytes.
   std::uint64_t result_wire_bytes = 0;
-  /// Coordinator -> worker commit-frame envelope bytes (fork mode only;
-  /// the persistent protocol has no commit frame — the next kStep is the
-  /// implicit commit).
-  std::uint64_t commit_wire_bytes = 0;
   /// Store-delta payload bytes carried inside result frames.
   std::uint64_t store_delta_bytes = 0;
   /// Outbox fragment payload bytes carried inside result frames.
   std::uint64_t fragment_bytes = 0;
-  // --- persistent-worker counters ---
-  /// kStep frames shipped to persistent workers.
+  /// kStep frames shipped to workers.
   std::uint64_t step_frames_sent = 0;
   /// Coordinator -> worker kStep envelope bytes.
   std::uint64_t step_wire_bytes = 0;
@@ -107,12 +92,9 @@ struct IpcStats {
   std::uint64_t workers_respawned = 0;
   /// Full store resyncs shipped to (re)spawned workers.
   std::uint64_t store_resyncs = 0;
-  /// Rounds that fell back to fork-per-round because the spec carried a
-  /// hosted closure instead of a registered name.
-  std::uint64_t fallback_rounds = 0;
-  // --- shared-memory transport counters (kShmRing only; all zero under
-  // kSocketpair). Drained from the shared ring headers once per round
-  // and at pool teardown, so worker-side activity is included. ---
+  // --- shared-memory channel counters, drained from the shared ring
+  // headers once per round and at pool teardown, so worker-side activity
+  // is included. ---
   /// Frame writes that wrapped past the end of a ring buffer.
   std::uint64_t ring_wraps = 0;
   /// Blocking episodes where a producer found its ring full.
@@ -130,9 +112,8 @@ struct IpcStats {
 class ProcBackend final : public mpc::RoundExecutor {
  public:
   ProcBackend() = default;
-  /// Gracefully shuts a live persistent pool down (kShutdown frame, then
-  /// join; the pool destructor SIGKILLs stragglers — no path leaks a
-  /// child).
+  /// Gracefully shuts a live pool down (kShutdown frame, then join; the
+  /// pool destructor SIGKILLs stragglers — no path leaks a child).
   ~ProcBackend() override;
 
   void run_steps(const mpc::ClusterConfig& config,
@@ -143,37 +124,29 @@ class ProcBackend final : public mpc::RoundExecutor {
   void export_metrics(obs::Registry& registry) const override;
 
   /// Coordinator machines were rewritten out of band (resume_from /
-  /// reset_to_start): persistent worker stores are stale. Tears the pool
-  /// down; the next named round respawns and resyncs.
+  /// reset_to_start): resident worker stores are stale. Tears the pool
+  /// down; the next round respawns and resyncs.
   void invalidate_workers() override;
 
   const IpcStats& stats() const { return stats_; }
 
  private:
-  void run_fork_round(const mpc::ClusterConfig& config,
-                      std::vector<mpc::Machine>& machines,
-                      std::vector<mpc::Outbox>& outboxes,
-                      const mpc::StepSpec& spec, std::size_t round);
-  void run_persistent_round(const mpc::ClusterConfig& config,
-                            std::vector<mpc::Machine>& machines,
-                            std::vector<mpc::Outbox>& outboxes,
-                            const mpc::StepSpec& spec, std::size_t round);
-  /// Kills + reaps the persistent pool and marks every rank unsynced.
+  /// Kills + reaps the pool and marks every rank unsynced.
   void teardown_pool();
 
   IpcStats stats_;
   /// IpcOptions::kill_at_round fires once per executor (like a FaultPlan
   /// event), so a recovered run passes the previously-killed round.
   bool kill_fired_ = false;
-  /// The persistent pool; engaged from the first named round until a
+  /// The worker pool; engaged from the first round until a
   /// failure/invalidation tears it down (then re-engaged on demand).
   std::optional<ProcessPool> pool_;
-  /// synced_[rank]: the persistent worker's resident store matches the
-  /// coordinator's view as of the last kStep it was sent. False forces a
-  /// full-store resync in the next kStep.
+  /// synced_[rank]: the worker's resident store matches the coordinator's
+  /// view as of the last kStep it was sent. False forces a full-store
+  /// resync in the next kStep.
   std::vector<bool> synced_;
-  /// Whether a persistent pool was ever spawned (distinguishes the first
-  /// spawn from respawns in workers_respawned).
+  /// Whether a pool was ever spawned (distinguishes the first spawn from
+  /// respawns in workers_respawned).
   bool ever_spawned_ = false;
 };
 

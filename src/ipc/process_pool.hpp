@@ -1,26 +1,21 @@
 // Worker pool for the multi-process MPC backend.
 //
-// spawn() creates one transport endpoint + forked child per rank. Every
-// rank always gets a Unix-domain socketpair — the frame carrier under
-// TransportKind::kSocketpair, and the fallback/liveness channel under
-// kShmRing, where frames normally travel a pre-fork shared-memory ring
-// pair (see shm_ring.hpp). The child inherits the coordinator's full
-// pre-round state copy-on-write — that is how a host std::function Step
-// crosses the process boundary without being serializable — runs the
-// supplied entry function, and must _exit (never return: running atexit
-// handlers or flushing inherited stdio in a forked child would corrupt
-// the parent's world).
+// spawn() creates, per rank, a shared-memory ShmChannel (mapped before
+// fork so both processes share it) plus a Unix-domain socketpair — the
+// channel's liveness probe and oversized-frame fallback — and forks one
+// child that runs the supplied entry function. The child must _exit
+// (never return: running atexit handlers or flushing inherited stdio in
+// a forked child would corrupt the parent's world).
 //
-// The pool owns the parent-side fds, the shared-memory channels, and the
-// pids. Its destructor SIGKILLs and reaps anything still running, so no
-// code path — including exceptions thrown mid-round — can leak a zombie.
+// The pool owns the parent-side fds, the channels, and the pids. Its
+// destructor SIGKILLs and reaps anything still running, so no code path
+// — including exceptions thrown mid-round — can leak a zombie.
 #pragma once
 
 #include <sys/types.h>
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.hpp"
@@ -31,16 +26,16 @@ namespace mpte::ipc {
 
 class ProcessPool {
  public:
-  /// Runs rank-side; must not return (call _exit). `transport` is the
+  /// Runs rank-side; must not return (call _exit). `channel` is the
   /// worker's end of its duplex channel, already bound to Side::kWorker.
   using WorkerMain =
-      std::function<void(mpc::MachineId rank, Transport& transport)>;
+      std::function<void(mpc::MachineId rank, ShmChannel& channel)>;
 
-  /// Forks `ranks` workers over `transport`-configured channels. On a
+  /// Forks `ranks` workers over `channel`-configured channels. On a
   /// failure the already-spawned workers are killed and kUnavailable is
   /// returned.
   static Result<ProcessPool> spawn(std::size_t ranks,
-                                   const Transport::Config& transport,
+                                   const ShmChannel::Config& channel,
                                    const WorkerMain& worker_main);
 
   ProcessPool(ProcessPool&& other) noexcept;
@@ -52,12 +47,7 @@ class ProcessPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Coordinator-side endpoint of rank's channel.
-  Transport& transport(mpc::MachineId rank) {
-    return *workers_[rank].transport;
-  }
-
-  /// Coordinator-side fd of rank's socketpair (-1 once closed).
-  int fd(mpc::MachineId rank) const { return workers_[rank].fd; }
+  ShmChannel& channel(mpc::MachineId rank) { return workers_[rank].channel; }
 
   /// Non-blocking death check: true once rank's child has been reaped
   /// (here or earlier). Records the exit status.
@@ -82,10 +72,9 @@ class ProcessPool {
  private:
   struct Worker {
     pid_t pid = -1;
+    /// Coordinator end of the rank's socketpair (-1 once closed).
     int fd = -1;
-    /// unique_ptr: the arena/ring views handed out by the Transport must
-    /// stay address-stable while workers_ grows.
-    std::unique_ptr<Transport> transport;
+    ShmChannel channel;
     bool reaped = false;
     int exit_status = 0;
   };

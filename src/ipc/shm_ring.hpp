@@ -17,17 +17,13 @@
 // envelope; a marker of 0 announces that this frame was too large for
 // the ring and travels on the socketpair instead (counted, order
 // preserved). Large blobs ride the per-direction arena by (offset,
-// length) reference — see frames.hpp BlobArena.
-//
-// The Transport class at the bottom is the seam ProcessPool/ProcBackend
-// program against: the same send_frame/recv_frame surface whether the
-// substrate is a bare socketpair or a ring+arena channel.
+// length) reference — see frames.hpp BlobArena. ProcessPool holds one
+// ShmChannel per worker and ProcBackend talks to workers through it.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 
 #include "common/shm.hpp"
@@ -182,9 +178,6 @@ class ShmChannel {
   ShmRing& send_ring();
   ShmRing& recv_ring();
 
-  int fd() const { return fd_; }
-  Side side() const { return side_; }
-
  private:
   struct Meta;
 
@@ -199,56 +192,6 @@ class ShmChannel {
   Side side_ = Side::kCoordinator;
   int fd_ = -1;
   RingCounters drained_{};
-};
-
-/// Transport substrate selector (mirrors mpc::IpcOptions::Transport,
-/// which is the user-facing knob; ProcBackend maps one to the other).
-enum class TransportKind : std::uint8_t { kSocketpair = 0, kShmRing = 1 };
-
-/// The seam between ProcessPool/ProcBackend and the byte substrate. A
-/// Transport is created coordinator-side before fork (so any shared
-/// mapping is inherited), then bound to a side + socketpair fd on each
-/// side after fork. Frames produced/consumed through it are identical in
-/// decoded content on either substrate — only the carrier differs.
-class Transport {
- public:
-  struct Config {
-    TransportKind kind = TransportKind::kShmRing;
-    std::size_t ring_bytes = 1u << 20;
-    std::size_t arena_bytes = 4u << 20;
-  };
-
-  static Result<Transport> create(const Config& config);
-
-  Transport() = default;
-  Transport(Transport&&) = default;
-  Transport& operator=(Transport&&) = default;
-
-  void bind(Side side, int fd);
-
-  TransportKind kind() const { return kind_; }
-  int fd() const { return channel_ ? channel_->fd() : fd_; }
-
-  Status send_frame(const mpc::Buffer& encoded);
-  Result<Frame> recv_frame(int timeout_ms);
-
-  /// Arena for the next frame this side encodes; nullptr on socketpair
-  /// (blobs inline). Resets the arena — one encode per call.
-  BlobArena* encode_arena();
-
-  /// Wakes any ring waiter; no-op on socketpair.
-  void shutdown_channel();
-
-  /// Ring/arena counter deltas since the last drain (zeros on
-  /// socketpair). Coordinator-side only.
-  RingCounters drain_counters();
-
- private:
-  TransportKind kind_ = TransportKind::kSocketpair;
-  int fd_ = -1;
-  /// unique_ptr keeps the channel's ring views stable across moves of
-  /// the Transport itself (ProcessPool stores workers in a vector).
-  std::unique_ptr<ShmChannel> channel_;
 };
 
 }  // namespace mpte::ipc

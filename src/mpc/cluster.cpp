@@ -95,6 +95,12 @@ void Cluster::reset_to_start() {
 
 void Cluster::run_round(const StepSpec& spec, std::string label) {
   if (label.empty()) label = spec.name;
+  if (config_.backend == Backend::kMultiProcess && !spec.named()) {
+    throw MpteError("round '" + label +
+                    "': a hosted closure cannot run on the multi-process "
+                    "backend; register the step with mpc::RegisterStep and "
+                    "run it by name");
+  }
   if (skip_rounds_ > 0) {
     // Fast-forward after resume_from: the restored state already contains
     // this round's effects, and its restored RoundRecord stands in for the
@@ -138,9 +144,10 @@ void Cluster::run_round(const StepSpec& spec, std::string label) {
   // finish; the audit below never runs on a failed round. Each step runs
   // under a ScratchScope so kernel temporaries it bumped off the worker's
   // scratch arena are reclaimed before the next machine's step reuses the
-  // thread. Multi-process: the executor forks one worker per rank and
-  // leaves machines_/outboxes_ in the identical post-step state, so
-  // everything below this block is backend-independent.
+  // thread. Multi-process: the executor runs the named step in one worker
+  // process per rank and leaves machines_/outboxes_ in the identical
+  // post-step state, so everything below this block is
+  // backend-independent.
   auto& outboxes = outboxes_;
   if (config_.backend == Backend::kMultiProcess) {
     if (!executor_) executor_ = make_multiprocess_executor();

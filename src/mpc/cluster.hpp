@@ -102,40 +102,27 @@ struct CheckpointPolicy {
 };
 
 /// Which substrate executes machine steps. kInProcess simulates every
-/// machine inside this process (threaded over ranks); kMultiProcess forks
-/// one OS worker process per rank per round (src/ipc/) and ships results
-/// back over sockets. The backends are byte-identical: audits, delivery,
-/// and stats all run on the same coordinator-side code path, so the
-/// golden fingerprints and per-channel byte totals never depend on the
-/// choice. See docs/mpc-model.md "The process backend".
+/// machine inside this process (threaded over ranks); kMultiProcess runs
+/// one persistent OS worker process per rank (src/ipc/) and ships each
+/// round's named step to it over a shared-memory ring. The backends are
+/// byte-identical: audits, delivery, and stats all run on the same
+/// coordinator-side code path, so the golden fingerprints and
+/// per-channel byte totals never depend on the choice. See
+/// docs/mpc-model.md "The process backend".
 enum class Backend : std::uint8_t { kInProcess = 0, kMultiProcess = 1 };
 
 /// Knobs for the multi-process backend; ignored under kInProcess.
 struct IpcOptions {
-  /// How workers are provisioned. kPersistent (the default) forks each
-  /// rank once, keeps its LocalStore resident, and ships a kStep frame
-  /// (StepSpec + delivered inbox) down each round — rounds that run a
-  /// hosted closure fall back to fork-per-round transparently.
-  /// kForkPerRound forks every rank every round (the pre-persistent
-  /// behavior; closures and named steps alike inherit state copy-on-write).
-  enum class WorkerMode : std::uint8_t { kForkPerRound = 0, kPersistent = 1 };
-  WorkerMode workers = WorkerMode::kPersistent;
-  /// Byte substrate for coordinator<->worker frames. kShmRing (the
-  /// default) carries frames over per-worker shared-memory SPSC rings
-  /// with large blobs passed by reference through a shared arena; frames
-  /// that exceed ring capacity fall back to the socketpair (counted in
-  /// mpte_ipc_fallback_frames_total, never truncated). kSocketpair is
-  /// the plain-sockets path. Decoded frames are identical either way, so
-  /// the choice never affects results — see docs/ipc-transport.md.
-  enum class Transport : std::uint8_t { kSocketpair = 0, kShmRing = 1 };
-  Transport transport = Transport::kShmRing;
   /// Per-direction ring data capacity (rounded up to a power of two) and
-  /// per-direction blob arena capacity, per worker, kShmRing only.
+  /// per-direction blob arena capacity, per worker. Frames that exceed
+  /// the ring fall back to the rank's socketpair (counted in
+  /// mpte_ipc_fallback_frames_total, never truncated) — see
+  /// docs/ipc-transport.md.
   std::size_t shm_ring_bytes = 1u << 20;
   std::size_t shm_arena_bytes = 4u << 20;
-  /// Wall-clock budget for one round barrier (provision every worker,
-  /// execute the step, collect every result frame). A worker that misses
-  /// it is lost: run_round throws ipc::WorkerLost (Cause::kDeadline).
+  /// Wall-clock budget for one round barrier (ship every worker its step,
+  /// execute it, collect every result frame). A worker that misses it is
+  /// lost: run_round throws ipc::WorkerLost (Cause::kDeadline).
   int round_deadline_ms = 60'000;
   /// Test-only fault injection: worker `kill_rank` _exits without sending
   /// its result frame when executing round `kill_at_round` (< 0 = off).
@@ -260,7 +247,7 @@ class RoundExecutor {
   /// Any state workers hold resident (stores shipped across rounds) is no
   /// longer authoritative — the coordinator rewrote its machines out of
   /// band (resume_from, reset_to_start). Persistent backends must tear
-  /// down or resync; the default (and the fork path) has nothing to do.
+  /// down or resync; the default has nothing to do.
   virtual void invalidate_workers() {}
 };
 
@@ -349,9 +336,10 @@ class Cluster {
   void run_round(const StepSpec& spec, std::string label = "");
 
   /// Closure adapter: wraps `step` into a hosted (unnamed) StepSpec. Fine
-  /// for tests and one-off drivers; under the multi-process backend a
-  /// hosted step always executes via fork-per-round, since a closure
-  /// cannot be shipped to a persistent worker.
+  /// for tests and one-off in-process drivers. A closure cannot be shipped
+  /// to a worker process, so under Backend::kMultiProcess run_round throws
+  /// MpteError before executing anything; register the step with
+  /// mpc::RegisterStep and run it by name instead.
   void run_round(const Step& step, std::string label = "") {
     StepSpec spec;
     spec.hosted = step;

@@ -1,17 +1,16 @@
 // The named-step program layer.
 //
-// A round's computation used to be only an anonymous host closure
-// (`Step`), which the multi-process backend could not ship to a
-// long-lived worker — it had to fork a fresh child per round to inherit
-// the closure. A `StepSpec` makes the program *nameable*: a stable step
-// name plus an explicitly serialized parameter Buffer, resolved through a
-// process-wide `StepRegistry` of factories. The coordinator can then send
-// the spec down a socket and a persistent worker, which inherited the
-// registry when it forked, rebuilds the identical step on its side.
+// A round's computation is either an anonymous host closure (`Step`) or
+// a `StepSpec`: a stable step name plus an explicitly serialized
+// parameter Buffer, resolved through a process-wide `StepRegistry` of
+// factories. A spec is data, so the coordinator can send it to a
+// persistent worker process, which inherited the registry when it
+// forked and rebuilds the identical step on its side.
 //
-// Closures remain first-class: a `StepSpec` may instead carry a `hosted`
-// closure (tests, one-off experiments), which executes on every backend
-// via the fork-per-round fallback. Registration happens in the driver TU
+// Closures remain convenient for tests and one-off in-process drivers: a
+// `StepSpec` may carry a `hosted` closure instead of a name. Hosted specs
+// run on the in-process backend only; the multi-process backend rejects
+// them before executing anything. Registration happens in the driver TU
 // that issues the round (static-init `RegisterStep` objects), so linking
 // the driver guarantees its steps resolve — in this process and in every
 // worker forked from it.
@@ -41,9 +40,9 @@ using Step = std::function<void(MachineContext&)>;
 using StepParams = std::span<const std::uint8_t>;
 
 /// One round's program: either a registered name + serialized parameters
-/// (shippable to persistent workers) or a hosted closure (executable only
-/// where it was built). Exactly one of the two is meaningful; `named()`
-/// says which.
+/// (shippable to worker processes) or a hosted closure (executable only
+/// in the process that built it). Exactly one of the two is meaningful;
+/// `named()` says which.
 struct StepSpec {
   /// Registered step name, e.g. "shuffle/route". Empty for hosted steps.
   std::string name;
@@ -51,7 +50,7 @@ struct StepSpec {
   /// contract is that (name, params) fully determines the step — nothing
   /// data-dependent may be captured host-side.
   std::vector<std::uint8_t> params;
-  /// Host closure fallback; set iff `name` is empty.
+  /// In-process closure; set iff `name` is empty.
   Step hosted;
 
   StepSpec() = default;

@@ -1,7 +1,7 @@
 // mpte::ckpt — snapshots, deterministic fault injection, crash recovery.
 //
 // The load-bearing test is the crash sweep: inject a crash at EVERY round
-// of the golden-seed mpc_embed configuration (test_mpc_channels.cpp),
+// of the golden-seed mpc_embed configuration (golden.hpp),
 // recover from the newest checkpoint, and require the recovered embedding
 // to match the golden fingerprint byte for byte — at 1 and 8 cluster
 // threads.
@@ -16,10 +16,8 @@
 #include "ckpt/manager.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/snapshot.hpp"
-#include "core/mpc_embedder.hpp"
-#include "geometry/generators.hpp"
+#include "golden.hpp"
 #include "mpc/primitives.hpp"
-#include "tree/hst_io.hpp"
 
 namespace mpte::ckpt {
 namespace {
@@ -43,44 +41,11 @@ fs::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-/// The golden-seed configuration from test_mpc_channels.cpp.
-constexpr std::uint64_t kGoldenHash = 8852295253212578257ull;
-
-ClusterConfig golden_config(std::size_t threads) {
-  ClusterConfig config;
-  config.num_machines = 6;
-  config.local_memory_bytes = 1 << 22;
-  config.enforce_limits = true;
-  config.num_threads = threads;
-  return config;
-}
-
-MpcEmbedOptions golden_options() {
-  MpcEmbedOptions options;
-  options.seed = 99;
-  options.num_buckets = 2;
-  options.delta = 1024;
-  options.use_fjlt = false;
-  return options;
-}
-
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n, std::uint64_t h) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t fingerprint(const MpcEmbedding& result) {
-  const auto tree_bytes = hst_to_bytes(result.tree);
-  std::uint64_t h =
-      fnv1a(tree_bytes.data(), tree_bytes.size(), 1469598103934665603ull);
-  const auto& raw = result.embedded_points.raw();
-  h = fnv1a(reinterpret_cast<const std::uint8_t*>(raw.data()),
-            raw.size() * sizeof(double), h);
-  return h;
-}
+using golden::fingerprint;
+using golden::golden_config;
+using golden::golden_options;
+using golden::golden_points;
+using golden::kGoldenHash;
 
 /// Runs a few communication rounds so the cluster holds nontrivial state:
 /// scattered vectors, a shuffle, and a pending driver note.
@@ -264,14 +229,13 @@ TEST(FaultPlan, DropsAndDuplicatesPerturbCountersNotBytes) {
 /// the pinned hash) and the total committed round count.
 std::pair<std::uint64_t, std::size_t> golden_run(std::size_t threads) {
   Cluster cluster(golden_config(threads));
-  const PointSet points = generate_uniform_cube(150, 8, 30.0, 7);
-  const auto result = mpc_embed(cluster, points, golden_options());
+  const auto result = golden::golden_embed(cluster);
   EXPECT_TRUE(result.ok()) << result.status().to_string();
   return {fingerprint(*result), cluster.stats().rounds()};
 }
 
 TEST(Recovery, CrashAtEveryRoundRecoversGoldenFingerprint) {
-  const PointSet points = generate_uniform_cube(150, 8, 30.0, 7);
+  const PointSet points = golden_points();
   for (const std::size_t threads : {1u, 8u}) {
     const auto [golden, total_rounds] = golden_run(threads);
     ASSERT_EQ(golden, kGoldenHash) << "threads=" << threads;
@@ -318,7 +282,7 @@ TEST(Recovery, CrashAtEveryRoundRecoversGoldenFingerprint) {
 
 TEST(Recovery, ByteBudgetPolicyCheckpointsAndRecovers) {
   const fs::path dir = scratch_dir("byte_budget");
-  const PointSet points = generate_uniform_cube(150, 8, 30.0, 7);
+  const PointSet points = golden_points();
   ClusterConfig config = golden_config(1);
   config.checkpoint.mode = CheckpointPolicy::Mode::kByteBudget;
   config.checkpoint.directory = dir.string();
@@ -344,7 +308,7 @@ TEST(Recovery, ByteBudgetPolicyCheckpointsAndRecovers) {
 
 TEST(Recovery, RestartModeRecoversWithoutAnySnapshots) {
   // Policy off: the recovery loop's restart mode re-runs from round zero.
-  const PointSet points = generate_uniform_cube(150, 8, 30.0, 7);
+  const PointSet points = golden_points();
   Cluster cluster(golden_config(1));
   FaultPlan plan;
   plan.add_crash(7, 3);
@@ -362,7 +326,7 @@ TEST(Recovery, RestartModeRecoversWithoutAnySnapshots) {
 }
 
 TEST(Recovery, ExhaustedRestoreBudgetIsAborted) {
-  const PointSet points = generate_uniform_cube(150, 8, 30.0, 7);
+  const PointSet points = golden_points();
   Cluster cluster(golden_config(1));
   // More crashes at round 0 than the recovery budget allows.
   FaultPlan plan;

@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 
-#include "core/mpc_embedder.hpp"
-#include "geometry/generators.hpp"
+#include "golden.hpp"
 #include "mpc/primitives.hpp"
 #include "tree/distortion.hpp"
-#include "tree/hst_io.hpp"
 
 namespace mpte::mpc {
 namespace {
@@ -178,14 +176,6 @@ TEST(Violations, EnforcementOnStillThrows) {
   EXPECT_EQ(cluster.stats().total_violations(), 0u);
 }
 
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n, std::uint64_t h) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 TEST(GoldenSeed, EmbeddingIsByteIdenticalAcrossRefactorsAndThreads) {
   // Fingerprint of mpc_embed's output (tree bytes + embedded point bytes)
   // for a pinned configuration, captured from the pre-Buffer/-Channel
@@ -194,32 +184,12 @@ TEST(GoldenSeed, EmbeddingIsByteIdenticalAcrossRefactorsAndThreads) {
   // Checked at 1 and 8 cluster threads. Host-side measurements like
   // measure_distortion are deliberately not hashed: their parallel
   // accumulation order follows MPTE_THREADS, not the cluster config.
-  constexpr std::uint64_t kExpectedHash = 8852295253212578257ull;
-
   for (const std::size_t threads : {1u, 8u}) {
-    mpc::ClusterConfig config;
-    config.num_machines = 6;
-    config.local_memory_bytes = 1 << 22;
-    config.enforce_limits = true;
-    config.num_threads = threads;
-    mpc::Cluster cluster(config);
-
-    const PointSet points = generate_uniform_cube(150, 8, 30.0, 7);
-    MpcEmbedOptions options;
-    options.seed = 99;
-    options.num_buckets = 2;
-    options.delta = 1024;
-    options.use_fjlt = false;
-    const auto result = mpc_embed(cluster, points, options);
+    mpc::Cluster cluster(golden::golden_config(threads));
+    const auto result = golden::golden_embed(cluster);
     ASSERT_TRUE(result.ok()) << result.status().to_string();
-
-    const auto tree_bytes = hst_to_bytes(result->tree);
-    std::uint64_t h =
-        fnv1a(tree_bytes.data(), tree_bytes.size(), 1469598103934665603ull);
-    const auto& raw = result->embedded_points.raw();
-    h = fnv1a(reinterpret_cast<const std::uint8_t*>(raw.data()),
-              raw.size() * sizeof(double), h);
-    EXPECT_EQ(h, kExpectedHash) << "threads=" << threads;
+    EXPECT_EQ(golden::fingerprint(*result), golden::kGoldenHash)
+        << "threads=" << threads;
 
     const DistortionStats stats =
         measure_distortion(result->tree, result->embedded_points, 5000, 3);

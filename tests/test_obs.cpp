@@ -13,13 +13,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/mpc_embedder.hpp"
-#include "geometry/generators.hpp"
+#include "golden.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
-#include "tree/hst_io.hpp"
 
 namespace mpte::obs {
 namespace {
@@ -379,52 +377,23 @@ TEST(ProfilingHooks, AttributesEveryRoundAndForwardsToInner) {
 
 // ------------------------------------------------- tracing is observation
 
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n, std::uint64_t h) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::uint64_t golden_fingerprint(std::size_t threads) {
-  mpc::ClusterConfig config;
-  config.num_machines = 6;
-  config.local_memory_bytes = 1 << 22;
-  config.enforce_limits = true;
-  config.num_threads = threads;
-  mpc::Cluster cluster(config);
-
-  const PointSet points = generate_uniform_cube(150, 8, 30.0, 7);
-  MpcEmbedOptions options;
-  options.seed = 99;
-  options.num_buckets = 2;
-  options.delta = 1024;
-  options.use_fjlt = false;
-  const auto result = mpc_embed(cluster, points, options);
+  mpc::Cluster cluster(golden::golden_config(threads));
+  const auto result = golden::golden_embed(cluster);
   EXPECT_TRUE(result.ok()) << result.status().to_string();
   if (!result.ok()) return 0;
-
-  const auto tree_bytes = hst_to_bytes(result->tree);
-  std::uint64_t h =
-      fnv1a(tree_bytes.data(), tree_bytes.size(), 1469598103934665603ull);
-  const auto& raw = result->embedded_points.raw();
-  h = fnv1a(reinterpret_cast<const std::uint8_t*>(raw.data()),
-            raw.size() * sizeof(double), h);
-  return h;
+  return golden::fingerprint(*result);
 }
 
 TEST(ObservationOnly, TracedEmbeddingIsByteIdenticalAtOneAndEightThreads) {
-  // Same pinned configuration and expected hash as the GoldenSeed test in
-  // test_mpc_channels.cpp: tracing must not perturb the embedding.
-  constexpr std::uint64_t kExpectedHash = 8852295253212578257ull;
+  // The golden embedding (golden.hpp): tracing must not perturb it.
   for (const std::size_t threads : {1u, 8u}) {
     Tracer::global().disable();
-    EXPECT_EQ(golden_fingerprint(threads), kExpectedHash)
+    EXPECT_EQ(golden_fingerprint(threads), golden::kGoldenHash)
         << "tracing off, threads=" << threads;
 
     Tracer::global().enable();
-    EXPECT_EQ(golden_fingerprint(threads), kExpectedHash)
+    EXPECT_EQ(golden_fingerprint(threads), golden::kGoldenHash)
         << "tracing on, threads=" << threads;
     Tracer::global().disable();
 

@@ -163,7 +163,11 @@ TEST(ShmRing, CorruptedEnvelopeOnRingIsRejectedByDecode) {
   auto f = RingFixture::make(1u << 12);
   // Hand-roll the channel's frame-on-ring protocol: u64 length marker,
   // then the checksummed envelope bytes.
-  const mpc::Buffer encoded = encode_commit(41);
+  ErrorFrame error;
+  error.rank = 3;
+  error.round = 41;
+  error.message = "step failed";
+  const mpc::Buffer encoded = encode_error(error);
   const std::uint64_t marker = encoded.size();
   ASSERT_TRUE(f.producer
                   .write({reinterpret_cast<const std::uint8_t*>(&marker),
@@ -194,8 +198,9 @@ TEST(ShmRing, CorruptedEnvelopeOnRingIsRejectedByDecode) {
   envelope[kEnvelopeHeaderBytes] ^= 0x40;
   const auto fixed = decode_envelope({envelope.data(), envelope.size()});
   ASSERT_TRUE(fixed.ok()) << fixed.status().to_string();
-  EXPECT_EQ(fixed->kind, FrameKind::kCommit);
+  EXPECT_EQ(fixed->kind, FrameKind::kError);
   EXPECT_EQ(fixed->round, 41u);
+  EXPECT_EQ(fixed->error.message, "step failed");
 }
 
 TEST(ShmRing, TwoThreadHammer) {
@@ -256,8 +261,8 @@ TEST(ShmChannel, RoundTripsFramesAndFallsBackWhenOversized) {
   ASSERT_TRUE(created.ok()) << created.status().to_string();
   // In a real spawn the worker's end is the same region seen after fork;
   // here the "worker" is this thread speaking the raw marker+envelope
-  // protocol directly over the channel's rings (Transport-level
-  // cross-process equivalence is test_ipc's job).
+  // protocol directly over the channel's rings (cross-process
+  // equivalence is test_ipc's job).
   ShmChannel channel = std::move(*created);
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);

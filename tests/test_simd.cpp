@@ -17,12 +17,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/mpc_embedder.hpp"
-#include "geometry/generators.hpp"
 #include "geometry/point_set.hpp"
+#include "golden.hpp"
 #include "simd/arena.hpp"
 #include "simd/dispatch.hpp"
-#include "tree/hst_io.hpp"
 
 namespace mpte::simd {
 namespace {
@@ -298,47 +296,19 @@ TEST(Arena, ScratchScopeReleasesOnExit) {
   EXPECT_EQ(arena.used(), before);
 }
 
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t n, std::uint64_t h) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// The end-to-end contract: the golden embedding fingerprint (pinned in
-// test_mpc_channels.cpp since the seed implementation) is byte-identical
+// The end-to-end contract: the golden embedding fingerprint (golden.hpp,
+// pinned since the seed implementation) is byte-identical
 // with the scalar reference forced and with the dispatched vector backend,
 // at 1 and 8 cluster threads.
 TEST(GoldenSeedSimd, FingerprintIdenticalAcrossBackendsAndThreads) {
-  constexpr std::uint64_t kExpectedHash = 8852295253212578257ull;
   BackendGuard guard;
   for (const Backend backend : available_backends()) {
     ASSERT_TRUE(set_backend(backend));
     for (const std::size_t threads : {1u, 8u}) {
-      mpc::ClusterConfig config;
-      config.num_machines = 6;
-      config.local_memory_bytes = 1 << 22;
-      config.enforce_limits = true;
-      config.num_threads = threads;
-      mpc::Cluster cluster(config);
-
-      const PointSet points = generate_uniform_cube(150, 8, 30.0, 7);
-      MpcEmbedOptions options;
-      options.seed = 99;
-      options.num_buckets = 2;
-      options.delta = 1024;
-      options.use_fjlt = false;
-      const auto result = mpc_embed(cluster, points, options);
+      mpc::Cluster cluster(golden::golden_config(threads));
+      const auto result = golden::golden_embed(cluster);
       ASSERT_TRUE(result.ok()) << result.status().to_string();
-
-      const auto tree_bytes = hst_to_bytes(result->tree);
-      std::uint64_t h = fnv1a(tree_bytes.data(), tree_bytes.size(),
-                              1469598103934665603ull);
-      const auto& raw = result->embedded_points.raw();
-      h = fnv1a(reinterpret_cast<const std::uint8_t*>(raw.data()),
-                raw.size() * sizeof(double), h);
-      EXPECT_EQ(h, kExpectedHash)
+      EXPECT_EQ(golden::fingerprint(*result), golden::kGoldenHash)
           << "backend=" << backend_name(backend) << " threads=" << threads;
     }
   }

@@ -104,9 +104,7 @@ int usage() {
                "[seed]\n"
                "            [--checkpoint-dir D] [--every K] [--crash-at R] "
                "(mpc only)\n"
-               "            [--backend inproc|proc] [--ranks M] "
-               "[--workers persistent|fork]\n"
-               "            [--transport shm|socketpair] (mpc only)\n"
+               "            [--backend inproc|proc] [--ranks M] (mpc only)\n"
                "            [--trace-out FILE] [--metrics-out FILE]\n"
                "  mpte_cli resume <checkpoint-dir> [--trace-out FILE] "
                "[--metrics-out FILE]\n"
@@ -276,34 +274,6 @@ Result<mpc::Backend> parse_backend(const std::string& name) {
                 "unknown --backend '" + name + "' (want inproc|proc)");
 }
 
-const char* workers_name(mpc::IpcOptions::WorkerMode workers) {
-  return workers == mpc::IpcOptions::WorkerMode::kForkPerRound ? "fork"
-                                                               : "persistent";
-}
-
-/// Parses --workers; only meaningful with --backend proc but always
-/// accepted (ignored under inproc, like the rest of IpcOptions).
-Result<mpc::IpcOptions::WorkerMode> parse_workers(const std::string& name) {
-  if (name == "persistent") return mpc::IpcOptions::WorkerMode::kPersistent;
-  if (name == "fork") return mpc::IpcOptions::WorkerMode::kForkPerRound;
-  return Status(StatusCode::kInvalidArgument,
-                "unknown --workers '" + name + "' (want persistent|fork)");
-}
-
-const char* transport_name(mpc::IpcOptions::Transport transport) {
-  return transport == mpc::IpcOptions::Transport::kSocketpair ? "socketpair"
-                                                              : "shm";
-}
-
-/// Parses --transport; only meaningful with --backend proc but always
-/// accepted (ignored under inproc, like the rest of IpcOptions).
-Result<mpc::IpcOptions::Transport> parse_transport(const std::string& name) {
-  if (name == "shm") return mpc::IpcOptions::Transport::kShmRing;
-  if (name == "socketpair") return mpc::IpcOptions::Transport::kSocketpair;
-  return Status(StatusCode::kInvalidArgument,
-                "unknown --transport '" + name + "' (want shm|socketpair)");
-}
-
 /// Stable fingerprint of the tree file's payload, printed by both the
 /// embed and resume paths so runs are easy to compare.
 std::uint64_t embedding_fingerprint(const Embedding& embedding) {
@@ -320,9 +290,6 @@ struct CkptManifest {
   /// cluster (the fingerprint depends on the rank count).
   mpc::Backend backend = mpc::Backend::kInProcess;
   std::size_t ranks = 8;
-  mpc::IpcOptions::WorkerMode workers =
-      mpc::IpcOptions::WorkerMode::kPersistent;
-  mpc::IpcOptions::Transport transport = mpc::IpcOptions::Transport::kShmRing;
   /// Comma-joined round labels committed before a crash. Written when an
   /// embed run dies so resume can check that the re-driven pipeline
   /// replays the same program; empty until then.
@@ -336,9 +303,7 @@ Status write_manifest(const std::string& dir, const CkptManifest& manifest) {
       << "seed=" << manifest.seed << "\n"
       << "every=" << manifest.every << "\n"
       << "backend=" << backend_name(manifest.backend) << "\n"
-      << "ranks=" << manifest.ranks << "\n"
-      << "workers=" << workers_name(manifest.workers) << "\n"
-      << "transport=" << transport_name(manifest.transport) << "\n";
+      << "ranks=" << manifest.ranks << "\n";
   if (!manifest.program.empty()) {
     out << "program=" << manifest.program << "\n";
   }
@@ -379,15 +344,9 @@ Result<CkptManifest> read_manifest(const std::string& dir) {
       manifest.ranks = std::max<std::size_t>(
           1, static_cast<std::size_t>(std::atoll(value.c_str())));
     }
-    if (key == "workers") {
-      const auto workers = parse_workers(value);
-      if (workers.ok()) manifest.workers = *workers;
-    }
-    if (key == "transport") {
-      const auto transport = parse_transport(value);
-      if (transport.ok()) manifest.transport = *transport;
-    }
     if (key == "program") manifest.program = value;
+    // Other keys are ignored, so directories written by older builds
+    // (which also recorded workers= and transport=) stay resumable.
   }
   if (manifest.input.empty() || manifest.output.empty()) {
     return Status(StatusCode::kInvalidArgument,
@@ -451,15 +410,11 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
                   const std::string& out_path, std::uint64_t seed,
                   const std::string& checkpoint_dir, std::size_t every,
                   long long crash_at, mpc::Backend backend,
-                  std::size_t ranks, mpc::IpcOptions::WorkerMode workers,
-                  mpc::IpcOptions::Transport transport,
-                  const ObsOutputs& outputs) {
+                  std::size_t ranks, const ObsOutputs& outputs) {
   arm_tracer(outputs);
   const std::size_t input_bytes =
       points.size() * std::max<std::size_t>(points.dim(), 1) * sizeof(double);
   mpc::ClusterConfig config = mpc_cli_config(input_bytes, backend, ranks);
-  config.ipc.workers = workers;
-  config.ipc.transport = transport;
   if (!checkpoint_dir.empty()) {
     config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
     config.checkpoint.directory = checkpoint_dir;
@@ -480,9 +435,9 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
     // Written before the run so a killed process leaves a resumable dir.
     std::error_code ec;
     std::filesystem::create_directories(checkpoint_dir, ec);
-    CkptManifest manifest{in_path,   out_path, seed,
-                          every,     backend,  ranks,
-                          workers,   transport, /*program=*/""};
+    CkptManifest manifest{in_path, out_path, seed,
+                          every,   backend,  ranks,
+                          /*program=*/""};
     const Status wrote = write_manifest(checkpoint_dir, manifest);
     if (!wrote.ok()) {
       std::fprintf(stderr, "mpc embed: %s\n", wrote.to_string().c_str());
@@ -518,9 +473,8 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
         if (!program.empty()) program += ',';
         program += record.label;
       }
-      CkptManifest manifest{in_path, out_path, seed,      every,
-                            backend, ranks,    workers,   transport,
-                            program};
+      CkptManifest manifest{in_path, out_path, seed,   every,
+                            backend, ranks,    program};
       const Status wrote = write_manifest(checkpoint_dir, manifest);
       if (!wrote.ok()) {
         std::fprintf(stderr, "mpc embed: %s\n", wrote.to_string().c_str());
@@ -557,8 +511,6 @@ int cmd_resume(int argc, char** argv) {
       points.size() * std::max<std::size_t>(points.dim(), 1) * sizeof(double);
   mpc::ClusterConfig config =
       mpc_cli_config(input_bytes, manifest->backend, manifest->ranks);
-  config.ipc.workers = manifest->workers;
-  config.ipc.transport = manifest->transport;
   config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
   config.checkpoint.directory = dir;
   config.checkpoint.every_k = manifest->every;
@@ -656,22 +608,9 @@ int cmd_embed(int argc, char** argv) {
       const auto ranks = std::max<std::size_t>(
           1, static_cast<std::size_t>(
                  std::atoll(flag_value(flags, "--ranks", "8").c_str())));
-      const auto workers =
-          parse_workers(flag_value(flags, "--workers", "persistent"));
-      if (!workers.ok()) {
-        std::fprintf(stderr, "%s\n", workers.status().to_string().c_str());
-        return usage();
-      }
-      const auto transport =
-          parse_transport(flag_value(flags, "--transport", "shm"));
-      if (!transport.ok()) {
-        std::fprintf(stderr, "%s\n",
-                     transport.status().to_string().c_str());
-        return usage();
-      }
       return cmd_embed_mpc(points, positional[0], positional[1], seed,
                            checkpoint_dir, every, crash_at, *backend, ranks,
-                           *workers, *transport, outputs);
+                           outputs);
     } else if (method == "grid") {
       options.method = PartitionMethod::kGrid;
     } else if (method == "ball") {
