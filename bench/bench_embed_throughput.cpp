@@ -5,6 +5,7 @@
 
 #include "core/embedder.hpp"
 #include "geometry/generators.hpp"
+#include "geometry/quantize.hpp"
 #include "tree/embedding_builder.hpp"
 
 namespace mpte::bench {
@@ -31,6 +32,31 @@ void BM_EmbedHybrid(benchmark::State& state) {
 BENCHMARK(BM_EmbedHybrid)
     ->RangeMultiplier(4)
     ->Range(256, 16384)
+    ->Unit(benchmark::kMillisecond);
+
+// Host Delta derivation (EXPERIMENTS.md E16): recommended_delta's exact
+// closest-pair search. Args: input kind (0 = the 8 Gaussian clusters of
+// perfbench's mpc workloads, 1 = uniform cube), n, d.
+void BM_RecommendedDelta(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto d = static_cast<std::size_t>(state.range(2));
+  const PointSet points =
+      state.range(0) == 0 ? generate_gaussian_clusters(n, d, 8, 100.0, 1.0, 1)
+                          : generate_uniform_cube(n, d, 1.0, 1);
+  std::uint64_t delta = 0;
+  for (auto _ : state) {
+    delta = recommended_delta(points, 0.05, 1ull << 20);
+    benchmark::DoNotOptimize(delta);
+  }
+  state.counters["delta"] = static_cast<double>(delta);
+}
+BENCHMARK(BM_RecommendedDelta)
+    ->Args({0, 10000, 16})
+    ->Args({0, 40000, 16})
+    ->Args({0, 250000, 16})
+    ->Args({1, 40000, 16})
+    ->Args({1, 20000, 128})
+    ->Args({1, 8000, 512})
     ->Unit(benchmark::kMillisecond);
 
 void BM_EmbedGridBaseline(benchmark::State& state) {

@@ -12,6 +12,7 @@
 #include "geometry/quantize.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/step.hpp"
+#include "obs/trace.hpp"
 #include "partition/coverage.hpp"
 #include "transform/mpc_fjlt.hpp"
 
@@ -249,21 +250,24 @@ Result<Prep> prepare_paths(Cluster& cluster, const PointSet& points,
   }
   prep.dim = working.dim();
 
-  prep.delta =
-      options.delta > 0
-          ? options.delta
-          : recommended_delta(working, options.quantize_eps, 1ull << 20);
-  if (prep.delta < 2) {
-    return Status(StatusCode::kInvalidArgument,
-                  "mpc apps: delta must be >= 2");
+  {
+    const obs::Span span("emb", "delta");
+    prep.delta =
+        options.delta > 0
+            ? options.delta
+            : recommended_delta(working, options.quantize_eps, 1ull << 20);
+    if (prep.delta < 2) {
+      return Status(StatusCode::kInvalidArgument,
+                    "mpc apps: delta must be >= 2");
+    }
+    const double width = BoundingBox::of(working).width();
+    prep.scale_to_input =
+        width > 0.0 ? width / static_cast<double>(prep.delta - 1) : 1.0;
   }
 
   detail::scatter_points(cluster, working);
   detail::mpc_quantize(cluster, prep.dim, prep.delta,
                        options.broadcast_fanout);
-  const double width = BoundingBox::of(working).width();
-  prep.scale_to_input =
-      width > 0.0 ? width / static_cast<double>(prep.delta - 1) : 1.0;
 
   prep.params.delta = prep.delta;
   prep.params.num_buckets =

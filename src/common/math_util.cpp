@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <math.h>
 #include <numbers>
 
 namespace mpte {
@@ -32,10 +33,14 @@ std::uint64_t ceil_div(std::uint64_t numerator, std::uint64_t divisor) {
 }
 
 double unit_ball_volume(unsigned k) {
-  // V_k = pi^{k/2} / Gamma(k/2 + 1); std::lgamma keeps it stable for large k.
+  // V_k = pi^{k/2} / Gamma(k/2 + 1); log-gamma keeps it stable for large
+  // k. lgamma_r returns the same value as std::lgamma but reports the sign
+  // through its argument instead of writing the global `signgam`, so
+  // concurrent callers (the parallel ensemble build) do not race.
   const double half_k = 0.5 * static_cast<double>(k);
+  int sign = 0;
   return std::exp(half_k * std::log(std::numbers::pi) -
-                  std::lgamma(half_k + 1.0));
+                  ::lgamma_r(half_k + 1.0, &sign));
 }
 
 double ball_grid_cover_probability(unsigned k) {

@@ -6,6 +6,7 @@
 
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "obs/trace.hpp"
 #include "tree/embedding_builder.hpp"
 #include "transform/fjlt.hpp"
 
@@ -61,10 +62,12 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
   }
 
   // (2) Quantization to [1, Delta]^dim.
-  const std::uint64_t delta =
-      options.delta > 0
-          ? options.delta
-          : recommended_delta(working, options.quantize_eps, 1ull << 20);
+  const std::uint64_t delta = [&] {
+    const obs::Span span("emb", "delta");
+    return options.delta > 0
+               ? options.delta
+               : recommended_delta(working, options.quantize_eps, 1ull << 20);
+  }();
   Quantized quantized = quantize_to_grid(working, delta);
 
   // (3) Partitioning with retries, (4) assembly.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -109,6 +108,7 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
     delta = restored->delta;
     scale_to_input = restored->scale_to_input;
   } else {
+    const obs::Span span("emb", "delta");
     // Delta is the paper's input promise; derive it host-side if absent.
     delta = options.delta > 0
                 ? options.delta
@@ -195,41 +195,11 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
   // Host-side assembly (output readout): BFS from the root id over the
   // gathered edge set, then the shared pruning pass.
   const obs::Span assemble_span("emb", "assemble");
-  const auto edges = mpc::gather_vector<KV>(cluster, dedup_key.name);
   const auto leaves = mpc::gather_vector<KV>(cluster, detail::keys::kLeaf.name);
-
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> children;
-  children.reserve(edges.size());
-  for (const KV& edge : edges) {
-    children[edge.value].push_back(edge.key);
-  }
-
-  RawTree raw;
+  RawTree raw = detail::assemble_raw_tree(
+      mpc::gather_vector<KV>(cluster, dedup_key.name), leaves,
+      hybrid_root_id(params.seed), n);
   raw.edge_weight = ladder.edge_weight;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of;
-  const std::uint64_t root_id = hybrid_root_id(params.seed);
-  raw.nodes.push_back(RawTree::RawNode{root_id, -1, 0});
-  index_of.emplace(root_id, 0);
-  // The frontier expands level by level; node order stays topological.
-  for (std::size_t head = 0; head < raw.nodes.size(); ++head) {
-    const auto it = children.find(raw.nodes[head].key);
-    if (it == children.end()) continue;
-    // Deterministic child order (dedup_kv sorts per machine, but the
-    // gather concatenates machines).
-    std::vector<std::uint64_t> kids = it->second;
-    std::sort(kids.begin(), kids.end());
-    for (const std::uint64_t kid : kids) {
-      const auto index = static_cast<std::uint32_t>(raw.nodes.size());
-      raw.nodes.push_back(RawTree::RawNode{
-          kid, static_cast<std::int32_t>(head), raw.nodes[head].level + 1});
-      index_of.emplace(kid, index);
-    }
-  }
-
-  raw.bottom_of_point.assign(n, 0);
-  for (const KV& leaf : leaves) {
-    raw.bottom_of_point[leaf.key] = index_of.at(leaf.value);
-  }
 
   // Gather the quantized points for inspection/distortion measurement.
   PointSet embedded(n, dim);

@@ -14,12 +14,15 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "geometry/point_set.hpp"
 #include "mpc/channel.hpp"
 #include "mpc/cluster.hpp"
 #include "mpc/primitives.hpp"
 #include "partition/hybrid_partition.hpp"
+#include "tree/embedding_builder.hpp"
 
 namespace mpte::detail {
 
@@ -72,6 +75,18 @@ void mpc_quantize(mpc::Cluster& cluster, std::size_t dim,
 std::uint64_t run_partition_attempt(mpc::Cluster& cluster, std::size_t dim,
                                     const PartitionParams& params,
                                     std::size_t fanout);
+
+/// Stage 5's host-side readout: the raw cluster tree from the gathered,
+/// deduplicated keys::kEdges records (KV child-id -> parent-id) and the
+/// keys::kLeaf records (KV point-index -> bottom cluster id). Nodes are in
+/// BFS order from `root_id`, each node's children in ascending id order;
+/// an id reached under two parents appears under both, and a leaf attaches
+/// to its id's first BFS occurrence. Points without a leaf record stay at
+/// the root. Throws MpteError when a leaf names an id the BFS never
+/// reaches or a point index >= num_points. edge_weight is left empty.
+RawTree assemble_raw_tree(std::vector<mpc::KV> edges,
+                          std::span<const mpc::KV> leaves,
+                          std::uint64_t root_id, std::size_t num_points);
 
 /// Node id of the hierarchy cluster a point occupies at `level`, packed
 /// with the level in the top byte — the key format the distributed

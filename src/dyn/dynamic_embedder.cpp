@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "geometry/bounding_box.hpp"
 #include "geometry/quantize.hpp"
+#include "obs/trace.hpp"
 #include "partition/coverage.hpp"
 #include "tree/embedding_builder.hpp"
 
@@ -40,20 +41,23 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
   dyn.fail_prob_ = options.fail_prob;
   dyn.uncovered_ = options.uncovered;
 
-  const std::uint64_t delta =
-      options.delta > 0
-          ? options.delta
-          : recommended_delta(initial, options.quantize_eps, 1ull << 20);
-  if (delta < 2) {
-    return Status(StatusCode::kInvalidArgument,
-                  "DynamicEmbedder: delta must be >= 2");
+  std::uint64_t delta = 0;
+  {
+    const obs::Span span("emb", "delta");
+    delta = options.delta > 0
+                ? options.delta
+                : recommended_delta(initial, options.quantize_eps, 1ull << 20);
+    if (delta < 2) {
+      return Status(StatusCode::kInvalidArgument,
+                    "DynamicEmbedder: delta must be >= 2");
+    }
+    const BoundingBox box = BoundingBox::of(initial);
+    const double width = box.width();
+    dyn.frame_.lo = box.lo();
+    dyn.frame_.cell =
+        width > 0.0 ? width / static_cast<double>(delta - 1) : 1.0;
+    dyn.frame_.delta = delta;
   }
-  const BoundingBox box = BoundingBox::of(initial);
-  const double width = box.width();
-  dyn.frame_.lo = box.lo();
-  dyn.frame_.cell =
-      width > 0.0 ? width / static_cast<double>(delta - 1) : 1.0;
-  dyn.frame_.delta = delta;
 
   if (options.method == PartitionMethod::kGrid) {
     dyn.num_buckets_ = static_cast<std::uint32_t>(dyn.dim_);

@@ -74,8 +74,10 @@ double l2_distance_squared(std::span<const double> a,
 /// Euclidean norm of a coordinate span.
 double l2_norm(std::span<const double> a);
 
-/// Minimum and maximum over all pairwise distances (O(n^2); intended for
-/// test/bench-scale inputs). Returns {0, 0} if fewer than two points.
+/// Minimum and maximum over all pairwise distances by the exact O(n^2 d)
+/// scan (intended for test/bench-scale inputs). Returns {0, 0} if fewer
+/// than two points. The minimum alone is closest_pair_distance
+/// (geometry/closest_pair.hpp), which this scan is the test oracle for.
 struct DistanceExtremes {
   double min;
   double max;

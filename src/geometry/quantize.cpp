@@ -6,6 +6,7 @@
 
 #include "common/status.hpp"
 #include "geometry/bounding_box.hpp"
+#include "geometry/closest_pair.hpp"
 
 namespace mpte {
 
@@ -42,14 +43,16 @@ Quantized quantize_to_grid(const PointSet& points, std::uint64_t delta) {
 std::uint64_t recommended_delta(const PointSet& points, double eps,
                                 std::uint64_t max_delta) {
   assert(eps > 0.0);
-  const auto ext = pairwise_distance_extremes(points);
-  if (ext.max == 0.0 || ext.min == 0.0) return 2;
+  // Only d_min matters: a zero diameter implies a zero d_min. A d_min that
+  // is not finite (coordinates that overflow or are NaN) gives no scale.
+  const double d_min = closest_pair_distance(points);
+  if (d_min == 0.0 || !std::isfinite(d_min)) return 2;
   const double width = BoundingBox::of(points).width();
   // Per-coordinate rounding error is cell/2 = width / (2(Delta-1)); the
   // distance between two points moves by at most sqrt(d) * cell. Require
   // sqrt(d) * cell <= eps * d_min.
   const double sqrt_d = std::sqrt(static_cast<double>(points.dim()));
-  const double needed = width * sqrt_d / (eps * ext.min) + 1.0;
+  const double needed = width * sqrt_d / (eps * d_min) + 1.0;
   const double clamped =
       std::clamp(needed, 2.0, static_cast<double>(max_delta));
   return static_cast<std::uint64_t>(std::ceil(clamped));

@@ -56,13 +56,15 @@ Result<std::uint16_t> SocketServer::start() {
     return status;
   }
   port_ = ntohs(bound.sin_port);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The accept thread gets its own copy of the descriptor: stop() resets
+  // listen_fd_ while the thread may still be reading it.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   return port_;
 }
 
-void SocketServer::accept_loop() {
+void SocketServer::accept_loop(int listen_fd) {
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listener closed by stop(), or fatal error

@@ -52,7 +52,7 @@ class SocketServer {
   std::uint16_t port() const { return port_; }
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void handle_connection(int fd);
   /// Handles one control line; returns false when the connection should
   /// close. `out` accumulates response lines to send; `request_shutdown`

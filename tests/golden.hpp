@@ -9,6 +9,7 @@
 #include <span>
 
 #include "common/checksum.hpp"
+#include "core/embedder.hpp"
 #include "core/mpc_embedder.hpp"
 #include "geometry/generators.hpp"
 #include "mpc/cluster.hpp"
@@ -24,6 +25,14 @@ inline constexpr std::uint64_t kGoldenHash = 8852295253212578257ull;
 /// kFnv1aOffsetBasis (it is that constant with its last digit dropped):
 /// the golden value was captured with this seed, and any other moves it.
 inline constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ull;
+
+/// Auto-Δ pins: the golden points and options with delta = 0, so Δ is
+/// derived from the input by recommended_delta. Captured with the
+/// all-pairs distance scan; the closest-pair search that replaced it must
+/// find the same d_min bit for bit, so Δ and both embeddings stay put.
+inline constexpr std::uint64_t kAutoDelta = 202;
+inline constexpr std::uint64_t kAutoDeltaMpcHash = 6322586044953844604ull;
+inline constexpr std::uint64_t kAutoDeltaEmbedHash = 14854787649588370003ull;
 
 inline PointSet golden_points() {
   return generate_uniform_cube(150, 8, 30.0, 7);
@@ -55,14 +64,40 @@ inline Result<MpcEmbedding> golden_embed(mpc::Cluster& cluster) {
   return mpc_embed(cluster, golden_points(), golden_options());
 }
 
+/// golden_options() with Δ left to the input (delta = 0).
+inline MpcEmbedOptions auto_delta_options() {
+  MpcEmbedOptions options = golden_options();
+  options.delta = 0;
+  return options;
+}
+
+/// The sequential embed() counterpart of auto_delta_options().
+inline EmbedOptions auto_delta_embed_options() {
+  const MpcEmbedOptions mpc = auto_delta_options();
+  EmbedOptions options;
+  options.seed = mpc.seed;
+  options.num_buckets = mpc.num_buckets;
+  options.delta = mpc.delta;
+  options.use_fjlt = mpc.use_fjlt;
+  return options;
+}
+
 /// FNV-1a over the tree bytes, then the embedded point coordinates.
-inline std::uint64_t fingerprint(const MpcEmbedding& result) {
-  const auto tree_bytes = hst_to_bytes(result.tree);
+inline std::uint64_t fingerprint(const Hst& tree, const PointSet& embedded) {
+  const auto tree_bytes = hst_to_bytes(tree);
   const std::uint64_t h = fnv1a64(tree_bytes, kFingerprintSeed);
-  const auto& raw = result.embedded_points.raw();
+  const auto& raw = embedded.raw();
   return fnv1a64(std::span(reinterpret_cast<const std::uint8_t*>(raw.data()),
                            raw.size() * sizeof(double)),
                  h);
+}
+
+inline std::uint64_t fingerprint(const MpcEmbedding& result) {
+  return fingerprint(result.tree, result.embedded_points);
+}
+
+inline std::uint64_t fingerprint(const Embedding& result) {
+  return fingerprint(result.tree, result.embedded_points);
 }
 
 }  // namespace mpte::golden

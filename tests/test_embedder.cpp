@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "common/parallel.hpp"
 #include "geometry/generators.hpp"
+#include "golden.hpp"
 #include "tree/distortion.hpp"
 #include "tree/embedding_builder.hpp"
 
@@ -176,6 +178,19 @@ TEST(Embedder, SingletonPolicySurvivesStarvedGrids) {
   const auto result = embed(points, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->tree.validate().ok());
+}
+
+TEST(Embedder, AutoDeltaGoldenFingerprintPinned) {
+  for (const std::size_t threads : {1, 8}) {
+    par::set_default_threads(threads);
+    const auto result = embed(golden::golden_points(),
+                              golden::auto_delta_embed_options());
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(result->delta_used, golden::kAutoDelta);
+    EXPECT_EQ(golden::fingerprint(*result), golden::kAutoDeltaEmbedHash)
+        << "threads " << threads;
+  }
+  par::set_default_threads(0);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "common/parallel.hpp"
 #include "geometry/generators.hpp"
+#include "golden.hpp"
 #include "tree/distortion.hpp"
 
 namespace mpte {
@@ -160,6 +162,20 @@ TEST(MpcEmbedder, ScaleToInputRoundTrips) {
       EXPECT_GE(result->distance(i, j), (1.0 - 0.03) * true_dist);
     }
   }
+}
+
+TEST(MpcEmbedder, AutoDeltaGoldenFingerprintPinned) {
+  for (const std::size_t threads : {1, 8}) {
+    par::set_default_threads(threads);
+    Cluster cluster(golden::golden_config(threads));
+    const auto result = mpc_embed(cluster, golden::golden_points(),
+                                  golden::auto_delta_options());
+    ASSERT_TRUE(result.ok()) << result.status().to_string();
+    EXPECT_EQ(result->delta_used, golden::kAutoDelta);
+    EXPECT_EQ(golden::fingerprint(*result), golden::kAutoDeltaMpcHash)
+        << "threads " << threads;
+  }
+  par::set_default_threads(0);
 }
 
 }  // namespace

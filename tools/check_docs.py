@@ -9,10 +9,14 @@ Three checks, all fail-closed:
    skipped; a `path#fragment` link is checked for `path` only.
 
 2. CLI usage drift. Every `--flag` mentioned in tools/mpte_cli.cpp
-   comments or usage() text, or in a markdown line that shows an
+   comments or usage() text, or inside a markdown code span that shows an
    `mpte_cli` invocation, must actually be parsed by the CLI (appear in
    a flag_value()/`arg == "--x"` site). Documenting a flag the binary
-   rejects is the docs bug this guards against.
+   rejects is the docs bug this guards against. A code span is an inline
+   `code` span (which may wrap across the lines of a paragraph) or one
+   command of a fenced block (with its backslash-continued lines); a flag
+   in another span on the same line, e.g. a different tool's option, is
+   not the CLI's.
 
 3. Metric name drift. Every `mpte_*` metric named in the docs must
    exist somewhere in the source tree (src/tests/bench/tools), either
@@ -33,6 +37,7 @@ SKIP_DIRS = {".git", "build", ".github"}
 # Generic placeholders in prose ("--flag value" pairs), not real flags.
 PLACEHOLDER_FLAGS = {"--flag"}
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+CODE_SPAN_RE = re.compile(r"(`+)(.+?)\1", re.DOTALL)
 FLAG_RE = re.compile(r"(--[a-z][a-z0-9-]*)")
 IMPLEMENTED_RE = re.compile(
     r'flag_value\(\s*flags\s*,\s*"(--[a-z0-9-]+)"|arg\s*==\s*"(--[a-z0-9-]+)"'
@@ -82,9 +87,56 @@ def implemented_flags(cli_source):
     return flags
 
 
+def markdown_code_spans(path):
+    """(text, lineno) for each code span of a markdown file: every command
+    of a fenced block (joined with the lines its trailing backslashes
+    continue onto), and every inline `code` span, which may wrap across
+    the lines of one paragraph; a table row is a paragraph of its own."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    spans = []
+    paragraph = []  # (lineno, line) outside fences, up to a blank line
+    command = None  # [lineno, text] of a fenced command being continued
+
+    def end_paragraph():
+        text = "\n".join(line for _, line in paragraph)
+        for match in CODE_SPAN_RE.finditer(text):
+            first = paragraph[0][0] + text.count("\n", 0, match.start())
+            spans.append((match.group(2), first))
+        paragraph.clear()
+
+    in_fence = False
+    for lineno, line in enumerate(lines, 1):
+        if line.lstrip().startswith("```"):
+            end_paragraph()
+            if command:
+                spans.append((command[1], command[0]))
+                command = None
+            in_fence = not in_fence
+        elif in_fence:
+            if command is None:
+                command = [lineno, line]
+            else:
+                command[1] += " " + line
+            if not line.rstrip().endswith("\\"):
+                spans.append((command[1], command[0]))
+                command = None
+        elif not line.strip() or line.lstrip().startswith("|"):
+            end_paragraph()
+            if line.strip():
+                paragraph.append((lineno, line))
+                end_paragraph()
+        else:
+            paragraph.append((lineno, line))
+    end_paragraph()
+    if command:
+        spans.append((command[1], command[0]))
+    return spans
+
+
 def documented_flags(root, cli_source):
     """(flag, where) pairs from CLI comments/usage text and from markdown
-    lines that show an mpte_cli invocation."""
+    code spans that show an mpte_cli invocation."""
     mentions = []
     for lineno, line in enumerate(cli_source.splitlines(), 1):
         stripped = line.strip()
@@ -100,12 +152,11 @@ def documented_flags(root, cli_source):
                 mentions.append((flag, f"tools/mpte_cli.cpp:{lineno}"))
     for path in markdown_files(root):
         rel = os.path.relpath(path, root)
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                if "mpte_cli" not in line:
-                    continue
-                for flag in FLAG_RE.findall(line):
-                    mentions.append((flag, f"{rel}:{lineno}"))
+        for text, lineno in markdown_code_spans(path):
+            if "mpte_cli" not in text:
+                continue
+            for flag in FLAG_RE.findall(text):
+                mentions.append((flag, f"{rel}:{lineno}"))
     return mentions
 
 
