@@ -6,6 +6,8 @@
 #include "core/embedder.hpp"
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
+#include "partition/coverage.hpp"
+#include "partition/hybrid_partition.hpp"
 #include "tree/embedding_builder.hpp"
 
 namespace mpte::bench {
@@ -57,6 +59,54 @@ BENCHMARK(BM_RecommendedDelta)
     ->Args({1, 40000, 16})
     ->Args({1, 20000, 128})
     ->Args({1, 8000, 512})
+    ->Unit(benchmark::kMillisecond);
+
+// One machine's hybrid id chains (EXPERIMENTS.md E17): hybrid_path_ids
+// over a block of quantized points, one (level, bucket) grid set at a
+// time — the work of the MPC paths/compute step. Args: points on the
+// machine, dim, buckets r, Delta, and the job's total n (which sets U).
+// 4000 x 310 with r = 104 is one of mpc-fjlt-proc's four machines;
+// 10000 x 16 with r = 6 is one of mpc-auto's.
+void BM_HybridPathIds(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto d = static_cast<std::size_t>(state.range(1));
+  const auto r = static_cast<std::uint32_t>(state.range(2));
+  const auto delta = static_cast<std::uint64_t>(state.range(3));
+  const auto n_total = static_cast<std::size_t>(state.range(4));
+  const PointSet points =
+      quantize_to_grid(generate_gaussian_clusters(n, d, 8, 100.0, 1.0, 1),
+                       delta)
+          .points;
+  const ScaleLadder ladder = hybrid_scale_ladder(d, r, delta);
+  HybridChain chain;
+  chain.seed = 5;
+  chain.num_buckets = r;
+  chain.bucket_dim = (d + r - 1) / r;
+  chain.num_grids = recommended_num_grids(chain.bucket_dim, n_total, r,
+                                          ladder.levels, 1e-6);
+  chain.scales = ladder.scales;
+  chain.uncovered = UncoveredPolicy::kSingleton;
+  // The point-major output slots paths/compute writes.
+  std::vector<std::uint64_t> slots(n * ladder.levels);
+  for (auto _ : state) {
+    hybrid_path_ids(chain, points.raw(), d, {}, {},
+                    [&](std::size_t level, std::span<const std::uint64_t>,
+                        std::span<const std::uint64_t> child) {
+                      for (std::size_t i = 0; i < n; ++i) {
+                        slots[i * ladder.levels + level - 1] = child[i];
+                      }
+                    });
+    benchmark::DoNotOptimize(slots.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["levels"] = static_cast<double>(ladder.levels);
+  state.counters["grids"] = static_cast<double>(chain.num_grids);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_HybridPathIds)
+    ->Args({4000, 310, 104, 4096, 16000})
+    ->Args({10000, 16, 6, 1024, 40000})
     ->Unit(benchmark::kMillisecond);
 
 void BM_EmbedGridBaseline(benchmark::State& state) {

@@ -321,6 +321,38 @@ void BM_SimdBallAssign(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdBallAssign)->Iterations(1)->Unit(benchmark::kMillisecond);
 
+void BM_SimdBallAssignBatch(benchmark::State& state) {
+  // The production grid-set shape: buckets of k = 3 dims with U = 461
+  // grids (mpc-fjlt-proc's 310 dims in r = 104 buckets), one set assigning
+  // a block of points the way hybrid_path_ids drives it.
+  constexpr std::size_t kN = 50000, kD = 3, kGrids = 461;
+  const PointSet points = generate_uniform_cube(kN, kD, 100.0, 17);
+  const BallGrids grids(kD, 2.0, kGrids, 31);
+  std::vector<std::uint64_t> ids(kN);
+  // Shift bytes the scans actually read: grids scanned (rounded up to
+  // whole 4-grid blocks) times k doubles.
+  std::size_t blocks = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    std::size_t scanned = 0;
+    (void)grids.assign_counted(points[i], &scanned);
+    blocks += (scanned + 3) / 4;
+  }
+  const double bytes_per_call =
+      static_cast<double>(blocks * 4 * kD * sizeof(double));
+  par::set_default_threads(1);
+  for (auto _ : state) {
+    simd_backend_sweep(state, "ball_first_cover_batch", bytes_per_call, [&] {
+      grids.assign_batch(points.raw(), kD, ids);
+      benchmark::DoNotOptimize(ids.data());
+      benchmark::ClobberMemory();
+    });
+  }
+  par::set_default_threads(0);
+}
+BENCHMARK(BM_SimdBallAssignBatch)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SimdGridPartition(benchmark::State& state) {
   constexpr std::size_t kN = 100000, kD = 16;
   const PointSet points = generate_uniform_cube(kN, kD, 8.0, 19);

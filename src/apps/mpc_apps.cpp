@@ -289,6 +289,11 @@ Result<Prep> prepare_paths(Cluster& cluster, const PointSet& points,
           : recommended_num_grids(prep.params.bucket_dim, n,
                                   prep.params.num_buckets,
                                   prep.ladder.levels, options.fail_prob);
+  if (const Status feasible =
+          check_grid_set_size(prep.params.bucket_dim, prep.params.num_grids);
+      !feasible.ok()) {
+    return feasible;
+  }
 
   for (prep.retries = 0;; ++prep.retries) {
     prep.params.seed = hash_combine(

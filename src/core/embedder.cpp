@@ -48,6 +48,11 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
                   "embed: need at least two points");
   }
 
+  // Stage spans under one root, named like mpc_embed's: fjlt/fjlt,
+  // emb/delta, emb/quantize, emb/partition-attempt (one per attempt) and
+  // emb/build-hst.
+  const obs::Span pipeline_span("emb", "embed", "points", points.size());
+
   // (1) Dimension reduction when the ambient dimension exceeds the FJLT
   // target k — below that the transform only adds distortion.
   PointSet working = points;
@@ -56,6 +61,7 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
     const FjltConfig config = FjltConfig::make(
         points.size(), points.dim(), options.fjlt_xi, mix64(options.seed));
     if (config.output_dim < points.dim()) {
+      const obs::Span span("fjlt", "fjlt", "dim", config.output_dim);
       working = Fjlt(config).transform(points);
       fjlt_applied = true;
     }
@@ -68,7 +74,10 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
                ? options.delta
                : recommended_delta(working, options.quantize_eps, 1ull << 20);
   }();
-  Quantized quantized = quantize_to_grid(working, delta);
+  Quantized quantized = [&] {
+    const obs::Span span("emb", "quantize", "delta", delta);
+    return quantize_to_grid(working, delta);
+  }();
 
   // (3) Partitioning with retries, (4) assembly.
   const std::size_t dim = quantized.points.dim();
@@ -77,6 +86,8 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
     const std::uint64_t attempt_seed =
         hash_combine(mix64(options.seed), static_cast<std::uint64_t>(attempt));
     Result<Hierarchy> hierarchy = [&]() -> Result<Hierarchy> {
+      const obs::Span span("emb", "partition-attempt", "attempt",
+                           static_cast<std::uint64_t>(attempt));
       switch (options.method) {
         case PartitionMethod::kGrid:
           return build_grid_hierarchy(quantized.points, delta, attempt_seed);
@@ -109,8 +120,12 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
       return last_failure;
     }
 
+    Hst tree = [&] {
+      const obs::Span span("emb", "build-hst");
+      return build_hst(*hierarchy);
+    }();
     Embedding embedding{
-        build_hst(*hierarchy),
+        std::move(tree),
         std::move(quantized.points),
         quantized.scale_back,
         delta,

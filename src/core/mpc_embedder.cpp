@@ -155,6 +155,11 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
           ? options.num_grids
           : recommended_num_grids(params.bucket_dim, n, params.num_buckets,
                                   ladder.levels, options.fail_prob);
+  if (const Status feasible =
+          check_grid_set_size(params.bucket_dim, params.num_grids);
+      !feasible.ok()) {
+    return feasible;
+  }
 
   // Stages 3–4 with Monte Carlo retries.
   int attempt = 0;

@@ -10,8 +10,6 @@
 #include "common/rng.hpp"
 #include "mpc/step.hpp"
 #include "obs/trace.hpp"
-#include "partition/ball_partition.hpp"
-#include "simd/arena.hpp"
 
 namespace mpte::detail {
 
@@ -226,68 +224,31 @@ Step make_grids_build(StepParams params) {
   };
 }
 
-/// Common body of the two stage-4 variants: computes each local point's
-/// id chain and calls `emit(point, level, parent_id, child_id)` per level.
-/// Returns the number of uncovered events under the kFail policy.
-template <typename Emit>
+/// Common body of the two stage-4 variants: runs the shared hybrid id
+/// chain (hybrid_path_ids) over this machine's points, one grid set at a
+/// time, and calls `emit(level, parent, child)` once per level with every
+/// local point's ids; emitters write straight into their point-major
+/// output slots (local * levels + level - 1). Returns the number of
+/// uncovered events under the kFail policy, 0 under kSingleton.
 std::uint64_t compute_paths(MachineContext& ctx, std::size_t dim,
-                            const PartitionParams& p, Emit&& emit) {
-  const ScaleLadder ladder =
-      hybrid_scale_ladder(dim, p.num_buckets, p.delta);
-  const auto idx = keys::kIdx.get(ctx.store());
-  const auto data = keys::kPts.get(ctx.store());
+                            const PartitionParams& p,
+                            const ScaleLadder& ladder,
+                            const std::vector<std::uint64_t>& idx,
+                            const PathLevelSink& emit) {
   if (idx.empty()) return 0;
-
-  // Construct every (level, bucket) grid set once, outside the point loop:
-  // BallGrids materializes its shift table at construction, so rebuilding
-  // it per point would redo U × bucket_dim hashes per assignment.
-  std::vector<BallGrids> grids_cache;
-  grids_cache.reserve(ladder.levels * p.num_buckets);
-  for (std::size_t level = 1; level <= ladder.levels; ++level) {
-    for (std::uint32_t j = 0; j < p.num_buckets; ++j) {
-      grids_cache.emplace_back(p.bucket_dim, ladder.scales[level],
-                               p.num_grids,
-                               hybrid_grid_seed(p.seed, level, j));
-    }
-  }
-
-  std::uint64_t failures = 0;
-  // Per-attempt staging row from this thread's scratch arena rather than a
-  // heap vector: machine steps run inside a ScratchScope (mpc::Cluster),
-  // so the row is reclaimed when the step ends.
-  simd::ScratchScope scratch_scope;
-  const std::span<double> bucket_coords =
-      scratch_scope.arena().alloc<double>(p.bucket_dim);
-  for (std::size_t local = 0; local < idx.size(); ++local) {
-    const std::uint64_t point = idx[local];
-    std::uint64_t id = hybrid_root_id(p.seed);
-    for (std::size_t level = 1; level <= ladder.levels; ++level) {
-      const std::uint64_t parent = id;
-      for (std::uint32_t j = 0; j < p.num_buckets; ++j) {
-        const BallGrids& grids =
-            grids_cache[(level - 1) * p.num_buckets + j];
-        // Projection with zero padding past the true dimension
-        // (footnote 3), matching PointSet::pad_dims + project.
-        for (std::uint32_t t = 0; t < p.bucket_dim; ++t) {
-          const std::size_t coord = j * p.bucket_dim + t;
-          bucket_coords[t] = coord < dim ? data[local * dim + coord] : 0.0;
-        }
-        std::uint64_t ball = grids.assign(bucket_coords);
-        if (ball == kUncovered) {
-          if (p.uncovered_singleton == 0) {
-            ++failures;
-            ball = 0;  // placeholder; the attempt will be retried
-          } else {
-            ball = hash_combine(hash_combine(mix64(0xdeadull), point),
-                                hash_combine(level, j));
-          }
-        }
-        id = hash_combine(id, ball);
-      }
-      emit(point, level, parent, id);
-    }
-  }
-  return failures;
+  const auto data = keys::kPts.get(ctx.store());
+  HybridChain chain;
+  chain.seed = p.seed;
+  chain.num_buckets = p.num_buckets;
+  chain.bucket_dim = p.bucket_dim;
+  chain.num_grids = p.num_grids;
+  chain.scales = ladder.scales;
+  chain.uncovered = p.uncovered_singleton != 0 ? UncoveredPolicy::kSingleton
+                                               : UncoveredPolicy::kFail;
+  // The singleton fallback is salted with the global point index.
+  const PathIdsReport report =
+      hybrid_path_ids(chain, data, dim, {}, idx, emit);
+  return p.uncovered_singleton != 0 ? 0 : report.uncovered;
 }
 
 Step make_paths_compute(StepParams params) {
@@ -296,21 +257,21 @@ Step make_paths_compute(StepParams params) {
   return [dim](MachineContext& ctx) {
     const auto p = keys::kGrids.get(ctx.store());
     keys::kGrids.erase(ctx.store());
-    std::vector<KV> edges;
-    std::vector<KV> leaves;
-    std::uint64_t last_point = ~0ull;
+    const auto idx = keys::kIdx.get(ctx.store());
+    const ScaleLadder ladder =
+        hybrid_scale_ladder(dim, p.num_buckets, p.delta);
+    const std::size_t levels = ladder.levels;
+    // Per point, its edges level by level, then its bottom id as the leaf.
+    std::vector<KV> edges(idx.size() * levels);
+    std::vector<KV> leaves(idx.size());
     const std::uint64_t failures = compute_paths(
-        ctx, dim, p,
-        [&](std::uint64_t point, std::size_t level, std::uint64_t parent,
-            std::uint64_t child) {
-          edges.push_back(KV{child, parent});
-          if (point != last_point) {
-            leaves.push_back(KV{point, child});
-            last_point = point;
-          } else {
-            leaves.back().value = child;
+        ctx, dim, p, ladder, idx,
+        [&](std::size_t level, std::span<const std::uint64_t> parent,
+            std::span<const std::uint64_t> child) {
+          for (std::size_t i = 0; i < idx.size(); ++i) {
+            edges[i * levels + level - 1] = KV{child[i], parent[i]};
+            leaves[i] = KV{idx[i], child[i]};
           }
-          (void)level;
         });
     keys::kEdges.set(ctx.store(), edges);
     keys::kLeaf.set(ctx.store(), leaves);
@@ -325,16 +286,23 @@ Step make_paths_records(StepParams params) {
   return [dim, emit_links](MachineContext& ctx) {
     const auto p = keys::kGrids.get(ctx.store());
     keys::kGrids.erase(ctx.store());
-    std::vector<KV> records;
-    std::vector<KV> links;
+    const auto idx = keys::kIdx.get(ctx.store());
+    const ScaleLadder ladder =
+        hybrid_scale_ladder(dim, p.num_buckets, p.delta);
+    const std::size_t levels = ladder.levels;
+    std::vector<KV> records(idx.size() * levels);
+    std::vector<KV> links(emit_links ? idx.size() * levels : 0);
     const std::uint64_t failures = compute_paths(
-        ctx, dim, p,
-        [&](std::uint64_t point, std::size_t level, std::uint64_t parent,
-            std::uint64_t child) {
-          records.push_back(KV{pack_level_node(level, child), point});
-          if (emit_links) {
-            links.push_back(KV{pack_level_node(level, child),
-                               pack_level_node(level - 1, parent)});
+        ctx, dim, p, ladder, idx,
+        [&](std::size_t level, std::span<const std::uint64_t> parent,
+            std::span<const std::uint64_t> child) {
+          for (std::size_t i = 0; i < idx.size(); ++i) {
+            const std::size_t slot = i * levels + level - 1;
+            records[slot] = KV{pack_level_node(level, child[i]), idx[i]};
+            if (emit_links) {
+              links[slot] = KV{pack_level_node(level, child[i]),
+                               pack_level_node(level - 1, parent[i])};
+            }
           }
         });
     keys::kNodes.set(ctx.store(), records);

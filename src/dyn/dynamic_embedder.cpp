@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "common/math_util.hpp"
@@ -63,7 +64,6 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
     dyn.num_buckets_ = static_cast<std::uint32_t>(dyn.dim_);
     dyn.num_grids_ = 0;
     dyn.bucket_dim_ = dyn.dim_;
-    dyn.padded_dim_ = dyn.dim_;
     dyn.ladder_ = grid_scale_ladder(dyn.dim_, delta);
     dyn.level_grids_.reserve(dyn.ladder_.levels);
     for (std::size_t level = 1; level <= dyn.ladder_.levels; ++level) {
@@ -84,13 +84,17 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
     }
     dyn.num_buckets_ = r;
     dyn.bucket_dim_ = ceil_div(dyn.dim_, static_cast<std::size_t>(r));
-    dyn.padded_dim_ = dyn.bucket_dim_ * r;
     dyn.ladder_ = hybrid_scale_ladder(dyn.dim_, r, delta);
     dyn.num_grids_ =
         options.num_grids > 0
             ? options.num_grids
             : recommended_num_grids(dyn.bucket_dim_, initial.size(), r,
                                     dyn.ladder_.levels, options.fail_prob);
+    if (const Status feasible =
+            check_grid_set_size(dyn.bucket_dim_, dyn.num_grids_);
+        !feasible.ok()) {
+      return feasible;
+    }
     dyn.grids_.reserve(dyn.ladder_.levels * r);
     for (std::size_t level = 1; level <= dyn.ladder_.levels; ++level) {
       for (std::uint32_t j = 0; j < r; ++j) {
@@ -101,55 +105,82 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
     }
   }
 
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    const Status inserted = dyn.insert_with_id(i, initial[i]);
-    if (!inserted.ok()) return inserted;
+  // The initial set is one block with ids 0..n-1: snap every point, then
+  // compute all columns grid set by grid set.
+  const std::size_t n = initial.size();
+  std::vector<double> snapped(n * dyn.dim_);
+  for (std::size_t i = 0; i < n; ++i) {
+    dyn.frame_.snap(initial[i], std::span<double>(snapped).subspan(
+                                    i * dyn.dim_, dyn.dim_));
   }
-  // The seed pass is the build, not an update stream: report update work
-  // from zero.
-  dyn.cells_recomputed_ = 0;
+  std::vector<std::uint64_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+  const std::size_t height = dyn.ladder_.levels + 1;
+  std::vector<std::uint64_t> columns(n * height);
+  if (const Status computed = dyn.compute_columns(snapped, ids, columns);
+      !computed.ok()) {
+    return computed;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    Record record;
+    record.snapped.assign(snapped.begin() + i * dyn.dim_,
+                          snapped.begin() + (i + 1) * dyn.dim_);
+    record.column.assign(columns.begin() + i * height,
+                         columns.begin() + (i + 1) * height);
+    dyn.records_.emplace_hint(dyn.records_.end(), i, std::move(record));
+  }
+  // The seed pass is the build, not an update stream: cells_recomputed_
+  // counts update work from zero.
+  dyn.next_id_ = n;
   return dyn;
 }
 
-Result<std::vector<std::uint64_t>> DynamicEmbedder::compute_column(
-    std::uint64_t id, std::span<const double> snapped) const {
-  std::vector<std::uint64_t> column(ladder_.levels + 1);
-  column[0] = hybrid_root_id(part_seed_);
+Status DynamicEmbedder::compute_columns(
+    std::span<const double> snapped, std::span<const std::uint64_t> ids,
+    std::span<std::uint64_t> columns) const {
+  const std::size_t height = ladder_.levels + 1;
+  const std::size_t n = ids.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    columns[i * height] = hybrid_root_id(part_seed_);
+  }
   if (method_ == PartitionMethod::kGrid) {
-    for (std::size_t level = 1; level <= ladder_.levels; ++level) {
-      column[level] = hash_combine(
-          column[level - 1], level_grids_[level - 1].cell_id(snapped));
-    }
-    return column;
-  }
-  // Zero-pad so r divides the dimension, exactly like the static builder.
-  std::vector<double> padded(padded_dim_, 0.0);
-  std::copy(snapped.begin(), snapped.end(), padded.begin());
-  for (std::size_t level = 1; level <= ladder_.levels; ++level) {
-    std::uint64_t cluster = column[level - 1];
-    for (std::uint32_t j = 0; j < num_buckets_; ++j) {
-      const BallGrids& grids = grids_[(level - 1) * num_buckets_ + j];
-      std::uint64_t ball = grids.assign(std::span<const double>(
-          padded.data() + j * bucket_dim_, bucket_dim_));
-      if (ball == kUncovered) {
-        if (uncovered_ == UncoveredPolicy::kFail) {
-          return Status(
-              StatusCode::kCoverageFailure,
-              "ball partitioning left point id " + std::to_string(id) +
-                  " uncovered at level " + std::to_string(level) +
-                  " bucket " + std::to_string(j) + " (U=" +
-                  std::to_string(num_grids_) + ")");
-        }
-        // Salted with the stable id (the static builder salts with the
-        // dense index) — see the byte-identity caveat in the header.
-        ball = hash_combine(hash_combine(mix64(0xdeadull), id),
-                            hash_combine(level, j));
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto row = snapped.subspan(i * dim_, dim_);
+      for (std::size_t level = 1; level <= ladder_.levels; ++level) {
+        columns[i * height + level] =
+            hash_combine(columns[i * height + level - 1],
+                         level_grids_[level - 1].cell_id(row));
       }
-      cluster = hash_combine(cluster, ball);
     }
-    column[level] = cluster;
+    return Status::Ok();
   }
-  return column;
+  HybridChain chain;
+  chain.seed = part_seed_;
+  chain.num_buckets = num_buckets_;
+  chain.bucket_dim = bucket_dim_;
+  chain.num_grids = num_grids_;
+  chain.scales = ladder_.scales;
+  chain.uncovered = uncovered_;
+  // The kSingleton fallback is salted with the stable id (the static
+  // builder salts with the dense index) — see the byte-identity caveat in
+  // the header.
+  const PathIdsReport report = hybrid_path_ids(
+      chain, snapped, dim_, grids_, ids,
+      [&](std::size_t level, std::span<const std::uint64_t>,
+          std::span<const std::uint64_t> child) {
+        for (std::size_t i = 0; i < n; ++i) {
+          columns[i * height + level] = child[i];
+        }
+      });
+  if (report.uncovered > 0 && uncovered_ == UncoveredPolicy::kFail) {
+    return Status(StatusCode::kCoverageFailure,
+                  "ball partitioning left point id " +
+                      std::to_string(ids[report.point]) +
+                      " uncovered at level " + std::to_string(report.level) +
+                      " bucket " + std::to_string(report.bucket) + " (U=" +
+                      std::to_string(num_grids_) + ")");
+  }
+  return Status::Ok();
 }
 
 Result<std::uint64_t> DynamicEmbedder::insert(std::span<const double> coords) {
@@ -174,9 +205,12 @@ Status DynamicEmbedder::insert_with_id(std::uint64_t id,
   Record record;
   record.snapped.resize(dim_);
   frame_.snap(coords, record.snapped);
-  auto column = compute_column(id, record.snapped);
-  if (!column.ok()) return column.status();
-  record.column = std::move(column).value();
+  // A block of one over the cached grid sets.
+  record.column.resize(ladder_.levels + 1);
+  const Status computed =
+      compute_columns(record.snapped, std::span<const std::uint64_t>(&id, 1),
+                      record.column);
+  if (!computed.ok()) return computed;
   cells_recomputed_ += record.column.size();
   records_.emplace(id, std::move(record));
   next_id_ = std::max(next_id_, id + 1);

@@ -150,15 +150,17 @@ class DynamicEmbedder {
 
   DynamicEmbedder() = default;
 
-  /// Computes the cluster-id column of one snapped point. `id` only salts
-  /// the kSingleton fallback.
-  Result<std::vector<std::uint64_t>> compute_column(
-      std::uint64_t id, std::span<const double> snapped) const;
+  /// Computes the cluster-id columns of a block of snapped points: row i
+  /// (snapped[i * dim()], stable id ids[i]) gets levels()+1 ids at
+  /// columns[i * (levels() + 1)]. ids only salt the kSingleton fallback
+  /// and name the point of a kFail status. create() passes its initial
+  /// set as one block, insert a block of one.
+  Status compute_columns(std::span<const double> snapped,
+                         std::span<const std::uint64_t> ids,
+                         std::span<std::uint64_t> columns) const;
 
   PartitionMethod method_ = PartitionMethod::kHybrid;
   std::size_t dim_ = 0;
-  /// Padded dimension bucket_dim_ * r (hybrid/ball); == dim_ for grid.
-  std::size_t padded_dim_ = 0;
   std::size_t bucket_dim_ = 0;
   std::uint32_t num_buckets_ = 1;
   std::size_t num_grids_ = 0;

@@ -7,6 +7,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
+#include "partition/coverage.hpp"
 #include "simd/dispatch.hpp"
 
 namespace mpte {
@@ -23,6 +24,10 @@ BallGrids::BallGrids(std::size_t dim, double radius, std::size_t num_grids,
   if (dim == 0) throw MpteError("BallGrids: dim must be >= 1");
   if (radius <= 0.0) throw MpteError("BallGrids: radius must be positive");
   if (num_grids == 0) throw MpteError("BallGrids: need at least one grid");
+  if (const Status feasible = check_grid_set_size(dim, num_grids);
+      !feasible.ok()) {
+    throw MpteError(feasible.message());
+  }
   // Materialize the num_grids × dim shift table once: assign() reads
   // shift(u, t) per point per dimension, and the two mix64 chains per
   // lookup dominated its inner loop. Each entry stays the same pure
@@ -43,6 +48,20 @@ BallGrids::BallGrids(std::size_t dim, double radius, std::size_t num_grids,
   }
 }
 
+std::uint64_t BallGrids::ball_id(const double* p, std::size_t u) const {
+  // z repeats the kernel's sub -> mul -> round-half-even chain: three
+  // exactly-rounded ops with no contraction opportunity, so it is
+  // bit-identical to the z the kernel derived for grid u on every backend.
+  std::uint64_t id = mix64(seed_ ^ (0xba11ull + u));
+  for (std::size_t t = 0; t < dim_; ++t) {
+    const double s = shifts_by_dim_[t * num_grids_ + u];
+    const double z = simd::round_nearest_even((p[t] - s) * inv_cell_);
+    id = hash_combine(
+        id, std::bit_cast<std::uint64_t>(static_cast<std::int64_t>(z)));
+  }
+  return id == kUncovered ? mix64(id) : id;
+}
+
 std::uint64_t BallGrids::assign_counted(std::span<const double> p,
                                         std::size_t* grids_scanned) const {
   if (p.size() != dim_) {
@@ -59,18 +78,35 @@ std::uint64_t BallGrids::assign_counted(std::span<const double> p,
     return kUncovered;
   }
   if (grids_scanned != nullptr) *grids_scanned += u + 1;
-  // Hash the covering ball's id from the lattice coordinates. z repeats
-  // the kernel's sub → mul → round-half-even chain — three exactly-rounded
-  // ops with no contraction opportunity, so it is bit-identical to the
-  // z the kernel derived for grid u on every backend.
-  std::uint64_t id = mix64(seed_ ^ (0xba11ull + u));
-  for (std::size_t t = 0; t < dim_; ++t) {
-    const double s = shifts_by_dim_[t * num_grids_ + u];
-    const double z = simd::round_nearest_even((p[t] - s) * inv_cell_);
-    id = hash_combine(
-        id, std::bit_cast<std::uint64_t>(static_cast<std::int64_t>(z)));
+  return ball_id(p.data(), u);
+}
+
+void BallGrids::assign_batch(std::span<const double> coords,
+                             std::size_t stride,
+                             std::span<std::uint64_t> out) const {
+  const std::size_t n = out.size();
+  if (n == 0) return;
+  if (stride < dim_ || coords.size() < dim_ ||
+      (coords.size() - dim_) / stride < n - 1) {
+    throw MpteError("BallGrids::assign_batch: coordinate block too small");
   }
-  return id == kUncovered ? mix64(id) : id;
+  // Grid indexes land in a small stack block (the kernel's result is
+  // 32-bit; the constructor bounds num_grids below 2^32), then each
+  // covered point's id is hashed from its grid and cell.
+  constexpr std::size_t kBlock = 256;
+  std::uint32_t grid[kBlock];
+  for (std::size_t begin = 0; begin < n; begin += kBlock) {
+    const std::size_t m = std::min(kBlock, n - begin);
+    const double* first = coords.data() + begin * stride;
+    simd::ops().ball_first_cover_batch(first, stride, m, dim_,
+                                       shifts_by_dim_.data(), num_grids_,
+                                       cell_, inv_cell_, radius_sq_, grid);
+    for (std::size_t i = 0; i < m; ++i) {
+      out[begin + i] = grid[i] == num_grids_
+                           ? kUncovered
+                           : ball_id(first + i * stride, grid[i]);
+    }
+  }
 }
 
 std::uint64_t BallGrids::assign(std::span<const double> p) const {

@@ -63,6 +63,14 @@ class BallGrids {
   std::uint64_t assign_counted(std::span<const double> p,
                                std::size_t* grids_scanned) const;
 
+  /// assign() over out.size() points at once: point i's dim() coordinates
+  /// start at coords[i * stride] (stride >= dim()), so one bucket of
+  /// row-major points is read in place. out[i] equals assign() of point i
+  /// bit for bit; the batched kernel keeps this grid set's shift table hot
+  /// across the whole block.
+  void assign_batch(std::span<const double> coords, std::size_t stride,
+                    std::span<std::uint64_t> out) const;
+
   /// Bytes explicit shift storage would need: num_grids * dim * 8. The
   /// paper's Lemma 8 accounting charges this; the counter-based
   /// representation actually uses O(1).
@@ -71,6 +79,10 @@ class BallGrids {
   }
 
  private:
+  /// The id of grid u's ball around p (u covers p): a hash of u and p's
+  /// lattice cell in grid u.
+  std::uint64_t ball_id(const double* p, std::size_t u) const;
+
   std::size_t dim_;
   double radius_;
   std::size_t num_grids_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/math_util.hpp"
 #include "common/status.hpp"
@@ -29,6 +30,21 @@ std::size_t recommended_num_grids(std::size_t bucket_dim,
   // rather than cast UB.
   constexpr double kCap = 1e15;
   return static_cast<std::size_t>(std::clamp(std::ceil(u), 1.0, kCap));
+}
+
+Status check_grid_set_size(std::size_t bucket_dim, std::size_t num_grids) {
+  const std::size_t max_entries =
+      kMaxShiftTableBytes / sizeof(double) / std::max<std::size_t>(1, bucket_dim);
+  if (num_grids <= kMaxGridsPerSet && num_grids <= max_entries) {
+    return Status::Ok();
+  }
+  return Status(StatusCode::kInvalidArgument,
+                "ball partitioning needs U = " + std::to_string(num_grids) +
+                    " grids per bucket of k = " + std::to_string(bucket_dim) +
+                    " dims, past the limit of " +
+                    std::to_string(std::min(kMaxGridsPerSet, max_entries)) +
+                    " (a 32-bit grid index and a 1 GiB shift table); use "
+                    "more buckets so each has fewer dims");
 }
 
 double lemma7_grid_bound(std::size_t bucket_dim, std::size_t buckets,

@@ -12,7 +12,23 @@
 
 #include <cstddef>
 
+#include "common/status.hpp"
+
 namespace mpte {
+
+/// Largest grid count U a grid set may hold: the batched cover kernel
+/// reports grid indexes in 32 bits.
+inline constexpr std::size_t kMaxGridsPerSet = (std::size_t{1} << 32) - 1;
+
+/// Largest U * k shift table (in bytes) one grid set may materialize.
+inline constexpr std::size_t kMaxShiftTableBytes = std::size_t{1} << 30;
+
+/// The one feasibility check run before any grid set is built: Ok, or
+/// kInvalidArgument naming k and U when U exceeds kMaxGridsPerSet or the
+/// U * k shift table exceeds kMaxShiftTableBytes. recommended_num_grids
+/// saturates at 1e15 for large bucket dims; this turns that into a Status
+/// instead of an allocation failure.
+Status check_grid_set_size(std::size_t bucket_dim, std::size_t num_grids);
 
 /// Exact union-bound grid count: the smallest U with
 /// n_points * levels * buckets * (1 - p_k)^U <= fail_prob.

@@ -1,6 +1,9 @@
 #include "partition/hybrid_partition.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -68,6 +71,76 @@ std::uint64_t hybrid_root_id(std::uint64_t seed) {
   return mix64(seed ^ 0x700a0ull);
 }
 
+PathIdsReport hybrid_path_ids(const HybridChain& chain,
+                              std::span<const double> rows, std::size_t dim,
+                              std::span<const BallGrids> grids,
+                              std::span<const std::uint64_t> salts,
+                              const PathLevelSink& sink) {
+  const std::size_t n = dim == 0 ? 0 : rows.size() / dim;
+  const std::size_t levels = chain.scales.empty() ? 0 : chain.scales.size() - 1;
+  const std::size_t k = chain.bucket_dim;
+  const std::uint32_t r = chain.num_buckets;
+  if (dim == 0 || rows.size() != n * dim || k * r < dim ||
+      (!salts.empty() && salts.size() != n) ||
+      (!grids.empty() && grids.size() != levels * r)) {
+    throw MpteError("hybrid_path_ids: inconsistent block or chain");
+  }
+  PathIdsReport report;
+  std::vector<std::uint64_t> parent(n, hybrid_root_id(chain.seed));
+  std::vector<std::uint64_t> child(n);
+  std::vector<std::uint64_t> balls(n);
+  // A bucket reaching past dim is copied, zero-padded, through a small
+  // block buffer; every other bucket is read in place.
+  constexpr std::size_t kPadRows = 256;
+  std::vector<double> padded;
+  std::optional<BallGrids> built;
+  for (std::size_t level = 1; level <= levels; ++level) {
+    child = parent;
+    for (std::uint32_t j = 0; j < r; ++j) {
+      const BallGrids& set =
+          grids.empty()
+              ? built.emplace(k, chain.scales[level], chain.num_grids,
+                              hybrid_grid_seed(chain.seed, level, j))
+              : grids[(level - 1) * r + j];
+      const std::size_t first = j * k;
+      if (first + k <= dim) {
+        set.assign_batch(rows.subspan(first), dim, balls);
+      } else {
+        const std::size_t real = first < dim ? dim - first : 0;
+        padded.assign(kPadRows * k, 0.0);
+        for (std::size_t b = 0; b < n; b += kPadRows) {
+          const std::size_t m = std::min(kPadRows, n - b);
+          for (std::size_t i = 0; i < m; ++i) {
+            const double* src = rows.data() + (b + i) * dim + first;
+            std::copy(src, src + real, padded.begin() + i * k);
+          }
+          set.assign_batch(std::span<const double>(padded).first(m * k), k,
+                           std::span<std::uint64_t>(balls).subspan(b, m));
+        }
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t ball = balls[i];
+        if (ball == kUncovered) {
+          if (report.uncovered++ == 0) {
+            report.level = level;
+            report.bucket = j;
+            report.point = i;
+          }
+          ball = chain.uncovered == UncoveredPolicy::kFail
+                     ? 0
+                     : hash_combine(hash_combine(mix64(0xdeadull),
+                                                 salts.empty() ? i : salts[i]),
+                                    hash_combine(level, j));
+        }
+        child[i] = hash_combine(child[i], ball);
+      }
+    }
+    sink(level, parent, child);
+    parent.swap(child);
+  }
+  return report;
+}
+
 Result<Hierarchy> build_hybrid_hierarchy(const PointSet& points,
                                          const HybridOptions& options) {
   if (points.empty()) {
@@ -85,10 +158,8 @@ Result<Hierarchy> build_hybrid_hierarchy(const PointSet& points,
                   "build_hybrid_hierarchy: need 1 <= num_buckets <= dim");
   }
 
-  // Zero-pad so r divides the dimension (footnote 3).
+  // Buckets of k = ceil(d / r) dims; the last is zero-padded (footnote 3).
   const std::size_t bucket_dim = ceil_div(d, r);
-  const std::size_t d_eff = bucket_dim * r;
-  const PointSet padded = d_eff == d ? points : points.pad_dims(d_eff);
 
   // Scale ladder: w_1 = w_max / 2 with w_max = delta * sqrt(d) (an upper
   // bound on the data diameter, so the root's diameter bound covers it).
@@ -101,13 +172,9 @@ Result<Hierarchy> build_hybrid_hierarchy(const PointSet& points,
           ? options.num_grids
           : recommended_num_grids(bucket_dim, n, r, levels,
                                   options.fail_prob);
-
-  // Project each bucket once.
-  std::vector<PointSet> buckets;
-  buckets.reserve(r);
-  for (std::uint32_t j = 0; j < r; ++j) {
-    buckets.push_back(
-        padded.project(j * bucket_dim, (j + 1) * bucket_dim));
+  if (const Status feasible = check_grid_set_size(bucket_dim, num_grids);
+      !feasible.ok()) {
+    return feasible;
   }
 
   Hierarchy h;
@@ -115,46 +182,35 @@ Result<Hierarchy> build_hybrid_hierarchy(const PointSet& points,
   h.num_grids = num_grids;
   h.scales = ladder.scales;
   h.edge_weight = ladder.edge_weight;
+  h.explicit_grid_bytes = levels * r * num_grids * bucket_dim * sizeof(double);
+  h.cluster_of_point.reserve(levels + 1);
   h.cluster_of_point.emplace_back(n, hybrid_root_id(options.seed));
 
   // Chains continue below singleton clusters; the tree builder prunes them
   // (so the MPC path, where no machine knows global cluster sizes, computes
   // the identical structure).
-  std::vector<std::uint64_t> bucket_ids(n);
-  for (std::size_t level = 1; level <= levels; ++level) {
-    const double w = ladder.scales[level];
-    std::vector<std::uint64_t> next = h.cluster_of_point.back();
-
-    for (std::uint32_t j = 0; j < r; ++j) {
-      const BallGrids grids(bucket_dim, w, num_grids,
-                            hybrid_grid_seed(options.seed, level, j));
-      h.explicit_grid_bytes += grids.explicit_storage_bytes();
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t ball = grids.assign(buckets[j][i]);
-        if (ball == kUncovered) {
-          if (options.uncovered == UncoveredPolicy::kFail) {
-            return Status(
-                StatusCode::kCoverageFailure,
-                "ball partitioning left point " + std::to_string(i) +
-                    " uncovered at level " + std::to_string(level) +
-                    " bucket " + std::to_string(j) + " (U=" +
-                    std::to_string(num_grids) + ")");
-          }
-          ++h.uncovered_events;
-          ball = hash_combine(hash_combine(mix64(0xdeadull), i),
-                              hash_combine(level, j));
-        }
-        bucket_ids[i] = ball;
-      }
-      // Fold this bucket's ball ids into the cluster chain.
-      for (std::size_t i = 0; i < n; ++i) {
-        next[i] = hash_combine(next[i], bucket_ids[i]);
-      }
-    }
-
-    h.cluster_of_point.push_back(std::move(next));
+  HybridChain chain;
+  chain.seed = options.seed;
+  chain.num_buckets = r;
+  chain.bucket_dim = bucket_dim;
+  chain.num_grids = num_grids;
+  chain.scales = ladder.scales;
+  chain.uncovered = options.uncovered;
+  const PathIdsReport report = hybrid_path_ids(
+      chain, points.raw(), d, {}, {},
+      [&](std::size_t, std::span<const std::uint64_t>,
+          std::span<const std::uint64_t> child) {
+        h.cluster_of_point.emplace_back(child.begin(), child.end());
+      });
+  if (report.uncovered > 0 && options.uncovered == UncoveredPolicy::kFail) {
+    return Status(StatusCode::kCoverageFailure,
+                  "ball partitioning left point " +
+                      std::to_string(report.point) + " uncovered at level " +
+                      std::to_string(report.level) + " bucket " +
+                      std::to_string(report.bucket) + " (U=" +
+                      std::to_string(num_grids) + ")");
   }
-
+  h.uncovered_events = report.uncovered;
   return h;
 }
 

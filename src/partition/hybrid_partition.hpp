@@ -23,10 +23,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
 #include "geometry/point_set.hpp"
+#include "partition/ball_partition.hpp"
 
 namespace mpte {
 
@@ -118,6 +121,57 @@ std::uint64_t hybrid_grid_seed(std::uint64_t seed, std::size_t level,
 
 /// Root cluster id for a run seed.
 std::uint64_t hybrid_root_id(std::uint64_t seed);
+
+/// What fixes the (level, bucket) grid sets of one hybrid hierarchy.
+struct HybridChain {
+  /// Partition seed: grid seeds (hybrid_grid_seed) and the root id.
+  std::uint64_t seed = 0;
+  /// Buckets r and per-bucket dimension k = ceil(d / r); coordinates past
+  /// d read as 0 (footnote 3's zero padding).
+  std::uint32_t num_buckets = 1;
+  std::size_t bucket_dim = 1;
+  /// Grids per (level, bucket).
+  std::size_t num_grids = 1;
+  /// The ladder's scales; scales[level] for level 1..scales.size() - 1.
+  std::span<const double> scales;
+  UncoveredPolicy uncovered = UncoveredPolicy::kFail;
+};
+
+/// Uncovered (point, level, bucket) events of one hybrid_path_ids call.
+struct PathIdsReport {
+  std::uint64_t uncovered = 0;
+  /// The first event in (level, bucket, point) order, if uncovered > 0.
+  std::size_t level = 0;
+  std::uint32_t bucket = 0;
+  std::size_t point = 0;
+};
+
+/// Receives one level's ids: parent[i] and child[i] are point i's cluster
+/// ids at level - 1 and level.
+using PathLevelSink =
+    std::function<void(std::size_t level, std::span<const std::uint64_t> parent,
+                       std::span<const std::uint64_t> child)>;
+
+/// The hybrid id chain of Algorithm 1 for a block of points — the one copy
+/// behind build_hybrid_hierarchy, the MPC path stage and mpte::dyn. Point
+/// i's `dim` coordinates are rows[i * dim, (i + 1) * dim). Level by level
+/// and bucket by bucket, one grid set assigns the whole block (read in
+/// place with stride dim; only a zero-padded bucket is copied), and each
+/// point's id folds in its ball id: id_level = hash(... hash(id_{level-1},
+/// ball_0) ..., ball_{r-1}), starting from hybrid_root_id(chain.seed).
+/// Each level is handed to `sink` once it is complete, in level order.
+///
+/// `grids` holds the grid sets in (level - 1) * r + bucket order, or is
+/// empty to build each set when it is needed (one set live at a time).
+/// An uncovered event is counted; under kFail its ball id is 0, under
+/// kSingleton it is a private id salted with salts[i] (or i if `salts` is
+/// empty). The ids depend only on (chain, coordinates, salt), never on
+/// the loop order, so they equal a point-at-a-time walk of the same chain.
+PathIdsReport hybrid_path_ids(const HybridChain& chain,
+                              std::span<const double> rows, std::size_t dim,
+                              std::span<const BallGrids> grids,
+                              std::span<const std::uint64_t> salts,
+                              const PathLevelSink& sink);
 
 /// Builds the hybrid hierarchy of Algorithm 1 over integer points in
 /// [1, delta]^d. Fails with kCoverageFailure under UncoveredPolicy::kFail

@@ -241,45 +241,134 @@ void lattice_floor_impl(const double* p, const double* shifts, std::size_t n,
   }
 }
 
-template <class V>
-std::size_t ball_first_cover_impl(const double* p, std::size_t dim,
-                                  const double* shifts_by_dim,
-                                  std::size_t num_grids, double cell,
-                                  double inv_cell, double radius_sq) {
-  const V vcell = V::broadcast(cell);
-  const V vinv = V::broadcast(inv_cell);
-  for (std::size_t u0 = 0; u0 < num_grids; u0 += V::kLanes) {
-    const std::size_t lanes =
-        num_grids - u0 < V::kLanes ? num_grids - u0 : V::kLanes;
-    // Lanes are grids u0..u0+lanes-1; each lane accumulates its grid's
-    // squared distance to the nearest lattice ball center in dimension
-    // order, the same order the pre-SIMD per-grid loop used. (That loop
-    // broke out early once the partial sum exceeded radius_sq; since the
-    // summands are squares the full sum exceeds iff some prefix does, so
-    // the cover decision is unchanged.)
-    V dist = V::zero();
-    for (std::size_t t = 0; t < dim; ++t) {
-      const double* row = shifts_by_dim + t * num_grids + u0;
-      const V s = lanes == V::kLanes ? V::load(row)
-                                     : V::load_partial(row, lanes);
-      const V pt = V::broadcast(p[t]);
-      const V z = V::round_even((pt - s) * vinv);
-      const V diff = pt - (z * vcell + s);
-      dist = dist + diff * diff;
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-      // "Covers" is !(dist > r^2) rather than dist <= r^2 so that a NaN
-      // coordinate keeps the legacy scalar behavior (its prefix sums never
-      // exceeded the radius, so the first grid claimed the point).
-      if (!(dist.lane(l) > radius_sq)) return u0 + l;
-    }
+/// Squared distances from p to the nearest ball center of grids
+/// u0..u0+3 (one grid per lane), accumulated in dimension order — the
+/// order the pre-SIMD per-grid loop used. `load` reads one dimension's row
+/// of the block (full or zero-padded partial). With K > 0 the dimension is
+/// K and `held` holds p's K broadcasts; with K = 0 it is `dim` and each
+/// coordinate is broadcast where it is used.
+template <class V, std::size_t K, class Load>
+V ball_block_dist(const V* held, const double* p, std::size_t dim,
+                  const double* shifts_by_dim, std::size_t num_grids,
+                  std::size_t u0, const V& vcell, const V& vinv, Load load) {
+  V dist = V::zero();
+  const std::size_t d = K > 0 ? K : dim;
+  for (std::size_t t = 0; t < d; ++t) {
+    const V s = load(shifts_by_dim + t * num_grids + u0);
+    const V pt = [&] {
+      if constexpr (K > 0) {
+        return held[t];
+      } else {
+        return V::broadcast(p[t]);
+      }
+    }();
+    const V z = V::round_even((pt - s) * vinv);
+    const V diff = pt - (z * vcell + s);
+    dist = dist + diff * diff;
+  }
+  return dist;
+}
+
+/// The first grid covering p, or num_grids (see Ops::ball_first_cover).
+/// The pre-SIMD per-grid loop broke out once a partial sum exceeded
+/// radius_sq; the summands are squares, so the full sum exceeds iff some
+/// prefix does and the cover decision is unchanged. "Covers" is
+/// !(dist > r^2) rather than dist <= r^2 so that a NaN coordinate keeps
+/// that loop's behavior (its prefix sums never exceeded the radius, so the
+/// first grid claimed the point).
+template <class V, std::size_t K>
+std::size_t ball_scan(const double* p, std::size_t dim,
+                      const double* shifts_by_dim, std::size_t num_grids,
+                      const V& vcell, const V& vinv, double radius_sq) {
+  V held[K > 0 ? K : 1]{};
+  if constexpr (K > 0) {
+    for (std::size_t t = 0; t < K; ++t) held[t] = V::broadcast(p[t]);
+  }
+  const auto full = [](const double* row) { return V::load(row); };
+  std::size_t u0 = 0;
+  for (; u0 + V::kLanes <= num_grids; u0 += V::kLanes) {
+    const std::size_t l =
+        ball_block_dist<V, K>(held, p, dim, shifts_by_dim, num_grids, u0,
+                              vcell, vinv, full)
+            .first_not_above(radius_sq);
+    if (l < V::kLanes) return u0 + l;
+  }
+  const std::size_t lanes = num_grids - u0;
+  if (lanes > 0) {
+    // Padded lanes see +0.0 shifts; a hit there is past the last grid.
+    const auto partial = [lanes](const double* row) {
+      return V::load_partial(row, lanes);
+    };
+    const std::size_t l =
+        ball_block_dist<V, K>(held, p, dim, shifts_by_dim, num_grids, u0,
+                              vcell, vinv, partial)
+            .first_not_above(radius_sq);
+    if (l < lanes) return u0 + l;
   }
   return num_grids;
 }
 
 template <class V>
+std::size_t ball_first_cover_impl(const double* p, std::size_t dim,
+                                  const double* shifts_by_dim,
+                                  std::size_t num_grids, double cell,
+                                  double inv_cell, double radius_sq) {
+  return ball_scan<V, 0>(p, dim, shifts_by_dim, num_grids,
+                         V::broadcast(cell), V::broadcast(inv_cell),
+                         radius_sq);
+}
+
+template <class V, std::size_t K>
+void ball_first_cover_rows(const double* points, std::size_t stride,
+                           std::size_t n, std::size_t dim,
+                           const double* shifts_by_dim, std::size_t num_grids,
+                           double cell, double inv_cell, double radius_sq,
+                           std::uint32_t* out) {
+  const V vcell = V::broadcast(cell);
+  const V vinv = V::broadcast(inv_cell);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint32_t>(
+        ball_scan<V, K>(points + i * stride, dim, shifts_by_dim, num_grids,
+                        vcell, vinv, radius_sq));
+  }
+}
+
+template <class V>
+void ball_first_cover_batch_impl(const double* points, std::size_t stride,
+                                 std::size_t n, std::size_t dim,
+                                 const double* shifts_by_dim,
+                                 std::size_t num_grids, double cell,
+                                 double inv_cell, double radius_sq,
+                                 std::uint32_t* out) {
+  // Bucket dims 1-3 (the auto bucket count keeps k <= 3) get a
+  // compile-time dimension, so each point's broadcasts are made once and
+  // stay in registers across its grid blocks.
+  switch (dim) {
+    case 1:
+      return ball_first_cover_rows<V, 1>(points, stride, n, dim,
+                                         shifts_by_dim, num_grids, cell,
+                                         inv_cell, radius_sq, out);
+    case 2:
+      return ball_first_cover_rows<V, 2>(points, stride, n, dim,
+                                         shifts_by_dim, num_grids, cell,
+                                         inv_cell, radius_sq, out);
+    case 3:
+      return ball_first_cover_rows<V, 3>(points, stride, n, dim,
+                                         shifts_by_dim, num_grids, cell,
+                                         inv_cell, radius_sq, out);
+    default:
+      return ball_first_cover_rows<V, 0>(points, stride, n, dim,
+                                         shifts_by_dim, num_grids, cell,
+                                         inv_cell, radius_sq, out);
+  }
+}
+
+/// Backend V's kernel table. With kBallScans = false the two ball entries
+/// stay null and V's ball scans are never instantiated: a backend whose
+/// scans lose to scalar fills them from scalar_ops() instead.
+template <class V, bool kBallScans = true>
 constexpr Ops make_ops(const char* name) {
-  return Ops{
+  Ops ops{
       name,
       &fwht_row_impl<V>,
       &scale_impl<V>,
@@ -289,8 +378,14 @@ constexpr Ops make_ops(const char* name) {
       &gemv_impl<V>,
       &csr_row_dot_impl<V>,
       &lattice_floor_impl<V>,
-      &ball_first_cover_impl<V>,
+      nullptr,
+      nullptr,
   };
+  if constexpr (kBallScans) {
+    ops.ball_first_cover = &ball_first_cover_impl<V>;
+    ops.ball_first_cover_batch = &ball_first_cover_batch_impl<V>;
+  }
+  return ops;
 }
 
 }  // namespace mpte::simd

@@ -78,6 +78,18 @@ struct Ops {
                                   const double* shifts_by_dim,
                                   std::size_t num_grids, double cell,
                                   double inv_cell, double radius_sq);
+
+  /// ball_first_cover over n points read with a stride: point i's `dim`
+  /// coordinates start at points + i * stride, and out[i] receives its
+  /// first covering grid index (num_grids if none covers). Each point runs
+  /// ball_first_cover's per-lane op sequence, so out[i] equals the
+  /// per-point result bit for bit. Needs num_grids < 2^32.
+  void (*ball_first_cover_batch)(const double* points, std::size_t stride,
+                                 std::size_t n, std::size_t dim,
+                                 const double* shifts_by_dim,
+                                 std::size_t num_grids, double cell,
+                                 double inv_cell, double radius_sq,
+                                 std::uint32_t* out);
 };
 
 /// The always-available scalar reference instantiation.

@@ -9,6 +9,7 @@
 
 #include <immintrin.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -58,6 +59,14 @@ struct VecAvx2 {
     double tmp[kLanes];
     store(tmp);
     return tmp[l];
+  }
+
+  /// First lane with !(lane > x), or kLanes: the unordered not-greater
+  /// compare is true on NaN, and MOVMSKPD gathers the four lane bits.
+  std::size_t first_not_above(double x) const {
+    const auto mask = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(v, _mm256_set1_pd(x), _CMP_NGT_UQ)));
+    return mask == 0 ? kLanes : static_cast<std::size_t>(std::countr_zero(mask));
   }
 
   friend VecAvx2 operator+(VecAvx2 a, VecAvx2 b) {

@@ -54,6 +54,15 @@ struct VecScalar {
 
   double lane(std::size_t l) const { return v[l]; }
 
+  /// Index of the first lane l with !(lane(l) > x) — NaN lanes count as
+  /// not above — or kLanes when every lane is above x.
+  std::size_t first_not_above(double x) const {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (!(v[l] > x)) return l;
+    }
+    return kLanes;
+  }
+
   friend VecScalar operator+(VecScalar a, VecScalar b) {
     return VecScalar{{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
                       a.v[3] + b.v[3]}};

@@ -1,9 +1,11 @@
 // SSE2 implementation of the VecD contract: four virtual lanes as two
 // 128-bit registers. SSE2 is the x86-64 baseline, so this backend exists
-// on every x86-64 host. SSE2 has no packed floor/round, so those two ops
-// fall back to lane-wise libm calls — bit-identical to the scalar backend
-// by definition, and the arithmetic (add/sub/mul) still runs two lanes per
-// instruction.
+// on every x86-64 host. SSE2 has no packed floor, so floor falls back to
+// lane-wise libm calls — bit-identical to the scalar backend by
+// definition, and the arithmetic (add/sub/mul) still runs two lanes per
+// instruction. It has no packed round either; the ball scans, the only
+// users of round_even and first_not_above, dispatch to the scalar
+// backend on SSE2 (kernels_sse2.cpp), so this type omits those two ops.
 #pragma once
 
 #include <emmintrin.h>
@@ -90,13 +92,6 @@ struct VecSse2 {
     double tmp[kLanes];
     a.store(tmp);
     for (double& x : tmp) x = std::floor(x);
-    return load(tmp);
-  }
-
-  static VecSse2 round_even(VecSse2 a) {
-    double tmp[kLanes];
-    a.store(tmp);
-    for (double& x : tmp) x = std::nearbyint(x);
     return load(tmp);
   }
 };

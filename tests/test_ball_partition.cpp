@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/math_util.hpp"
 #include "common/status.hpp"
@@ -16,6 +18,10 @@ TEST(BallGrids, ValidatesArguments) {
   EXPECT_THROW(BallGrids(0, 1.0, 1, 1), MpteError);
   EXPECT_THROW(BallGrids(2, 0.0, 1, 1), MpteError);
   EXPECT_THROW(BallGrids(2, 1.0, 0, 1), MpteError);
+  // Past the grid-set size limits: thrown before the shift table is
+  // allocated.
+  EXPECT_THROW(BallGrids(16, 1.0, 1'000'000'000'000'000, 1), MpteError);
+  EXPECT_THROW(BallGrids(1, 1.0, kMaxGridsPerSet + 1, 1), MpteError);
 }
 
 TEST(BallGrids, ShiftsInCellRange) {
@@ -41,6 +47,48 @@ TEST(BallGrids, AssignDimensionMismatchThrows) {
   const BallGrids grids(3, 1.0, 4, 1);
   const std::vector<double> p{1.0, 2.0};
   EXPECT_THROW((void)grids.assign(p), MpteError);
+}
+
+TEST(BallGrids, AssignBatchEqualsAssign) {
+  // Strided rows (a bucket read in place out of wider points), blocks
+  // longer than the batch's internal 256-point chunk, the specialised and
+  // generic dims, and enough starved grid sets that some points stay
+  // uncovered.
+  for (std::size_t k = 1; k <= 5; ++k) {
+    for (const std::size_t num_grids : {1u, 7u, 300u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " grids=" + std::to_string(num_grids));
+      const BallGrids grids(k, 1.5, num_grids, 11 + k);
+      const std::size_t stride = 2 * k + 1;
+      const PointSet rows = generate_uniform_cube(601, stride, 40.0, k);
+      std::vector<std::uint64_t> batch(rows.size());
+      grids.assign_batch(rows.raw(), stride, batch);
+      std::size_t uncovered = 0;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto p = rows[i].subspan(0, k);
+        EXPECT_EQ(batch[i], grids.assign(p)) << "point " << i;
+        uncovered += batch[i] == kUncovered ? 1 : 0;
+      }
+      if (num_grids == 1) {
+        EXPECT_GT(uncovered, 0u);
+      }
+    }
+  }
+}
+
+TEST(BallGrids, AssignBatchChecksItsBlock) {
+  const BallGrids grids(3, 1.0, 4, 1);
+  const std::vector<double> rows(3 * 4 + 2, 1.0);
+  std::vector<std::uint64_t> out(5);
+  // Five rows of stride 3 need 15 coordinates; 14 are given.
+  EXPECT_THROW(grids.assign_batch(rows, 3, out), MpteError);
+  // A stride shorter than the grid dimension.
+  EXPECT_THROW(grids.assign_batch(rows, 2, std::span(out).first(2)),
+               MpteError);
+  // An empty block touches nothing; four rows fit.
+  grids.assign_batch({}, 3, {});
+  grids.assign_batch(rows, 3, std::span(out).first(4));
+  EXPECT_EQ(out[0], grids.assign(std::span(rows).first(3)));
 }
 
 TEST(BallGrids, AssignedPointsAreWithinRadiusOfSomeCenter) {

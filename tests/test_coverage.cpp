@@ -6,6 +6,7 @@
 
 #include "common/math_util.hpp"
 #include "common/status.hpp"
+#include <string>
 
 namespace mpte {
 namespace {
@@ -79,6 +80,29 @@ TEST(Coverage, Lemma7BoundSameGrowthFamilyAsExact) {
         static_cast<double>(recommended_num_grids(k, 1000, 4, 20, 1e-6));
     EXPECT_GT(lemma * 1e3, exact) << "k=" << k;
     EXPECT_LT(lemma, exact * 1e3) << "k=" << k;
+  }
+}
+
+TEST(Coverage, GridSetSizeCheck) {
+  EXPECT_TRUE(check_grid_set_size(3, 461).ok());
+  EXPECT_TRUE(check_grid_set_size(8, 368184).ok());
+  // The shift table: U * k doubles, at most 1 GiB.
+  const std::size_t max_k3 = kMaxShiftTableBytes / sizeof(double) / 3;
+  EXPECT_TRUE(check_grid_set_size(3, max_k3).ok());
+  const Status over = check_grid_set_size(3, max_k3 + 1);
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.message().find("k = 3 "), std::string::npos);
+  EXPECT_NE(over.message().find("U = " + std::to_string(max_k3 + 1)),
+            std::string::npos);
+  // The 32-bit grid index.
+  EXPECT_EQ(check_grid_set_size(1, kMaxGridsPerSet + 1).code(),
+            StatusCode::kInvalidArgument);
+  // What recommended_num_grids asks for pure ball partitioning at d = 12
+  // and at d = 16 (where it saturates toward 1e15).
+  for (const std::size_t k : {12u, 16u}) {
+    const std::size_t u = recommended_num_grids(k, 500, 1, 20, 1e-6);
+    EXPECT_EQ(check_grid_set_size(k, u).code(), StatusCode::kInvalidArgument)
+        << "k=" << k << " U=" << u;
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -162,6 +163,63 @@ TEST(DynamicEmbedder, GridMethodMatchesStaticBuild) {
   ASSERT_TRUE(dynamic->erase(5).ok());
   inputs.erase(5);
   expect_matches_static(*dynamic, inputs);
+}
+
+TEST(DynamicEmbedder, BatchedCreateMatchesOneAtATimeInserts) {
+  // create() computes its initial set as one block, grid set by grid set;
+  // insert() is a block of one. Both must give every point the same
+  // column. Pinned delta, r and U make the configuration independent of
+  // the initial set's size, and the two anchors pin the frame. d = 7 in
+  // r = 3 buckets zero-pads the last bucket; U = 4 under kSingleton
+  // leaves many points on salted fallback ids.
+  const std::size_t dim = 7;
+  const PointSet all = anchored_points(60, dim, 37);
+  for (const std::size_t grids : {300u, 4u}) {
+    SCOPED_TRACE("grids=" + std::to_string(grids));
+    DynOptions options = base_options();
+    options.delta = 512;
+    options.num_buckets = 3;
+    options.num_grids = grids;
+    options.uncovered = grids < 10 ? UncoveredPolicy::kSingleton
+                                   : UncoveredPolicy::kFail;
+    auto batched = DynamicEmbedder::create(all, options);
+    ASSERT_TRUE(batched.ok()) << batched.status().to_string();
+
+    PointSet anchors;
+    anchors.push_back(all[0]);
+    anchors.push_back(all[1]);
+    auto single = DynamicEmbedder::create(anchors, options);
+    ASSERT_TRUE(single.ok()) << single.status().to_string();
+    for (std::size_t i = 2; i < all.size(); ++i) {
+      auto id = single->insert(all[i]);
+      ASSERT_TRUE(id.ok()) << id.status().to_string();
+      EXPECT_EQ(*id, i);
+    }
+    EXPECT_EQ(batched->next_id(), single->next_id());
+    EXPECT_EQ(batched->cells_recomputed(), 0u);
+    auto a = batched->materialize();
+    auto b = single->materialize();
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(hst_to_bytes(a->tree), hst_to_bytes(b->tree));
+    EXPECT_EQ(a->embedded_points.raw(), b->embedded_points.raw());
+  }
+}
+
+TEST(DynamicEmbedder, CreateReportsCoverageAndGridSetFailures) {
+  // Starved grids under kFail: the block reports a coverage failure.
+  DynOptions starved = base_options();
+  starved.num_grids = 1;
+  const auto failed = DynamicEmbedder::create(anchored_points(30, 6, 3),
+                                              starved);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kCoverageFailure);
+  // Pure ball partitioning in 16 dims needs more grids than one grid set
+  // can hold: a Status before any grid set is built.
+  const auto infeasible = DynamicEmbedder::create(
+      anchored_points(40, 16, 3), base_options(PartitionMethod::kBall));
+  ASSERT_FALSE(infeasible.ok());
+  EXPECT_EQ(infeasible.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(infeasible.status().message().find("k = 16"), std::string::npos);
 }
 
 TEST(DynamicEmbedder, UpdateGuards) {

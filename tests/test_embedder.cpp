@@ -193,5 +193,26 @@ TEST(Embedder, AutoDeltaGoldenFingerprintPinned) {
   par::set_default_threads(0);
 }
 
+TEST(Embedder, InfeasibleGridCountIsAStatus) {
+  const PointSet points = generate_gaussian_clusters(500, 16, 8, 100.0, 1.0, 3);
+  EmbedOptions options;
+  options.method = PartitionMethod::kBall;
+  const auto result = embed(points, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Embedder, PureBallStillEmbedsAtDimensionEight) {
+  // d = 8 pure ball needs U = 368,184 grids per set: large, but inside the
+  // grid-set limits, so it embeds.
+  const PointSet points = generate_gaussian_clusters(500, 8, 8, 100.0, 1.0, 3);
+  EmbedOptions options;
+  options.method = PartitionMethod::kBall;
+  const auto result = embed(points, options);
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_EQ(result->grids_used, 368184u);
+  EXPECT_TRUE(result->tree.validate().ok());
+}
+
 }  // namespace
 }  // namespace mpte

@@ -8,6 +8,7 @@
 
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
+#include <string>
 
 namespace mpte {
 namespace {
@@ -222,6 +223,24 @@ TEST(BallHierarchy, IsHybridWithOneBucket) {
   const auto hybrid = build_hybrid_hierarchy(points, options);
   ASSERT_TRUE(ball.ok() && hybrid.ok());
   EXPECT_EQ(ball->cluster_of_point, hybrid->cluster_of_point);
+}
+
+TEST(HybridHierarchy, InfeasibleGridCountIsAStatus) {
+  // Pure ball partitioning at d = 12 and 16 asks for more grids than one
+  // grid set can hold; the build says so before allocating any.
+  for (const std::size_t d : {12u, 16u}) {
+    const PointSet points = quantized_cube(50, d, 64, 3);
+    HybridOptions options;
+    options.num_buckets = 1;
+    options.delta = 64;
+    options.seed = 5;
+    const auto result = build_ball_hierarchy(points, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("k = " + std::to_string(d)),
+              std::string::npos)
+        << result.status().to_string();
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
+#include <string>
 
 namespace mpte {
 namespace {
@@ -285,6 +286,17 @@ TEST(HierarchyDensestBall, MonotoneInDiameter) {
     EXPECT_LE(result.diameter, d);
     prev = result.count;
   }
+}
+
+TEST(MpcApps, InfeasibleGridCountIsAStatus) {
+  Cluster cluster = big_cluster();
+  const PointSet points = generate_uniform_cube(60, 16, 30.0, 3);
+  MpcEmbedOptions options = base_options(3);
+  options.num_buckets = 1;
+  const auto result = mpc_tree_mst(cluster, points, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("k = 16"), std::string::npos);
 }
 
 }  // namespace

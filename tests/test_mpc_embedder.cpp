@@ -8,6 +8,7 @@
 #include "geometry/generators.hpp"
 #include "golden.hpp"
 #include "tree/distortion.hpp"
+#include <string>
 
 namespace mpte {
 namespace {
@@ -176,6 +177,18 @@ TEST(MpcEmbedder, AutoDeltaGoldenFingerprintPinned) {
         << "threads " << threads;
   }
   par::set_default_threads(0);
+}
+
+TEST(MpcEmbedder, InfeasibleGridCountIsAStatus) {
+  Cluster cluster = big_cluster();
+  const PointSet points = generate_uniform_cube(60, 16, 30.0, 3);
+  MpcEmbedOptions options;
+  options.use_fjlt = false;
+  options.num_buckets = 1;
+  const auto result = mpc_embed(cluster, points, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("k = 16"), std::string::npos);
 }
 
 }  // namespace

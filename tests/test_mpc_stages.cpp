@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
 #include "mpc/primitives.hpp"
+#include "partition/ball_partition.hpp"
 #include "partition/coverage.hpp"
 
 namespace mpte::detail {
@@ -192,6 +195,129 @@ TEST(RunPartitionAttempt, ReportsFailuresWithStarvedGrids) {
   auto params = make_params(13, n, dim, 1, 64);
   params.num_grids = 1;  // hopeless coverage in 4 dims
   EXPECT_GT(run_partition_attempt(cluster, dim, params, 2), 0u);
+}
+
+/// The point-major loop paths/compute and paths/records ran before the
+/// grid-set-major hybrid_path_ids, kept as their oracle: every grid set
+/// built up front, then each local point walked through every (level,
+/// bucket) with one per-point assign() on its zero-padded bucket.
+struct OraclePaths {
+  std::vector<KV> edges, leaves, records, links;
+  std::uint64_t failures = 0;
+};
+
+OraclePaths point_major_paths(const std::vector<std::uint64_t>& idx,
+                              const std::vector<double>& data,
+                              std::size_t dim, const PartitionParams& p) {
+  const ScaleLadder ladder = hybrid_scale_ladder(dim, p.num_buckets, p.delta);
+  std::vector<BallGrids> grids;
+  for (std::size_t level = 1; level <= ladder.levels; ++level) {
+    for (std::uint32_t j = 0; j < p.num_buckets; ++j) {
+      grids.emplace_back(p.bucket_dim, ladder.scales[level], p.num_grids,
+                         hybrid_grid_seed(p.seed, level, j));
+    }
+  }
+  OraclePaths out;
+  std::vector<double> bucket(p.bucket_dim);
+  for (std::size_t local = 0; local < idx.size(); ++local) {
+    const std::uint64_t point = idx[local];
+    std::uint64_t id = hybrid_root_id(p.seed);
+    for (std::size_t level = 1; level <= ladder.levels; ++level) {
+      const std::uint64_t parent = id;
+      for (std::uint32_t j = 0; j < p.num_buckets; ++j) {
+        for (std::uint32_t t = 0; t < p.bucket_dim; ++t) {
+          const std::size_t coord = j * p.bucket_dim + t;
+          bucket[t] = coord < dim ? data[local * dim + coord] : 0.0;
+        }
+        std::uint64_t ball =
+            grids[(level - 1) * p.num_buckets + j].assign(bucket);
+        if (ball == kUncovered) {
+          if (p.uncovered_singleton == 0) {
+            ++out.failures;
+            ball = 0;
+          } else {
+            ball = hash_combine(hash_combine(mix64(0xdeadull), point),
+                                hash_combine(level, j));
+          }
+        }
+        id = hash_combine(id, ball);
+      }
+      out.edges.push_back(KV{id, parent});
+      out.records.push_back(KV{pack_level_node(level, id), point});
+      out.links.push_back(
+          KV{pack_level_node(level, id), pack_level_node(level - 1, parent)});
+    }
+    out.leaves.push_back(KV{point, id});
+  }
+  return out;
+}
+
+void expect_same_records(const std::vector<KV>& got,
+                         const std::vector<KV>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << " record " << i;
+  }
+}
+
+TEST(PathStages, MatchPointMajorOracleRecordForRecord) {
+  // Bucket dims that do not divide d (7 in 3 buckets of 3 pads the last
+  // bucket with 2 zeros; 5 in 4 buckets of 2 leaves the last bucket all
+  // padding), starved grid sets under kFail (placeholder ids and a
+  // failure count) and under kSingleton (salted fallback ids).
+  struct Case {
+    std::size_t dim;
+    std::uint32_t buckets;
+    std::size_t grids;  // 0 = recommended
+    std::uint32_t singleton;
+  };
+  for (const Case c : {Case{7, 3, 0, 0}, Case{5, 4, 0, 0}, Case{6, 2, 0, 1},
+                       Case{7, 3, 2, 0}, Case{7, 3, 2, 1}, Case{5, 4, 3, 1}}) {
+    SCOPED_TRACE("dim=" + std::to_string(c.dim) +
+                 " r=" + std::to_string(c.buckets) +
+                 " grids=" + std::to_string(c.grids) +
+                 " singleton=" + std::to_string(c.singleton));
+    const std::size_t n = 45;
+    const std::uint64_t delta = 128, seed = 71 + c.dim;
+    const Quantized q =
+        quantize_to_grid(generate_uniform_cube(n, c.dim, 50.0, seed), delta);
+    Cluster cluster = test_cluster(3);
+    scatter_points(cluster, q.points);
+    PartitionParams params = make_params(seed, n, c.dim, c.buckets, delta);
+    if (c.grids > 0) params.num_grids = c.grids;
+    params.uncovered_singleton = c.singleton;
+
+    std::vector<OraclePaths> want;
+    std::uint64_t want_failures = 0;
+    for (std::uint32_t m = 0; m < cluster.num_machines(); ++m) {
+      want.push_back(point_major_paths(keys::kIdx.get(cluster.store(m)),
+                                       keys::kPts.get(cluster.store(m)),
+                                       c.dim, params));
+      want_failures += want.back().failures;
+    }
+    if (c.grids > 0 && c.singleton == 0) {
+      EXPECT_GT(want_failures, 0u);
+    }
+
+    EXPECT_EQ(run_partition_attempt(cluster, c.dim, params, 2),
+              want_failures);
+    for (std::uint32_t m = 0; m < cluster.num_machines(); ++m) {
+      const auto& store = cluster.store(m);
+      expect_same_records(keys::kEdges.get(store), want[m].edges, "edges");
+      expect_same_records(keys::kLeaf.get(store), want[m].leaves, "leaves");
+      EXPECT_EQ(keys::kFail.get(store), want[m].failures);
+    }
+
+    EXPECT_EQ(run_path_records_attempt(cluster, c.dim, params, 2,
+                                       /*emit_links=*/true),
+              want_failures);
+    for (std::uint32_t m = 0; m < cluster.num_machines(); ++m) {
+      const auto& store = cluster.store(m);
+      expect_same_records(keys::kNodes.get(store), want[m].records,
+                          "records");
+      expect_same_records(keys::kLinks.get(store), want[m].links, "links");
+    }
+  }
 }
 
 /// The hash-map BFS that assemble_raw_tree replaced, kept as its oracle:

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/embedder.hpp"
+#include "geometry/generators.hpp"
 #include "golden.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -408,6 +410,58 @@ TEST(ObservationOnly, TracedEmbeddingIsByteIdenticalAtOneAndEightThreads) {
     EXPECT_TRUE(saw_pipeline);
     EXPECT_TRUE(saw_round);
   }
+}
+
+TEST(ObservationOnly, TracedSequentialEmbedIsByteIdenticalAndSplitsByStage) {
+  // The auto-Δ golden embed(): tracing must not move a byte, and the run
+  // splits into stage spans directly under one emb/embed root.
+  Tracer::global().disable();
+  const auto plain =
+      embed(golden::golden_points(), golden::auto_delta_embed_options());
+  ASSERT_TRUE(plain.ok()) << plain.status().to_string();
+  Tracer::global().enable();
+  const auto traced =
+      embed(golden::golden_points(), golden::auto_delta_embed_options());
+  Tracer::global().disable();
+  ASSERT_TRUE(traced.ok()) << traced.status().to_string();
+  EXPECT_EQ(golden::fingerprint(*plain), golden::kAutoDeltaEmbedHash);
+  EXPECT_EQ(golden::fingerprint(*traced), golden::kAutoDeltaEmbedHash);
+
+  const auto events = Tracer::global().snapshot();
+  const SpanEvent* root = nullptr;
+  for (const SpanEvent& event : events) {
+    if (event.category == "emb" && event.name == "embed") root = &event;
+  }
+  ASSERT_NE(root, nullptr);
+  std::map<std::string, int> children;
+  for (const SpanEvent& event : events) {
+    if (event.thread == root->thread && event.depth == root->depth + 1 &&
+        event.start_us >= root->start_us &&
+        event.start_us + event.duration_us <=
+            root->start_us + root->duration_us) {
+      ++children[event.category + "/" + event.name];
+    }
+  }
+  EXPECT_EQ(children["emb/delta"], 1);
+  EXPECT_EQ(children["emb/quantize"], 1);
+  EXPECT_EQ(children["emb/partition-attempt"], 1);
+  EXPECT_EQ(children["emb/build-hst"], 1);
+  EXPECT_EQ(children.count("fjlt/fjlt"), 0u);  // 8 dims: no FJLT
+
+  // The FJLT stage gets its own span when the transform applies.
+  Tracer::global().enable();
+  EmbedOptions high;
+  high.delta = 256;
+  const auto reduced =
+      embed(generate_uniform_cube(64, 256, 10.0, 3), high);
+  Tracer::global().disable();
+  ASSERT_TRUE(reduced.ok()) << reduced.status().to_string();
+  ASSERT_TRUE(reduced->fjlt_applied);
+  bool saw_fjlt = false;
+  for (const SpanEvent& event : Tracer::global().snapshot()) {
+    saw_fjlt |= event.category == "fjlt" && event.name == "fjlt";
+  }
+  EXPECT_TRUE(saw_fjlt);
 }
 
 }  // namespace

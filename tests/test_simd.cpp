@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -221,6 +222,67 @@ TEST(KernelEquality, BallFirstCoverMatchesScalarOnEveryBackend) {
           EXPECT_EQ(expect, got)
               << backend_name(backend) << " dim=" << dim
               << " grids=" << grids << " trial=" << trial;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquality, BallFirstCoverBatchMatchesPerPointOnEveryBackend) {
+  // The batch entry against per-point ball_first_cover (scalar reference
+  // and the backend's own) on the specialised bucket dims 1-3 and the
+  // generic 4-5, full and partial grid blocks, points no grid covers,
+  // NaN coordinates, and strided rows (stride = k + 2).
+  const Ops& ref = scalar_ops();
+  Rng rng(0xba7c4ull);
+  const double cell = 4.0;
+  for (const Backend backend : available_backends()) {
+    BackendGuard guard;
+    ASSERT_TRUE(set_backend(backend));
+    const Ops& vec = ops();
+    for (std::size_t k = 1; k <= 5; ++k) {
+      for (const std::size_t grids : {1u, 3u, 4u, 5u, 461u}) {
+        std::vector<double> shifts(k * grids);
+        for (double& s : shifts) s = rng.uniform(0.0, cell);
+        const std::size_t stride = k + 2;
+        constexpr std::size_t kPoints = 40;
+        std::vector<double> rows(kPoints * stride);
+        for (double& x : rows) x = rng.uniform(-20.0, 20.0);
+        rows[3 * stride + k - 1] = std::numeric_limits<double>::quiet_NaN();
+        rows[7 * stride] = std::numeric_limits<double>::quiet_NaN();
+        // A large radius covers early; a tiny one leaves most points
+        // uncovered at small grid counts.
+        for (const double radius_sq : {1.0, 1e-4}) {
+          SCOPED_TRACE(std::string(backend_name(backend)) +
+                       " k=" + std::to_string(k) +
+                       " grids=" + std::to_string(grids) +
+                       " r2=" + std::to_string(radius_sq));
+          for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kPoints}) {
+            std::vector<std::uint32_t> out(n + 1, 0xabcdu);
+            vec.ball_first_cover_batch(rows.data(), stride, n, k,
+                                       shifts.data(), grids, cell,
+                                       1.0 / cell, radius_sq, out.data());
+            for (std::size_t i = 0; i < n; ++i) {
+              const double* p = rows.data() + i * stride;
+              const std::size_t expect = ref.ball_first_cover(
+                  p, k, shifts.data(), grids, cell, 1.0 / cell, radius_sq);
+              EXPECT_EQ(out[i], expect) << "point " << i;
+              EXPECT_EQ(out[i], vec.ball_first_cover(p, k, shifts.data(),
+                                                     grids, cell, 1.0 / cell,
+                                                     radius_sq))
+                  << "point " << i;
+            }
+            EXPECT_EQ(out[n], 0xabcdu) << "wrote past n=" << n;
+            if (n == kPoints) {
+              // A NaN coordinate is claimed by the first grid.
+              EXPECT_EQ(out[3], 0u);
+              EXPECT_EQ(out[7], 0u);
+              if (grids == 1 && radius_sq < 1.0) {
+                EXPECT_GT(std::count(out.begin(), out.end() - 1, 1u), 0)
+                    << "expected uncovered points";
+              }
+            }
+          }
         }
       }
     }
