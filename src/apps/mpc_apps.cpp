@@ -5,16 +5,12 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "core/mpc_stages.hpp"
-#include "geometry/bounding_box.hpp"
-#include "geometry/quantize.hpp"
+#include "mpc/point_blocks.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/step.hpp"
 #include "obs/trace.hpp"
-#include "partition/coverage.hpp"
-#include "transform/mpc_fjlt.hpp"
 
 namespace mpte {
 namespace {
@@ -30,12 +26,9 @@ using mpc::RegisterStep;
 using mpc::Step;
 using mpc::StepSpec;
 using mpc::ValueKey;
-using detail::keys::kFail;
-using detail::keys::kFailTotal;
 using detail::keys::kIdx;
 using detail::keys::kLinks;
 using detail::keys::kNodes;
-using detail::keys::kPts;
 
 // Typed handles to the per-application cluster state.
 const Key<KV> kEmdIn{"emd/in"};
@@ -217,111 +210,8 @@ const RegisterStep kRegMstRouteChildReps{"mst/route-child-reps",
                                          make_mst_route_child_reps};
 const RegisterStep kRegMstEmitEdges{"mst/emit-edges", make_mst_emit_edges};
 
-/// Everything the shared pipeline prologue produces.
-struct Prep {
-  std::size_t dim = 0;
-  std::uint64_t delta = 0;
-  double scale_to_input = 1.0;
-  detail::PartitionParams params;
-  ScaleLadder ladder;
-  int retries = 0;
-  std::size_t rounds_before = 0;
-};
-
-/// Runs stages 1–4 (FJLT, quantize, grids, path records) with retries and
-/// leaves keys::kNodes (+ optional keys::kLinks) distributed.
-Result<Prep> prepare_paths(Cluster& cluster, const PointSet& points,
-                           const MpcEmbedOptions& options, bool emit_links) {
-  if (points.size() < 2) {
-    return Status(StatusCode::kInvalidArgument,
-                  "mpc apps: need at least two points");
-  }
-  Prep prep;
-  prep.rounds_before = cluster.stats().rounds();
-  const std::size_t n = points.size();
-
-  PointSet working = points;
-  if (options.use_fjlt) {
-    const FjltConfig config = FjltConfig::make(
-        n, points.dim(), options.fjlt_xi, mix64(options.seed));
-    if (config.output_dim < points.dim()) {
-      working = mpc_fjlt(cluster, points, config);
-    }
-  }
-  prep.dim = working.dim();
-
-  {
-    const obs::Span span("emb", "delta");
-    prep.delta =
-        options.delta > 0
-            ? options.delta
-            : recommended_delta(working, options.quantize_eps, 1ull << 20);
-    if (prep.delta < 2) {
-      return Status(StatusCode::kInvalidArgument,
-                    "mpc apps: delta must be >= 2");
-    }
-    const double width = BoundingBox::of(working).width();
-    prep.scale_to_input =
-        width > 0.0 ? width / static_cast<double>(prep.delta - 1) : 1.0;
-  }
-
-  detail::scatter_points(cluster, working);
-  detail::mpc_quantize(cluster, prep.dim, prep.delta,
-                       options.broadcast_fanout);
-
-  prep.params.delta = prep.delta;
-  prep.params.num_buckets =
-      options.num_buckets > 0
-          ? std::min<std::uint32_t>(options.num_buckets,
-                                    static_cast<std::uint32_t>(prep.dim))
-          : auto_num_buckets(n, prep.dim, options.max_bucket_dim);
-  prep.params.bucket_dim = static_cast<std::uint32_t>(
-      ceil_div(prep.dim, prep.params.num_buckets));
-  prep.params.effective_dim =
-      prep.params.bucket_dim * prep.params.num_buckets;
-  prep.params.uncovered_singleton =
-      options.uncovered == UncoveredPolicy::kSingleton ? 1 : 0;
-  prep.ladder =
-      hybrid_scale_ladder(prep.dim, prep.params.num_buckets, prep.delta);
-  prep.params.num_grids =
-      options.num_grids > 0
-          ? options.num_grids
-          : recommended_num_grids(prep.params.bucket_dim, n,
-                                  prep.params.num_buckets,
-                                  prep.ladder.levels, options.fail_prob);
-  if (const Status feasible =
-          check_grid_set_size(prep.params.bucket_dim, prep.params.num_grids);
-      !feasible.ok()) {
-    return feasible;
-  }
-
-  for (prep.retries = 0;; ++prep.retries) {
-    prep.params.seed = hash_combine(
-        mix64(options.seed), static_cast<std::uint64_t>(prep.retries));
-    const std::uint64_t failures = detail::run_path_records_attempt(
-        cluster, prep.dim, prep.params, options.broadcast_fanout,
-        emit_links);
-    if (failures == 0) break;
-    if (prep.retries >= options.max_retries) {
-      return Status(StatusCode::kCoverageFailure,
-                    "mpc apps: ball partitioning left " +
-                        std::to_string(failures) +
-                        " (point, level, bucket) events uncovered after " +
-                        std::to_string(prep.retries + 1) + " attempts");
-    }
-  }
-  return prep;
-}
-
-/// Clears all per-run keys from every machine.
-void cleanup(Cluster& cluster, std::initializer_list<std::string> keys) {
-  for (MachineId id = 0; id < cluster.num_machines(); ++id) {
-    for (const std::string& key : keys) cluster.store(id).erase(key);
-  }
-}
-
-/// Scatters a signed per-point value with the same block layout as
-/// detail::scatter_points, so each machine holds the values of exactly its
+/// Scatters a signed per-point value in the points' block layout
+/// (mpc/point_blocks.hpp), so each machine holds the values of exactly its
 /// own points (keyed by global index in "emb/idx").
 void scatter_point_values(Cluster& cluster, const Key<std::int64_t>& key,
                           const std::vector<std::int64_t>& values) {
@@ -329,37 +219,34 @@ void scatter_point_values(Cluster& cluster, const Key<std::int64_t>& key,
   // every other scatter (the apps recover by restart, so this only matters
   // if a caller resumes a cluster mid-pipeline by hand).
   if (cluster.fast_forwarding()) return;
-  const std::size_t m = cluster.num_machines();
-  const std::size_t block = ceil_div(values.size(), m);
-  for (MachineId id = 0; id < m; ++id) {
-    const std::size_t begin = std::min(values.size(), id * block);
-    const std::size_t end = std::min(values.size(), begin + block);
+  const mpc::PointBlocks blocks(values.size(), cluster.num_machines());
+  for (MachineId id = 0; id < cluster.num_machines(); ++id) {
     key.set(cluster.store(id),
-            std::vector<std::int64_t>(values.begin() + begin,
-                                      values.begin() + end));
+            std::span<const std::int64_t>(values).subspan(
+                blocks.begin(id), blocks.end(id) - blocks.begin(id)));
   }
 }
 
 /// Shared tail of both EMD variants: reduce per-cluster imbalances, weight
 /// by level, converge-cast, read out, clean up. The caller must have left
 /// signed per-record values under "emd/in".
-MpcEmdResult finish_emd(Cluster& cluster, const Prep& prep) {
+MpcEmdResult finish_emd(Cluster& cluster, const detail::MpcRun& run) {
   mpc::reduce_kv_sum(cluster, kEmdIn.name, kEmdImbalance.name);
 
   Serializer weight;
-  weight.write(static_cast<std::uint64_t>(prep.dim));
-  weight.write(prep.params.num_buckets);
-  weight.write(prep.delta);
+  weight.write(static_cast<std::uint64_t>(run.dim));
+  weight.write(run.plan.num_buckets);
+  weight.write(run.plan.delta);
   cluster.run_round(StepSpec("emd/weight", std::move(weight)));
 
   mpc::sum_double(cluster, kEmdPartial.name, kEmdTotal.name, 0);
 
   MpcEmdResult result;
-  result.emd = kEmdTotal.get(cluster.store(0)) * prep.scale_to_input;
-  result.retries_used = prep.retries;
-  result.rounds_used = cluster.stats().rounds() - prep.rounds_before;
-  cleanup(cluster, {kIdx.name, kPts.name, kFail.name, kFailTotal.name,
-                    kMass.name, kEmdPartial.name, kEmdTotal.name});
+  result.emd = kEmdTotal.get(cluster.store(0)) * run.cell;
+  result.retries_used = run.attempt;
+  result.rounds_used = cluster.stats().rounds() - run.rounds_before;
+  detail::erase_run_keys(cluster,
+                         {kMass.name, kEmdPartial.name, kEmdTotal.name});
   return result;
 }
 
@@ -368,6 +255,8 @@ MpcEmdResult finish_emd(Cluster& cluster, const Prep& prep) {
 Result<MpcEmdResult> mpc_tree_emd(Cluster& cluster, const PointSet& a,
                                   const PointSet& b,
                                   const MpcEmbedOptions& options) {
+  const obs::Span span("apps", "mpc_tree_emd", "points",
+                       a.size() + b.size());
   if (a.size() != b.size()) {
     return Status(StatusCode::kInvalidArgument,
                   "mpc_tree_emd: sides must have equal size");
@@ -379,8 +268,9 @@ Result<MpcEmdResult> mpc_tree_emd(Cluster& cluster, const PointSet& a,
   PointSet all = a;
   for (std::size_t i = 0; i < b.size(); ++i) all.push_back(b[i]);
 
-  auto prep = prepare_paths(cluster, all, options, /*emit_links=*/false);
-  if (!prep.ok()) return prep.status();
+  const auto run = detail::run_mpc_pipeline(
+      cluster, all, options, detail::PathOutput::kRecords, "mpc_tree_emd");
+  if (!run.ok()) return run.status();
 
   // Side-label the path records: +1 for points of a, -1 for points of b
   // (two's-complement u64 so the KV sum reduction computes signed sums).
@@ -388,7 +278,7 @@ Result<MpcEmdResult> mpc_tree_emd(Cluster& cluster, const PointSet& a,
   label.write(static_cast<std::uint64_t>(a.size()));
   cluster.run_round(StepSpec("emd/label", std::move(label)));
 
-  return finish_emd(cluster, *prep);
+  return finish_emd(cluster, *run);
 }
 
 Result<MpcEmdResult> mpc_tree_emd_weighted(
@@ -396,6 +286,8 @@ Result<MpcEmdResult> mpc_tree_emd_weighted(
     const std::vector<std::int64_t>& mass_a,
     const std::vector<std::int64_t>& mass_b,
     const MpcEmbedOptions& options) {
+  const obs::Span span("apps", "mpc_tree_emd_weighted", "points",
+                       a.size() + b.size());
   if (mass_a.size() != a.size() || mass_b.size() != b.size()) {
     return Status(StatusCode::kInvalidArgument,
                   "mpc_tree_emd_weighted: mass vector size mismatch");
@@ -431,27 +323,34 @@ Result<MpcEmdResult> mpc_tree_emd_weighted(
   PointSet all = a;
   for (std::size_t i = 0; i < b.size(); ++i) all.push_back(b[i]);
 
-  auto prep = prepare_paths(cluster, all, options, /*emit_links=*/false);
-  if (!prep.ok()) return prep.status();
+  const auto run =
+      detail::run_mpc_pipeline(cluster, all, options,
+                               detail::PathOutput::kRecords,
+                               "mpc_tree_emd_weighted");
+  if (!run.ok()) return run.status();
 
   // Distribute the masses with the points' block layout (they are part of
   // the distributed input), then label each record with its point's mass.
   scatter_point_values(cluster, kMass, signed_mass);
   cluster.run_round(StepSpec("emd/label-weighted"));
 
-  return finish_emd(cluster, *prep);
+  return finish_emd(cluster, *run);
 }
 
 Result<MpcDensestBallResult> mpc_densest_ball(
     Cluster& cluster, const PointSet& points, double max_diameter,
     const MpcEmbedOptions& options) {
+  const obs::Span span("apps", "mpc_densest_ball", "points", points.size());
   if (max_diameter < 0.0) {
     return Status(StatusCode::kInvalidArgument,
                   "mpc_densest_ball: negative diameter");
   }
-  auto prep = prepare_paths(cluster, points, options, /*emit_links=*/false);
-  if (!prep.ok()) return prep.status();
-  const double max_diameter_q = max_diameter / prep->scale_to_input;
+  const auto run =
+      detail::run_mpc_pipeline(cluster, points, options,
+                               detail::PathOutput::kRecords,
+                               "mpc_densest_ball");
+  if (!run.ok()) return run.status();
+  const double max_diameter_q = max_diameter / run->cell;
 
   // Per-cluster point counts.
   cluster.run_round(StepSpec("densest/count-prep"));
@@ -459,9 +358,9 @@ Result<MpcDensestBallResult> mpc_densest_ball(
 
   // Local best among qualifying levels, converge-cast to rank 0.
   Serializer local_best;
-  local_best.write(static_cast<std::uint64_t>(prep->dim));
-  local_best.write(prep->params.num_buckets);
-  local_best.write(prep->delta);
+  local_best.write(static_cast<std::uint64_t>(run->dim));
+  local_best.write(run->plan.num_buckets);
+  local_best.write(run->plan.delta);
   local_best.write(max_diameter_q);
   cluster.run_round(StepSpec("densest/local-best", std::move(local_best)));
   cluster.run_round(StepSpec("densest/global-best"));
@@ -470,28 +369,29 @@ Result<MpcDensestBallResult> mpc_densest_ball(
   {
     const BallBest best = kBestKey.get(cluster.store(0));
     result.count = best.count;
-    result.diameter = best.bound * prep->scale_to_input;
+    result.diameter = best.bound * run->cell;
   }
   // The root cluster (level 0, all n points) is not in the path records;
   // it qualifies whenever its diameter bound fits.
-  const double sqrt_r =
-      std::sqrt(static_cast<double>(prep->params.num_buckets));
-  const double root_bound = 2.0 * sqrt_r * prep->ladder.scales[0];
+  const double sqrt_r = std::sqrt(static_cast<double>(run->plan.num_buckets));
+  const double root_bound = 2.0 * sqrt_r * run->plan.ladder.scales[0];
   if (root_bound <= max_diameter_q && points.size() > result.count) {
     result.count = points.size();
-    result.diameter = root_bound * prep->scale_to_input;
+    result.diameter = root_bound * run->cell;
   }
-  result.retries_used = prep->retries;
-  result.rounds_used = cluster.stats().rounds() - prep->rounds_before;
-  cleanup(cluster, {kIdx.name, kPts.name, kFail.name, kFailTotal.name,
-                    kBestKey.name});
+  result.retries_used = run->attempt;
+  result.rounds_used = cluster.stats().rounds() - run->rounds_before;
+  detail::erase_run_keys(cluster, {kBestKey.name});
   return result;
 }
 
 Result<MpcMstResult> mpc_tree_mst(Cluster& cluster, const PointSet& points,
                                   const MpcEmbedOptions& options) {
-  auto prep = prepare_paths(cluster, points, options, /*emit_links=*/true);
-  if (!prep.ok()) return prep.status();
+  const obs::Span span("apps", "mpc_tree_mst", "points", points.size());
+  const auto run = detail::run_mpc_pipeline(
+      cluster, points, options, detail::PathOutput::kRecordsAndLinks,
+      "mpc_tree_mst");
+  if (!run.ok()) return run.status();
 
   // Representative (min point index) per cluster; child->parent links
   // land on the same machines (same key hashing).
@@ -518,10 +418,9 @@ Result<MpcMstResult> mpc_tree_mst(Cluster& cluster, const PointSet& points,
                                    length});
     result.total_length += length;
   }
-  result.retries_used = prep->retries;
-  result.rounds_used = cluster.stats().rounds() - prep->rounds_before;
-  cleanup(cluster, {kIdx.name, kPts.name, kFail.name, kFailTotal.name,
-                    kMstEdgesDedup.name});
+  result.retries_used = run->attempt;
+  result.rounds_used = cluster.stats().rounds() - run->rounds_before;
+  detail::erase_run_keys(cluster, {kMstEdgesDedup.name});
   return result;
 }
 

@@ -10,6 +10,9 @@
 //       hybrid (Algorithm 1) — with coverage-failure retries,
 //   (4) HST assembly.
 //
+// Stages (1)–(3) are the shared front end of core/front_end.hpp; the MPC
+// pipeline and mpte::dyn make the same decisions through the same calls.
+//
 // The returned Embedding owns the tree and enough bookkeeping to convert
 // tree distances back to input units.
 #pragma once
@@ -17,57 +20,18 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/front_end.hpp"
 #include "geometry/point_set.hpp"
 #include "geometry/quantize.hpp"
-#include "partition/hybrid_partition.hpp"
+#include "partition/plan.hpp"
 #include "tree/hst.hpp"
 
 namespace mpte {
 
-/// Which hierarchical partitioning builds the tree.
-enum class PartitionMethod {
-  /// Arora's random shifted grid [9] — the O(log^2 n) baseline.
-  kGrid,
-  /// Charikar et al.'s ball partitioning [27] — hybrid with r = 1.
-  kBall,
-  /// The paper's hybrid partitioning (Algorithm 1).
-  kHybrid,
-};
-
-const char* to_string(PartitionMethod method);
-
-/// Options for embed(). Zeros mean "choose per the paper".
-struct EmbedOptions {
+/// Options for embed(); the shared fields are documented on its bases
+/// (core/front_end.hpp).
+struct EmbedOptions : PipelineOptions {
   PartitionMethod method = PartitionMethod::kHybrid;
-  /// Buckets r for kHybrid; 0 = auto: max(Theta(log log n) as in
-  /// Theorem 1, ceil(dim / max_bucket_dim)).
-  std::uint32_t num_buckets = 0;
-  /// Cap on the per-bucket dimension d/r when num_buckets is auto. The
-  /// grid count U grows as 2^{Theta(k log k)} in the bucket dimension k
-  /// (Lemma 7), so while r = Theta(log log n) suffices asymptotically,
-  /// any implementable scale needs small buckets — the very trade-off
-  /// hybridization exists for. 3 keeps U in the hundreds.
-  std::size_t max_bucket_dim = 3;
-  /// Grid extent Delta; 0 = recommended_delta(points, quantize_eps, 2^20).
-  std::uint64_t delta = 0;
-  /// Relative distance error budget for quantization when delta = 0.
-  double quantize_eps = 0.05;
-  /// Root seed; retries derive fresh seeds from it.
-  std::uint64_t seed = 1;
-
-  /// Apply the FJLT first when the input dimension exceeds the target k.
-  bool use_fjlt = true;
-  /// FJLT distortion parameter xi in (0, 0.5).
-  double fjlt_xi = 0.25;
-
-  /// Grids per (level, bucket); 0 = auto from Lemma 7's union bound.
-  std::size_t num_grids = 0;
-  /// Coverage failure probability per run.
-  double fail_prob = 1e-6;
-  UncoveredPolicy uncovered = UncoveredPolicy::kFail;
-  /// Coverage-failure retries before giving up (Theorem 1 reports failure;
-  /// retrying with a fresh seed is the standard Monte Carlo amplification).
-  int max_retries = 3;
 };
 
 /// A finished embedding.
@@ -100,16 +64,8 @@ struct Embedding {
 
 /// Embeds `points` into a weighted tree. Needs at least 2 points. Fails
 /// with kCoverageFailure only if all retries fail (probability
-/// <= fail_prob^(max_retries+1) under UncoveredPolicy::kFail).
+/// <= fail_prob^(max_retries+1) under UncoveredPolicy::kFail), and with
+/// kInvalidArgument for a given delta below 2 or a negative max_retries.
 Result<Embedding> embed(const PointSet& points, const EmbedOptions& options);
-
-/// The r used by Theorem 1's parameterization: max(1, round(2·ln ln n)),
-/// clamped to [1, dim].
-std::uint32_t theorem1_num_buckets(std::size_t n, std::size_t dim);
-
-/// The automatic bucket count: Theorem 1's r, raised so the per-bucket
-/// dimension stays <= max_bucket_dim (see EmbedOptions::max_bucket_dim).
-std::uint32_t auto_num_buckets(std::size_t n, std::size_t dim,
-                               std::size_t max_bucket_dim);
 
 }  // namespace mpte

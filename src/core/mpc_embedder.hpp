@@ -3,10 +3,11 @@
 // Stages, each a constant number of rounds on the simulated cluster:
 //
 //   (1) MPC FJLT (Theorem 3) when the ambient dimension exceeds the target
-//       k = Theta(log n) — see transform/mpc_fjlt.hpp.
+//       k = Theta(log n) — see transform/mpc_fjlt.hpp. Its output stays on
+//       the machines, in the layout the next stage reads.
 //   (2) Distributed quantization to [1, Delta]^dim: local per-dimension
-//       extremes, converge-cast to rank 0, broadcast of the bounding box,
-//       local snap. (Identical arithmetic to geometry/quantize.hpp, so the
+//       extremes, converge-cast to rank 0, broadcast of the QuantFrame,
+//       local snap. (The QuantFrame of geometry/quantize.hpp, so the
 //       sequential and MPC pipelines see the same integer points.)
 //   (3) Rank 0 "builds the grids and sends them to all machines": the grid
 //       set is its (seed, scale ladder, U) description — the counter-based
@@ -21,57 +22,32 @@
 //       (child, parent) edge records; the host assembles the HST with the
 //       same pruning pass as the sequential builder, so for equal seeds
 //       the two pipelines return trees with identical metrics.
+//
+// Stages (1)–(4) are the shared driver detail::run_mpc_pipeline
+// (core/mpc_stages.hpp), which the Corollary 1 applications run too.
 #pragma once
 
 #include "core/embedder.hpp"
+#include "core/front_end.hpp"
 #include "geometry/point_set.hpp"
 #include "mpc/cluster.hpp"
-#include "partition/hybrid_partition.hpp"
-#include "tree/hst.hpp"
 
 namespace mpte {
 
-/// Options for mpc_embed(). Zeros mean "choose per the paper".
-struct MpcEmbedOptions {
-  /// Buckets r; 0 = auto (Theorem 1's Theta(log log n) raised so the
-  /// per-bucket dimension stays <= max_bucket_dim — see
-  /// EmbedOptions::max_bucket_dim for the rationale).
-  std::uint32_t num_buckets = 0;
-  std::size_t max_bucket_dim = 3;
-  /// Grid extent Delta; 0 = host-side recommended_delta (the aspect-ratio
-  /// promise is an *input* precondition in the paper, so computing it is
-  /// not part of the round count).
-  std::uint64_t delta = 0;
-  double quantize_eps = 0.05;
-  std::uint64_t seed = 1;
-  bool use_fjlt = true;
-  double fjlt_xi = 0.25;
-  std::size_t num_grids = 0;
-  double fail_prob = 1e-6;
-  UncoveredPolicy uncovered = UncoveredPolicy::kFail;
-  int max_retries = 3;
+/// Options for mpc_embed() and the Corollary 1 applications (fields on
+/// core/front_end.hpp's bases). delta = 0 derives Delta host-side: the
+/// aspect-ratio promise is an *input* precondition in the paper, so
+/// computing it is not part of the round count.
+struct MpcEmbedOptions : PipelineOptions {
   /// Fan-out of broadcast trees (M^eps in the fully scalable regime).
   std::size_t broadcast_fanout = 4;
 };
 
-/// A finished MPC embedding plus its cost accounting.
-struct MpcEmbedding {
-  Hst tree;
-  /// Quantized (and possibly reduced) points, gathered for inspection.
-  PointSet embedded_points;
-  double scale_to_input = 1.0;
-  std::uint64_t delta_used = 0;
-  std::uint32_t buckets_used = 0;
-  std::size_t grids_used = 0;
-  std::size_t dim_used = 0;
-  bool fjlt_applied = false;
-  int retries_used = 0;
+/// A finished MPC embedding — the embedded_points are gathered for
+/// inspection — plus its cost accounting.
+struct MpcEmbedding : Embedding {
   /// Rounds consumed by this call (delta of cluster.stats()).
   std::size_t rounds_used = 0;
-
-  double distance(std::size_t p, std::size_t q) const {
-    return tree.distance(p, q) * scale_to_input;
-  }
 };
 
 /// Runs the full MPC pipeline on `cluster`. Input scatter and output

@@ -4,12 +4,17 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <string>
 
-#include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "core/front_end.hpp"
+#include "geometry/bounding_box.hpp"
+#include "geometry/quantize.hpp"
 #include "mpc/step.hpp"
 #include "obs/trace.hpp"
+#include "transform/mpc_fjlt.hpp"
 
 namespace mpte::detail {
 
@@ -22,29 +27,18 @@ using mpc::RegisterStep;
 using mpc::Step;
 using mpc::StepSpec;
 
-void scatter_points(Cluster& cluster, const PointSet& points) {
-  // Host-side write: suppressed while fast-forwarding a restored run (the
-  // restored stores already reflect it — see mpc::Cluster::resume_from).
-  if (cluster.fast_forwarding()) return;
-  const obs::Span span("emb", "scatter", "points", points.size());
-  const std::size_t m = cluster.num_machines();
-  const std::size_t n = points.size();
-  const std::size_t block = ceil_div(n, m);
-  for (MachineId id = 0; id < m; ++id) {
-    const std::size_t begin = std::min(n, id * block);
-    const std::size_t end = std::min(n, begin + block);
-    std::vector<std::uint64_t> idx;
-    std::vector<double> data;
-    idx.reserve(end - begin);
-    data.reserve((end - begin) * points.dim());
-    for (std::size_t i = begin; i < end; ++i) {
-      idx.push_back(i);
-      const auto p = points[i];
-      data.insert(data.end(), p.begin(), p.end());
-    }
-    keys::kIdx.set(cluster.store(id), idx);
-    keys::kPts.set(cluster.store(id), data);
-  }
+PartitionParams partition_params(const PartitionPlan& plan,
+                                 std::uint64_t seed) {
+  PartitionParams params;
+  params.seed = seed;
+  params.delta = plan.delta;
+  params.num_grids = plan.num_grids;
+  params.num_buckets = plan.num_buckets;
+  params.bucket_dim = static_cast<std::uint32_t>(plan.bucket_dim);
+  params.effective_dim = params.bucket_dim * params.num_buckets;
+  params.uncovered_singleton =
+      plan.uncovered == UncoveredPolicy::kSingleton ? 1 : 0;
+  return params;
 }
 
 RawTree assemble_raw_tree(std::vector<KV> edges, std::span<const KV> leaves,
@@ -181,16 +175,13 @@ Step make_quantize_combine(StepParams params) {
         hi[j] = std::max(hi[j], part_hi[j]);
       }
     }
-    double width = 0.0;
-    for (std::size_t j = 0; j < dim; ++j) {
-      width = std::max(width, hi[j] - lo[j]);
-    }
-    const double cell =
-        width > 0.0 ? width / static_cast<double>(delta - 1) : 1.0;
+    const QuantFrame frame =
+        QuantFrame::of(BoundingBox(std::move(lo), std::move(hi)), delta);
     Serializer s(sizeof(double) + wire_size<double>(dim));
-    s.write(cell);
-    s.write_vector(lo);
+    s.write(frame.cell);
+    s.write_vector(frame.lo);
     ctx.store().set_blob(keys::kBox, s.take());
+    keys::kCell.set(ctx.store(), frame.cell);
   };
 }
 
@@ -200,16 +191,14 @@ Step make_quantize_snap(StepParams params) {
   const auto delta = pd.read<std::uint64_t>();
   return [dim, delta](MachineContext& ctx) {
     Deserializer d(ctx.store().blob(keys::kBox));
-    const auto cell = d.read<double>();
-    const auto lo = d.read_vector<double>();
+    QuantFrame frame;
+    frame.cell = d.read<double>();
+    frame.lo = d.read_vector<double>();
+    frame.delta = delta;
     ctx.store().erase(keys::kBox);
     auto data = keys::kPts.get(ctx.store());
     for (std::size_t e = 0; e < data.size(); ++e) {
-      const std::size_t j = e % dim;
-      const double offset = (data[e] - lo[j]) / cell;
-      const double snapped =
-          std::clamp(std::round(offset), 0.0, static_cast<double>(delta - 1));
-      data[e] = snapped + 1.0;
+      data[e] = frame.snap(data[e], e % dim);
     }
     keys::kPts.set(ctx.store(), data);
   };
@@ -320,23 +309,6 @@ const RegisterStep kRegGridsBuild{"grids/build", make_grids_build};
 const RegisterStep kRegPathsCompute{"paths/compute", make_paths_compute};
 const RegisterStep kRegPathsRecords{"paths/records", make_paths_records};
 
-/// Broadcast of the partition parameters (stage 3).
-void broadcast_params(Cluster& cluster, const PartitionParams& params,
-                      std::size_t fanout) {
-  Serializer build;
-  build.write(params);
-  cluster.run_round(StepSpec("grids/build", std::move(build)));
-  mpc::broadcast_blob(cluster, 0, keys::kGrids.name, fanout);
-}
-
-/// Converge-cast of the per-machine failure counters; returns the total.
-std::uint64_t total_failures(Cluster& cluster) {
-  mpc::sum_u64(cluster, keys::kFail.name, keys::kFailTotal.name, 0);
-  return keys::kFailTotal.in(cluster.store(0))
-             ? keys::kFailTotal.get(cluster.store(0))
-             : 0;
-}
-
 }  // namespace
 
 void mpc_quantize(Cluster& cluster, std::size_t dim, std::uint64_t delta,
@@ -359,32 +331,182 @@ void mpc_quantize(Cluster& cluster, std::size_t dim, std::uint64_t delta,
   cluster.run_round(StepSpec("quantize/snap", std::move(snap)));
 }
 
-std::uint64_t run_partition_attempt(Cluster& cluster, std::size_t dim,
-                                    const PartitionParams& params,
-                                    std::size_t fanout) {
-  const obs::Span span("emb", "partition-attempt");
-  broadcast_params(cluster, params, fanout);
+std::uint64_t run_attempt(Cluster& cluster, std::size_t dim,
+                          const PartitionParams& params, std::size_t fanout,
+                          PathOutput output) {
+  const bool tree = output == PathOutput::kTreeEdges;
+  const obs::Span span("emb",
+                       tree ? "partition-attempt" : "path-records-attempt");
+  Serializer build;
+  build.write(params);
+  cluster.run_round(StepSpec("grids/build", std::move(build)));
+  mpc::broadcast_blob(cluster, 0, keys::kGrids.name, fanout);
 
-  Serializer compute;
-  compute.write(static_cast<std::uint64_t>(dim));
-  cluster.run_round(StepSpec("paths/compute", std::move(compute)));
+  Serializer paths;
+  paths.write(static_cast<std::uint64_t>(dim));
+  if (!tree) {
+    paths.write(
+        static_cast<std::uint8_t>(output == PathOutput::kRecordsAndLinks));
+  }
+  cluster.run_round(
+      StepSpec(tree ? "paths/compute" : "paths/records", std::move(paths)));
 
-  return total_failures(cluster);
+  // Converge-cast of the per-machine failure counters.
+  mpc::sum_u64(cluster, keys::kFail.name, keys::kFailTotal.name, 0);
+  return keys::kFailTotal.in(cluster.store(0))
+             ? keys::kFailTotal.get(cluster.store(0))
+             : 0;
 }
 
-std::uint64_t run_path_records_attempt(Cluster& cluster, std::size_t dim,
-                                       const PartitionParams& params,
-                                       std::size_t fanout,
-                                       bool emit_links) {
-  const obs::Span span("emb", "path-records-attempt");
-  broadcast_params(cluster, params, fanout);
+namespace {
 
-  Serializer records;
-  records.write(static_cast<std::uint64_t>(dim));
-  records.write(static_cast<std::uint8_t>(emit_links ? 1 : 0));
-  cluster.run_round(StepSpec("paths/records", std::move(records)));
+constexpr std::uint32_t kNoteMagic = 0x32746f6e;  // "not2"
 
-  return total_failures(cluster);
+/// Host-side decisions recorded in the cluster's driver note (and thus in
+/// every snapshot): Delta and the Monte Carlo attempt in progress. A
+/// resumed run fast-forwards the rounds that produced these values, so it
+/// reads them from here instead of recomputing them from stores it is
+/// skipping over. The lattice cell needs no entry: quantize/combine leaves
+/// it on rank 0 (keys::kCell), inside every later snapshot.
+struct ResumeNote {
+  std::uint64_t delta = 0;
+  std::uint32_t attempt = 0;
+
+  mpc::Buffer to_buffer() const {
+    Serializer s(16);
+    s.write(kNoteMagic);
+    s.write(delta);
+    s.write(attempt);
+    return mpc::Buffer(s.take());
+  }
+
+  static std::optional<ResumeNote> from_buffer(const mpc::Buffer& buffer) {
+    if (buffer.empty()) return std::nullopt;
+    try {
+      Deserializer d(buffer.span());
+      if (d.read<std::uint32_t>() != kNoteMagic) return std::nullopt;
+      ResumeNote note;
+      note.delta = d.read<std::uint64_t>();
+      note.attempt = d.read<std::uint32_t>();
+      return note;
+    } catch (const MpteError&) {
+      return std::nullopt;
+    }
+  }
+};
+
+}  // namespace
+
+Result<MpcRun> run_mpc_pipeline(Cluster& cluster, const PointSet& points,
+                                const MpcEmbedOptions& options,
+                                PathOutput output, std::string_view who) {
+  const std::string prefix(who);
+  if (points.size() < 2) {
+    return Status(StatusCode::kInvalidArgument,
+                  prefix + ": need at least two points");
+  }
+  if (const Status retries = check_retries(options); !retries.ok()) {
+    return retries;
+  }
+  MpcRun run;
+  run.rounds_before = cluster.stats().rounds();
+  const std::size_t n = points.size();
+
+  // When the cluster was just restored from a snapshot it is
+  // fast-forwarding: rounds up to the snapshot point are skipped, and
+  // host-side reads in that prefix would observe snapshot-time state
+  // rather than the values the original run saw. The driver note captured
+  // with the snapshot disambiguates (see ResumeNote above). Each use
+  // below re-checks fast_forwarding() at its own program point, so a
+  // stale note from before the snapshot's pipeline is never consulted.
+  const std::optional<ResumeNote> restored =
+      cluster.fast_forwarding()
+          ? ResumeNote::from_buffer(cluster.driver_note())
+          : std::nullopt;
+
+  // Stage 1: the MPC FJLT leaves its output resident in the block layout;
+  // without it the input is scattered in that layout.
+  const std::optional<FjltConfig> fjlt =
+      fjlt_if_it_pays(n, points.dim(), options);
+  if (fjlt) {
+    mpc_fjlt(cluster, points, *fjlt);
+  } else {
+    mpc::scatter_points(cluster, points);
+  }
+  run.fjlt_applied = fjlt.has_value();
+  run.dim = fjlt ? fjlt->output_dim : points.dim();
+
+  Result<std::uint64_t> delta = std::uint64_t{0};
+  if (cluster.fast_forwarding() && restored) {
+    // The snapshot lies beyond the quantization that consumed the
+    // transformed points; take the Delta the original run chose.
+    delta = restored->delta;
+  } else {
+    const obs::Span span("emb", "delta");
+    // Deriving Delta is the one host read of the transformed points.
+    std::optional<PointSet> read_back;
+    delta = resolve_delta(options, [&]() -> const PointSet& {
+      return fjlt ? read_back.emplace(mpc::gather_points(cluster, n, run.dim))
+                  : points;
+    });
+  }
+  if (!delta.ok()) return delta.status();
+
+  // Record Delta before the rounds it feeds: every snapshot taken from
+  // here on carries it.
+  ResumeNote note;
+  note.delta = *delta;
+  cluster.set_driver_note(note.to_buffer());
+
+  // Stage 2: distributed quantization.
+  mpc_quantize(cluster, run.dim, *delta, options.broadcast_fanout);
+  run.cell = keys::kCell.get(cluster.store(0));
+
+  Result<PartitionPlan> plan =
+      plan_partition(PartitionMethod::kHybrid, n, run.dim, *delta, options);
+  if (!plan.ok()) return plan.status();
+  run.plan = std::move(plan).value();
+
+  // Stages 3–4 with Monte Carlo retries.
+  for (;; ++run.attempt) {
+    note.attempt = static_cast<std::uint32_t>(run.attempt);
+    cluster.set_driver_note(note.to_buffer());
+    run.params =
+        partition_params(run.plan, attempt_seed(options.seed, run.attempt));
+    std::uint64_t failures = run_attempt(cluster, run.dim, run.params,
+                                         options.broadcast_fanout, output);
+    // While fast-forwarding, the fail-total read above observed the
+    // snapshot round's state, not this attempt's own converge-cast. The
+    // noted attempt disambiguates: every attempt before the one in
+    // progress at the snapshot had failed (or there would have been no
+    // later attempt), and the in-progress attempt's own total is exactly
+    // what is resident at the snapshot point.
+    if (cluster.fast_forwarding() && restored &&
+        run.attempt < static_cast<int>(restored->attempt)) {
+      failures = 1;
+    }
+    if (failures == 0) return run;
+    if (run.attempt >= options.max_retries) {
+      return Status(StatusCode::kCoverageFailure,
+                    prefix + ": ball partitioning left " +
+                        std::to_string(failures) +
+                        " (point, level, bucket) events uncovered after " +
+                        std::to_string(run.attempt + 1) + " attempts");
+    }
+  }
+}
+
+void erase_run_keys(Cluster& cluster,
+                    std::initializer_list<std::string> extra) {
+  for (MachineId id = 0; id < cluster.num_machines(); ++id) {
+    auto& store = cluster.store(id);
+    for (const std::string& key : {keys::kIdx.name, keys::kPts.name,
+                                   keys::kFail.name, keys::kFailTotal.name,
+                                   keys::kCell.name}) {
+      store.erase(key);
+    }
+    for (const std::string& key : extra) store.erase(key);
+  }
 }
 
 }  // namespace mpte::detail

@@ -5,25 +5,11 @@
 #include <numeric>
 #include <utility>
 
-#include "common/math_util.hpp"
 #include "common/rng.hpp"
-#include "geometry/bounding_box.hpp"
-#include "geometry/quantize.hpp"
 #include "obs/trace.hpp"
-#include "partition/coverage.hpp"
 #include "tree/embedding_builder.hpp"
 
 namespace mpte::dyn {
-
-void QuantFrame::snap(std::span<const double> src,
-                      std::span<double> dst) const {
-  for (std::size_t j = 0; j < src.size(); ++j) {
-    const double offset = (src[j] - lo[j]) / cell;
-    double snapped = std::round(offset);
-    snapped = std::clamp(snapped, 0.0, static_cast<double>(delta - 1));
-    dst[j] = snapped + 1.0;
-  }
-}
 
 Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
                                                 const DynOptions& options) {
@@ -32,74 +18,41 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
                   "DynamicEmbedder: need at least two initial points");
   }
   DynamicEmbedder dyn;
-  dyn.method_ = options.method;
   dyn.dim_ = initial.dim();
   dyn.seed_ = options.seed;
   // The static path's attempt-0 seed: incremental updates cannot re-seed
   // (that would change every existing point's column), so the pinned run
   // is exactly retry attempt 0.
-  dyn.part_seed_ = hash_combine(mix64(options.seed), 0);
+  dyn.part_seed_ = attempt_seed(options.seed, 0);
   dyn.fail_prob_ = options.fail_prob;
-  dyn.uncovered_ = options.uncovered;
 
-  std::uint64_t delta = 0;
   {
     const obs::Span span("emb", "delta");
-    delta = options.delta > 0
-                ? options.delta
-                : recommended_delta(initial, options.quantize_eps, 1ull << 20);
-    if (delta < 2) {
-      return Status(StatusCode::kInvalidArgument,
-                    "DynamicEmbedder: delta must be >= 2");
-    }
-    const BoundingBox box = BoundingBox::of(initial);
-    const double width = box.width();
-    dyn.frame_.lo = box.lo();
-    dyn.frame_.cell =
-        width > 0.0 ? width / static_cast<double>(delta - 1) : 1.0;
-    dyn.frame_.delta = delta;
+    const Result<std::uint64_t> delta = resolve_delta(
+        options, [&]() -> const PointSet& { return initial; });
+    if (!delta.ok()) return delta.status();
+    dyn.frame_ = QuantFrame::of(BoundingBox::of(initial), *delta);
   }
+  Result<PartitionPlan> plan =
+      plan_partition(options.method, initial.size(), dyn.dim_,
+                     dyn.frame_.delta, options);
+  if (!plan.ok()) return plan.status();
+  dyn.plan_ = std::move(plan).value();
 
-  if (options.method == PartitionMethod::kGrid) {
-    dyn.num_buckets_ = static_cast<std::uint32_t>(dyn.dim_);
-    dyn.num_grids_ = 0;
-    dyn.bucket_dim_ = dyn.dim_;
-    dyn.ladder_ = grid_scale_ladder(dyn.dim_, delta);
-    dyn.level_grids_.reserve(dyn.ladder_.levels);
-    for (std::size_t level = 1; level <= dyn.ladder_.levels; ++level) {
-      dyn.level_grids_.emplace_back(dyn.dim_, dyn.ladder_.scales[level],
+  const ScaleLadder& ladder = dyn.plan_.ladder;
+  if (dyn.plan_.method == PartitionMethod::kGrid) {
+    dyn.level_grids_.reserve(ladder.levels);
+    for (std::size_t level = 1; level <= ladder.levels; ++level) {
+      dyn.level_grids_.emplace_back(dyn.dim_, ladder.scales[level],
                                     grid_level_seed(dyn.part_seed_, level));
     }
   } else {
-    const std::uint32_t r =
-        options.method == PartitionMethod::kBall
-            ? 1
-            : (options.num_buckets > 0
-                   ? options.num_buckets
-                   : auto_num_buckets(initial.size(), dyn.dim_,
-                                      options.max_bucket_dim));
-    if (r < 1 || r > dyn.dim_) {
-      return Status(StatusCode::kInvalidArgument,
-                    "DynamicEmbedder: need 1 <= num_buckets <= dim");
-    }
-    dyn.num_buckets_ = r;
-    dyn.bucket_dim_ = ceil_div(dyn.dim_, static_cast<std::size_t>(r));
-    dyn.ladder_ = hybrid_scale_ladder(dyn.dim_, r, delta);
-    dyn.num_grids_ =
-        options.num_grids > 0
-            ? options.num_grids
-            : recommended_num_grids(dyn.bucket_dim_, initial.size(), r,
-                                    dyn.ladder_.levels, options.fail_prob);
-    if (const Status feasible =
-            check_grid_set_size(dyn.bucket_dim_, dyn.num_grids_);
-        !feasible.ok()) {
-      return feasible;
-    }
-    dyn.grids_.reserve(dyn.ladder_.levels * r);
-    for (std::size_t level = 1; level <= dyn.ladder_.levels; ++level) {
+    const std::uint32_t r = dyn.plan_.num_buckets;
+    dyn.grids_.reserve(ladder.levels * r);
+    for (std::size_t level = 1; level <= ladder.levels; ++level) {
       for (std::uint32_t j = 0; j < r; ++j) {
-        dyn.grids_.emplace_back(dyn.bucket_dim_, dyn.ladder_.scales[level],
-                                dyn.num_grids_,
+        dyn.grids_.emplace_back(dyn.plan_.bucket_dim, ladder.scales[level],
+                                dyn.plan_.num_grids,
                                 hybrid_grid_seed(dyn.part_seed_, level, j));
       }
     }
@@ -115,7 +68,7 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
   }
   std::vector<std::uint64_t> ids(n);
   std::iota(ids.begin(), ids.end(), std::uint64_t{0});
-  const std::size_t height = dyn.ladder_.levels + 1;
+  const std::size_t height = ladder.levels + 1;
   std::vector<std::uint64_t> columns(n * height);
   if (const Status computed = dyn.compute_columns(snapped, ids, columns);
       !computed.ok()) {
@@ -138,15 +91,16 @@ Result<DynamicEmbedder> DynamicEmbedder::create(const PointSet& initial,
 Status DynamicEmbedder::compute_columns(
     std::span<const double> snapped, std::span<const std::uint64_t> ids,
     std::span<std::uint64_t> columns) const {
-  const std::size_t height = ladder_.levels + 1;
+  const std::size_t levels = plan_.ladder.levels;
+  const std::size_t height = levels + 1;
   const std::size_t n = ids.size();
   for (std::size_t i = 0; i < n; ++i) {
     columns[i * height] = hybrid_root_id(part_seed_);
   }
-  if (method_ == PartitionMethod::kGrid) {
+  if (plan_.method == PartitionMethod::kGrid) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto row = snapped.subspan(i * dim_, dim_);
-      for (std::size_t level = 1; level <= ladder_.levels; ++level) {
+      for (std::size_t level = 1; level <= levels; ++level) {
         columns[i * height + level] =
             hash_combine(columns[i * height + level - 1],
                          level_grids_[level - 1].cell_id(row));
@@ -154,31 +108,24 @@ Status DynamicEmbedder::compute_columns(
     }
     return Status::Ok();
   }
-  HybridChain chain;
-  chain.seed = part_seed_;
-  chain.num_buckets = num_buckets_;
-  chain.bucket_dim = bucket_dim_;
-  chain.num_grids = num_grids_;
-  chain.scales = ladder_.scales;
-  chain.uncovered = uncovered_;
   // The kSingleton fallback is salted with the stable id (the static
   // builder salts with the dense index) — see the byte-identity caveat in
   // the header.
   const PathIdsReport report = hybrid_path_ids(
-      chain, snapped, dim_, grids_, ids,
+      plan_.chain(part_seed_), snapped, dim_, grids_, ids,
       [&](std::size_t level, std::span<const std::uint64_t>,
           std::span<const std::uint64_t> child) {
         for (std::size_t i = 0; i < n; ++i) {
           columns[i * height + level] = child[i];
         }
       });
-  if (report.uncovered > 0 && uncovered_ == UncoveredPolicy::kFail) {
+  if (report.uncovered > 0 && plan_.uncovered == UncoveredPolicy::kFail) {
     return Status(StatusCode::kCoverageFailure,
                   "ball partitioning left point id " +
                       std::to_string(ids[report.point]) +
                       " uncovered at level " + std::to_string(report.level) +
                       " bucket " + std::to_string(report.bucket) + " (U=" +
-                      std::to_string(num_grids_) + ")");
+                      std::to_string(plan_.num_grids) + ")");
   }
   return Status::Ok();
 }
@@ -206,7 +153,7 @@ Status DynamicEmbedder::insert_with_id(std::uint64_t id,
   record.snapped.resize(dim_);
   frame_.snap(coords, record.snapped);
   // A block of one over the cached grid sets.
-  record.column.resize(ladder_.levels + 1);
+  record.column.resize(levels() + 1);
   const Status computed =
       compute_columns(record.snapped, std::span<const std::uint64_t>(&id, 1),
                       record.column);
@@ -244,13 +191,13 @@ Result<Embedding> DynamicEmbedder::materialize() const {
     return Status(StatusCode::kInvalidArgument,
                   "materialize: need at least two live points");
   }
+  const obs::Span span("dyn", "materialize", "points", n);
   Hierarchy h;
-  h.num_buckets = num_buckets_;
-  h.num_grids = num_grids_;
-  h.scales = ladder_.scales;
-  h.edge_weight = ladder_.edge_weight;
-  h.cluster_of_point.assign(ladder_.levels + 1,
-                            std::vector<std::uint64_t>(n));
+  h.num_buckets = plan_.num_buckets;
+  h.num_grids = plan_.num_grids;
+  h.scales = plan_.ladder.scales;
+  h.edge_weight = plan_.ladder.edge_weight;
+  h.cluster_of_point.assign(levels() + 1, std::vector<std::uint64_t>(n));
   PointSet points(n, dim_);
   std::vector<std::uint64_t> ids;
   ids.reserve(n);
@@ -258,7 +205,7 @@ Result<Embedding> DynamicEmbedder::materialize() const {
   // std::map iterates in ascending id order — the dense order of the
   // equivalent static build.
   for (const auto& [id, record] : records_) {
-    for (std::size_t level = 0; level <= ladder_.levels; ++level) {
+    for (std::size_t level = 0; level <= levels(); ++level) {
       h.cluster_of_point[level][i] = record.column[level];
     }
     std::copy(record.snapped.begin(), record.snapped.end(),
@@ -271,8 +218,8 @@ Result<Embedding> DynamicEmbedder::materialize() const {
       std::move(points),
       frame_.cell,
       frame_.delta,
-      num_buckets_,
-      num_grids_,
+      plan_.num_buckets,
+      plan_.num_grids,
       dim_,
       /*fjlt_applied=*/false,
       /*retries_used=*/0,
@@ -283,14 +230,14 @@ Result<Embedding> DynamicEmbedder::materialize() const {
 
 EmbedOptions DynamicEmbedder::static_equivalent_options() const {
   EmbedOptions options;
-  options.method = method_;
-  options.num_buckets = num_buckets_;
+  options.method = plan_.method;
+  options.num_buckets = plan_.num_buckets;
   options.delta = frame_.delta;
   options.seed = seed_;
   options.use_fjlt = false;
-  options.num_grids = num_grids_;
+  options.num_grids = plan_.num_grids;
   options.fail_prob = fail_prob_;
-  options.uncovered = uncovered_;
+  options.uncovered = plan_.uncovered;
   // Byte-identity is pinned to retry attempt 0.
   options.max_retries = 0;
   return options;

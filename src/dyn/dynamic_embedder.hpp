@@ -10,9 +10,11 @@
 // untouched.
 //
 // A DynamicEmbedder pins everything the static pipeline would derive from
-// the point set as a whole — delta, the quantization frame (per-dimension
-// lows + cell width), bucket count r, grid count U, the scale ladder, and
-// the partition structures for every (level, bucket) — at creation, then
+// the point set as a whole — delta, the quantization frame (QuantFrame,
+// geometry/quantize.hpp: per-dimension lows + cell width), the partition
+// plan (partition/plan.hpp: bucket count r, grid count U, the scale
+// ladder), and the partition structures for every (level, bucket) — at
+// creation, through the front-end calls embed() makes, then
 // maintains a map from stable point id to that point's snapped coordinates
 // and cluster-id column. insert() computes one new column (O(levels * r)
 // ball probes); erase() drops one. materialize() lays the live columns out
@@ -44,47 +46,20 @@
 
 #include "common/status.hpp"
 #include "core/embedder.hpp"
+#include "core/front_end.hpp"
 #include "geometry/point_set.hpp"
+#include "geometry/quantize.hpp"
 #include "partition/ball_partition.hpp"
 #include "partition/grid_partition.hpp"
-#include "partition/hybrid_partition.hpp"
+#include "partition/plan.hpp"
 
 namespace mpte::dyn {
 
 /// Options for DynamicEmbedder::create(). Zeros mean "resolve from the
-/// initial point set, then pin" — after creation nothing auto-adapts.
-struct DynOptions {
+/// initial point set, then pin", by the calls embed() makes; after creation
+/// nothing auto-adapts. The partition seed is attempt_seed(seed, 0).
+struct DynOptions : FrontEndOptions {
   PartitionMethod method = PartitionMethod::kHybrid;
-  /// Buckets r for kHybrid; 0 = auto_num_buckets over the *initial* set.
-  std::uint32_t num_buckets = 0;
-  /// Cap on the per-bucket dimension when num_buckets is auto.
-  std::size_t max_bucket_dim = 3;
-  /// Grid extent Delta; 0 = recommended_delta over the initial set.
-  std::uint64_t delta = 0;
-  /// Relative distance error budget for quantization when delta = 0.
-  double quantize_eps = 0.05;
-  /// Root seed, in embed() terms: the partition seed actually used is the
-  /// attempt-0 derivation hash_combine(mix64(seed), 0).
-  std::uint64_t seed = 1;
-  /// Grids per (level, bucket); 0 = recommended_num_grids over the
-  /// initial set.
-  std::size_t num_grids = 0;
-  double fail_prob = 1e-6;
-  UncoveredPolicy uncovered = UncoveredPolicy::kFail;
-};
-
-/// The quantization frame quantize_to_grid derives from a bounding box,
-/// frozen so late inserts snap to the same lattice as the initial points.
-struct QuantFrame {
-  /// Per-dimension lower corner of the pinned box.
-  std::vector<double> lo;
-  /// Lattice cell width (= Embedding::scale_to_input).
-  double cell = 1.0;
-  std::uint64_t delta = 0;
-
-  /// Snaps raw input coordinates onto {1, ..., delta}^d, reproducing
-  /// quantize_to_grid arithmetic exactly.
-  void snap(std::span<const double> src, std::span<double> dst) const;
 };
 
 class DynamicEmbedder {
@@ -117,7 +92,7 @@ class DynamicEmbedder {
   bool contains(std::uint64_t id) const { return records_.count(id) != 0; }
   std::size_t size() const { return records_.size(); }
   std::size_t dim() const { return dim_; }
-  std::size_t levels() const { return ladder_.levels; }
+  std::size_t levels() const { return plan_.ladder.levels; }
   /// The id insert() will assign next (monotonic, never reused).
   std::uint64_t next_id() const { return next_id_; }
   /// Live ids in ascending order — the dense order materialize() uses.
@@ -133,7 +108,8 @@ class DynamicEmbedder {
   /// Rebuilds the full Embedding over the live set: columns in ascending
   /// id order -> Hierarchy -> the shared build_hst. O(n * depth), no
   /// partition probes. Byte-identical to the static build over the same
-  /// final set (see file comment for the exact conditions).
+  /// final set (see file comment for the exact conditions). Traced as
+  /// dyn/materialize.
   Result<Embedding> materialize() const;
 
   /// The EmbedOptions a from-scratch embed() needs to reproduce this
@@ -159,17 +135,12 @@ class DynamicEmbedder {
                          std::span<const std::uint64_t> ids,
                          std::span<std::uint64_t> columns) const;
 
-  PartitionMethod method_ = PartitionMethod::kHybrid;
   std::size_t dim_ = 0;
-  std::size_t bucket_dim_ = 0;
-  std::uint32_t num_buckets_ = 1;
-  std::size_t num_grids_ = 0;
   std::uint64_t seed_ = 0;       // embed()-level root seed
   std::uint64_t part_seed_ = 0;  // attempt-0 partition seed
   double fail_prob_ = 1e-6;
-  UncoveredPolicy uncovered_ = UncoveredPolicy::kFail;
   QuantFrame frame_;
-  ScaleLadder ladder_;
+  PartitionPlan plan_;
   /// Hybrid/ball: grids_[(level-1) * r + bucket]; immutable once built.
   std::vector<BallGrids> grids_;
   /// Grid method: one ShiftedGrid per level (index level-1).

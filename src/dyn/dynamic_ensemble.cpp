@@ -128,7 +128,11 @@ Result<std::shared_ptr<const EnsembleEpoch>> DynamicEnsemble::publish() {
   epoch->ensemble = std::make_shared<const EmbeddingEnsemble>(
       std::move(built).value());
   epoch->version = ++next_version_;
-  epoch_.store(epoch, std::memory_order_release);
+  std::shared_ptr<const EnsembleEpoch> previous = epoch;
+  {
+    const std::lock_guard<std::mutex> lock(epoch_mutex_);
+    epoch_.swap(previous);  // the old epoch is released after the lock
+  }
   const double ms = timer.seconds() * 1000.0;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);

@@ -9,11 +9,12 @@
 //
 //   EnsembleEpoch = { version, shared_ptr<const EmbeddingEnsemble> }
 //
-// swapped under a std::atomic<std::shared_ptr>. Readers snapshot the
-// current epoch (one atomic load, shared ownership keeps it alive for as
-// long as they hold it) and never block on writers — the same
-// copy-on-write discipline the refcounted mpc::Buffer slabs use for
-// zero-copy broadcast. Writers (insert/erase/publish) must be externally
+// swapped under a mutex held only to copy or swap the pointer (libstdc++
+// 12's std::atomic<std::shared_ptr> trips ThreadSanitizer). Readers
+// snapshot the current epoch (shared ownership keeps it alive for as long
+// as they hold it) and never wait for a materialization: publish() builds
+// the next epoch outside the lock — the same copy-on-write discipline the
+// refcounted mpc::Buffer slabs use for zero-copy broadcast. Writers (insert/erase/publish) must be externally
 // serialized; the serve batcher provides that serialization for free.
 //
 // Observability: every applied update, the per-update hierarchy cells
@@ -22,7 +23,6 @@
 // series (docs/observability.md naming).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -94,14 +94,16 @@ class DynamicEnsemble {
   Status erase(std::uint64_t id);
 
   /// Materializes every member (in parallel), builds the LcaIndexes, and
-  /// atomically swaps the new epoch in. O(n * depth * T) — amortize it
+  /// swaps the new epoch in. O(n * depth * T) — amortize it
   /// over a batch of updates.
   Result<std::shared_ptr<const EnsembleEpoch>> publish();
 
-  /// The current epoch: one atomic shared_ptr load, never null, never
-  /// blocks regardless of concurrent updates/publishes.
+  /// The current epoch: one pointer copy under epoch_mutex_, never null.
+  /// Concurrent updates and publishes delay it by at most one pointer
+  /// swap.
   std::shared_ptr<const EnsembleEpoch> current() const {
-    return epoch_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(epoch_mutex_);
+    return epoch_;
   }
 
   /// Live point count of the *mutable* state (may be ahead of the
@@ -123,7 +125,9 @@ class DynamicEnsemble {
 
   Options options_;
   std::vector<DynamicEmbedder> members_;
-  std::atomic<std::shared_ptr<const EnsembleEpoch>> epoch_;
+  /// Guards epoch_, held only to copy or swap the pointer.
+  mutable std::mutex epoch_mutex_;
+  std::shared_ptr<const EnsembleEpoch> epoch_;
   std::uint64_t next_version_ = 0;
 
   mutable std::mutex stats_mutex_;  // guards the counters below

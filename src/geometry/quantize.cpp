@@ -5,36 +5,42 @@
 #include <cmath>
 
 #include "common/status.hpp"
-#include "geometry/bounding_box.hpp"
 #include "geometry/closest_pair.hpp"
 
 namespace mpte {
+
+QuantFrame QuantFrame::of(const BoundingBox& box, std::uint64_t delta) {
+  if (delta < 2) throw MpteError("QuantFrame: delta must be >= 2");
+  const double width = box.width();
+  return QuantFrame{box.lo(),
+                    width > 0.0 ? width / static_cast<double>(delta - 1)
+                                : 1.0,
+                    delta};
+}
+
+void QuantFrame::snap(std::span<const double> src,
+                      std::span<double> dst) const {
+  for (std::size_t j = 0; j < src.size(); ++j) dst[j] = snap(src[j], j);
+}
 
 Quantized quantize_to_grid(const PointSet& points, std::uint64_t delta) {
   if (delta < 2) throw MpteError("quantize_to_grid: delta must be >= 2");
   if (points.empty()) throw MpteError("quantize_to_grid: empty point set");
 
-  const BoundingBox box = BoundingBox::of(points);
-  const double width = box.width();
-  // Degenerate (all points identical): map everything to 1.
-  const double cell =
-      width > 0.0 ? width / static_cast<double>(delta - 1) : 1.0;
-
+  const QuantFrame frame = QuantFrame::of(BoundingBox::of(points), delta);
   Quantized out;
   out.delta = delta;
-  out.scale_back = cell;
+  out.scale_back = frame.cell;
   out.max_rounding_error = 0.0;
   out.points = PointSet(points.size(), points.dim());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto src = points[i];
     auto dst = out.points[i];
+    frame.snap(src, dst);
     for (std::size_t j = 0; j < points.dim(); ++j) {
-      const double offset = (src[j] - box.lo()[j]) / cell;
-      double snapped = std::round(offset);
-      snapped = std::clamp(snapped, 0.0, static_cast<double>(delta - 1));
-      dst[j] = snapped + 1.0;  // coordinates in {1, ..., delta}
-      out.max_rounding_error = std::max(
-          out.max_rounding_error, std::abs(offset - snapped) * cell);
+      const double lattice_x = frame.lo[j] + (dst[j] - 1.0) * frame.cell;
+      out.max_rounding_error =
+          std::max(out.max_rounding_error, std::abs(src[j] - lattice_x));
     }
   }
   return out;

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <string>
 
-#include "common/math_util.hpp"
 #include "common/rng.hpp"
 #include "partition/ball_partition.hpp"
-#include "partition/coverage.hpp"
 #include "partition/grid_partition.hpp"
+#include "partition/plan.hpp"
 
 namespace mpte {
 namespace {
@@ -151,67 +149,21 @@ Result<Hierarchy> build_hybrid_hierarchy(const PointSet& points,
     return Status(StatusCode::kInvalidArgument,
                   "build_hybrid_hierarchy: delta must be >= 1");
   }
-  const std::size_t d = points.dim();
-  const std::uint32_t r = options.num_buckets;
-  if (r < 1 || r > d) {
+  // The caller names r explicitly, so an r past the dimension is an error
+  // here rather than the plan's clamp.
+  if (options.num_buckets < 1 || options.num_buckets > points.dim()) {
     return Status(StatusCode::kInvalidArgument,
                   "build_hybrid_hierarchy: need 1 <= num_buckets <= dim");
   }
-
-  // Buckets of k = ceil(d / r) dims; the last is zero-padded (footnote 3).
-  const std::size_t bucket_dim = ceil_div(d, r);
-
-  // Scale ladder: w_1 = w_max / 2 with w_max = delta * sqrt(d) (an upper
-  // bound on the data diameter, so the root's diameter bound covers it).
-  const ScaleLadder ladder = hybrid_scale_ladder(d, r, options.delta);
-  const std::size_t levels = ladder.levels;
-
-  const std::size_t n = points.size();
-  const std::size_t num_grids =
-      options.num_grids > 0
-          ? options.num_grids
-          : recommended_num_grids(bucket_dim, n, r, levels,
-                                  options.fail_prob);
-  if (const Status feasible = check_grid_set_size(bucket_dim, num_grids);
-      !feasible.ok()) {
-    return feasible;
-  }
-
-  Hierarchy h;
-  h.num_buckets = r;
-  h.num_grids = num_grids;
-  h.scales = ladder.scales;
-  h.edge_weight = ladder.edge_weight;
-  h.explicit_grid_bytes = levels * r * num_grids * bucket_dim * sizeof(double);
-  h.cluster_of_point.reserve(levels + 1);
-  h.cluster_of_point.emplace_back(n, hybrid_root_id(options.seed));
-
-  // Chains continue below singleton clusters; the tree builder prunes them
-  // (so the MPC path, where no machine knows global cluster sizes, computes
-  // the identical structure).
-  HybridChain chain;
-  chain.seed = options.seed;
-  chain.num_buckets = r;
-  chain.bucket_dim = bucket_dim;
-  chain.num_grids = num_grids;
-  chain.scales = ladder.scales;
-  chain.uncovered = options.uncovered;
-  const PathIdsReport report = hybrid_path_ids(
-      chain, points.raw(), d, {}, {},
-      [&](std::size_t, std::span<const std::uint64_t>,
-          std::span<const std::uint64_t> child) {
-        h.cluster_of_point.emplace_back(child.begin(), child.end());
-      });
-  if (report.uncovered > 0 && options.uncovered == UncoveredPolicy::kFail) {
-    return Status(StatusCode::kCoverageFailure,
-                  "ball partitioning left point " +
-                      std::to_string(report.point) + " uncovered at level " +
-                      std::to_string(report.level) + " bucket " +
-                      std::to_string(report.bucket) + " (U=" +
-                      std::to_string(num_grids) + ")");
-  }
-  h.uncovered_events = report.uncovered;
-  return h;
+  PartitionOptions partition;
+  partition.num_buckets = options.num_buckets;
+  partition.num_grids = options.num_grids;
+  partition.fail_prob = options.fail_prob;
+  partition.uncovered = options.uncovered;
+  auto plan = plan_partition(PartitionMethod::kHybrid, points.size(),
+                             points.dim(), options.delta, partition);
+  if (!plan.ok()) return plan.status();
+  return build_hierarchy(points, *plan, options.seed);
 }
 
 Result<Hierarchy> build_grid_hierarchy(const PointSet& points,

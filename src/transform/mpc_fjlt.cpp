@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "mpc/channel.hpp"
+#include "mpc/point_blocks.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/step.hpp"
 #include "obs/trace.hpp"
@@ -53,6 +54,39 @@ struct ElemRecord {
   double value;
 };
 
+/// The multilevel mode's Kronecker geometry, a pure function of (d_padded,
+/// block, M): stage t butterflies index bits [offset(t), offset(t) +
+/// bits(t)), and one machine holds each fiber (a point's elements that
+/// agree outside those bits).
+struct KronGeometry {
+  std::size_t total_bits;
+  std::size_t chunk_bits;
+  std::size_t stages;
+  std::size_t machines;
+
+  KronGeometry(std::size_t d_pad, std::size_t block, std::size_t machines)
+      : total_bits(static_cast<std::size_t>(floor_log2(d_pad))),
+        chunk_bits(static_cast<std::size_t>(floor_log2(block))),
+        stages(std::max<std::size_t>(1, ceil_div(total_bits, chunk_bits))),
+        machines(machines) {}
+
+  std::size_t offset(std::size_t t) const { return t * chunk_bits; }
+  std::size_t bits(std::size_t t) const {
+    return std::min(chunk_bits, total_bits - offset(t));
+  }
+  /// Fiber id: the index with stage t's bits removed, plus the point.
+  std::uint64_t group(std::size_t t, std::uint64_t point,
+                      std::uint32_t e) const {
+    const std::uint32_t low = e & ((1u << offset(t)) - 1u);
+    const auto high = static_cast<std::uint32_t>(e >> (offset(t) + bits(t)));
+    return hash_combine(mix64(point ^ 0x9e0417ull), (high << offset(t)) | low);
+  }
+  MachineId machine(std::size_t t, std::uint64_t point,
+                    std::uint32_t e) const {
+    return static_cast<MachineId>(group(t, point, e) % machines);
+  }
+};
+
 // --- registered steps -------------------------------------------------------
 // The sharded-mode geometry (g row blocks of size `block`, chunk_len
 // offsets per column block, round-robin machine assignment) is a pure
@@ -63,19 +97,18 @@ Step make_local_transform(StepParams params) {
   Deserializer d(params);
   const auto config = d.read<FjltConfig>();
   return [config](MachineContext& ctx) {
-    const auto count = ctx.store().get_value<std::uint64_t>("fjlt/in/count");
-    const auto data = ctx.store().get_vector<double>("fjlt/in");
-    ctx.store().erase("fjlt/in");
+    const auto data = mpc::keys::kPts.get(ctx.store());
+    const std::size_t count = data.size() / config.input_dim;
     const Fjlt fjlt(config);
     std::vector<double> out;
     out.reserve(count * config.output_dim);
-    for (std::uint64_t i = 0; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       const std::span<const double> p(data.data() + i * config.input_dim,
                                       config.input_dim);
       const auto mapped = fjlt.apply(p);
       out.insert(out.end(), mapped.begin(), mapped.end());
     }
-    ctx.store().set_vector("fjlt/out", out);
+    mpc::keys::kPts.set(ctx.store(), out);
   };
 }
 
@@ -154,16 +187,15 @@ Step make_fwht_g_partials(StepParams params) {
   Deserializer d(params);
   const auto config = d.read<FjltConfig>();
   const auto block = static_cast<std::size_t>(d.read<std::uint64_t>());
-  return [config, block](MachineContext& ctx) {
+  const auto n = static_cast<std::size_t>(d.read<std::uint64_t>());
+  return [config, block, n](MachineContext& ctx) {
     const std::size_t m = ctx.num_machines();
     const std::size_t g = config.padded_dim / block;
     const std::size_t chunk_len = block / g;
     const std::size_t k = config.output_dim;
     const double h_scale =
         1.0 / std::sqrt(static_cast<double>(config.padded_dim));
-    const auto owner = [&](std::size_t point) {
-      return static_cast<MachineId>(point % m);
-    };
+    const mpc::PointBlocks owners(n, m);
     const auto idx = ctx.store().get_vector<KV>("fjlt/cols/idx");
     auto data = ctx.store().get_vector<double>("fjlt/cols/data");
     ctx.store().erase("fjlt/cols/idx");
@@ -203,7 +235,7 @@ Step make_fwht_g_partials(StepParams params) {
     }
     std::vector<Serializer> out(m);
     for (const auto& [point, acc] : partials) {
-      Serializer& s = out[owner(point)];
+      Serializer& s = out[owners.owner(point)];
       s.write(PartialHeader{point});
       s.write_vector(acc);
     }
@@ -218,7 +250,8 @@ Step make_fwht_g_partials(StepParams params) {
 Step make_assemble(StepParams params) {
   Deserializer d(params);
   const auto k = static_cast<std::size_t>(d.read<std::uint64_t>());
-  return [k](MachineContext& ctx) {
+  const auto n = static_cast<std::size_t>(d.read<std::uint64_t>());
+  return [k, n](MachineContext& ctx) {
     const double out_scale = 1.0 / std::sqrt(static_cast<double>(k));
     std::map<std::uint64_t, std::vector<double>> totals;
     for (const auto& msg : ctx.inbox()) {
@@ -231,16 +264,21 @@ Step make_assemble(StepParams params) {
         for (std::size_t row = 0; row < k; ++row) acc[row] += part[row];
       }
     }
-    std::vector<KV> idx;
+    // Every point of this machine's block gets a row; a point no partial
+    // reached (all its transformed coordinates were zero) maps to 0.
+    const mpc::PointBlocks blocks(n, ctx.num_machines());
+    std::vector<std::uint64_t> idx;
     std::vector<double> data;
-    for (auto& [point, acc] : totals) {
-      idx.push_back(KV{point, 0});
+    for (std::size_t point = blocks.begin(ctx.id());
+         point < blocks.end(ctx.id()); ++point) {
+      idx.push_back(point);
+      const auto it = totals.find(point);
       for (std::size_t row = 0; row < k; ++row) {
-        data.push_back(acc[row] * out_scale);
+        data.push_back(it == totals.end() ? 0.0 : it->second[row] * out_scale);
       }
     }
-    ctx.store().set_vector("fjlt/out/idx", idx);
-    ctx.store().set_vector("fjlt/out/data", data);
+    mpc::keys::kIdx.set(ctx.store(), idx);
+    mpc::keys::kPts.set(ctx.store(), data);
   };
 }
 
@@ -249,34 +287,13 @@ Step make_kron_stage(StepParams params) {
   const auto config = d.read<FjltConfig>();
   const auto block = static_cast<std::size_t>(d.read<std::uint64_t>());
   const auto t = static_cast<std::size_t>(d.read<std::uint64_t>());
-  return [config, block, t](MachineContext& ctx) {
+  const auto n = static_cast<std::size_t>(d.read<std::uint64_t>());
+  return [config, block, t, n](MachineContext& ctx) {
     const std::size_t m_machines = ctx.num_machines();
     const std::size_t d_pad = config.padded_dim;
     const std::size_t k = config.output_dim;
-    const auto total_bits = static_cast<std::size_t>(floor_log2(d_pad));
-    const auto chunk_bits = static_cast<std::size_t>(floor_log2(block));
-    const std::size_t stages =
-        std::max<std::size_t>(1, ceil_div(total_bits, chunk_bits));
-    const auto stage_offset = [&](std::size_t s) { return s * chunk_bits; };
-    const auto stage_bits = [&](std::size_t s) {
-      return std::min(chunk_bits, total_bits - stage_offset(s));
-    };
-    const auto group_of = [&](std::size_t s, std::uint64_t point,
-                              std::uint32_t e) {
-      const std::size_t offset = stage_offset(s);
-      const std::uint32_t low = e & ((1u << offset) - 1u);
-      const std::uint32_t high =
-          static_cast<std::uint32_t>(e >> (offset + stage_bits(s)));
-      const std::uint32_t group = (high << offset) | low;
-      return hash_combine(mix64(point ^ 0x9e0417ull), group);
-    };
-    const auto machine_of = [&](std::size_t s, std::uint64_t point,
-                                std::uint32_t e) {
-      return static_cast<MachineId>(group_of(s, point, e) % m_machines);
-    };
-    const auto owner = [&](std::uint64_t point) {
-      return static_cast<MachineId>(point % m_machines);
-    };
+    const KronGeometry geometry(d_pad, block, m_machines);
+    const mpc::PointBlocks owners(n, m_machines);
     const double h_scale = 1.0 / std::sqrt(static_cast<double>(d_pad));
 
     // Collect this stage's records (store for stage 0, inbox after).
@@ -292,17 +309,17 @@ Step make_kron_stage(StepParams params) {
     }
 
     // Group into axis-t fibers and butterfly each.
-    const std::size_t offset = stage_offset(t);
-    const std::size_t bits = stage_bits(t);
-    const std::size_t fiber = 1u << bits;
+    const std::size_t offset = geometry.offset(t);
+    const std::size_t fiber = std::size_t{1} << geometry.bits(t);
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<ElemRecord>>
         fibers;
     for (const ElemRecord& rec : records) {
-      fibers[std::make_pair(rec.point, group_of(t, rec.point, rec.index))]
+      fibers[std::make_pair(rec.point,
+                            geometry.group(t, rec.point, rec.index))]
           .push_back(rec);
     }
     std::vector<double> buffer(fiber);
-    const bool last = t + 1 == stages;
+    const bool last = t + 1 == geometry.stages;
     const Channel<ElemRecord> elems{kElemChannel};
     std::vector<std::vector<ElemRecord>> route(m_machines);
     std::map<std::uint64_t, std::vector<double>> partials;
@@ -334,7 +351,7 @@ Step make_kron_stage(StepParams params) {
           }
         } else {
           // Route for the next stage. Batched per destination below.
-          route[machine_of(t + 1, key.first, e)].push_back(
+          route[geometry.machine(t + 1, key.first, e)].push_back(
               ElemRecord{key.first, e, 0, value});
         }
       }
@@ -342,7 +359,7 @@ Step make_kron_stage(StepParams params) {
     if (last) {
       std::vector<Serializer> out(m_machines);
       for (const auto& [point, acc] : partials) {
-        Serializer& s = out[owner(point)];
+        Serializer& s = out[owners.owner(point)];
         s.write(PartialHeader{point});
         s.write_vector(acc);
       }
@@ -378,65 +395,29 @@ StepSpec config_block_spec(const char* name, const FjltConfig& config,
 }
 
 /// Local mode: every machine holds whole points and applies the sequential
-/// transform — zero communication, one (empty-message) round.
-PointSet run_local_mode(Cluster& cluster, const PointSet& points,
-                        const FjltConfig& config) {
-  const std::size_t m = cluster.num_machines();
-  const std::size_t n = points.size();
-  const std::size_t chunk = ceil_div(n, m);
-
-  // Host-side scatter: suppressed while fast-forwarding a restored run
-  // (its effect is already inside the restored stores).
-  if (!cluster.fast_forwarding()) {
-    for (MachineId id = 0; id < m; ++id) {
-      const std::size_t begin = std::min(n, id * chunk);
-      const std::size_t end = std::min(n, begin + chunk);
-      std::vector<double> data;
-      data.reserve((end - begin) * points.dim());
-      for (std::size_t i = begin; i < end; ++i) {
-        const auto p = points[i];
-        data.insert(data.end(), p.begin(), p.end());
-      }
-      cluster.store(id).set_vector("fjlt/in", data);
-      cluster.store(id).set_value<std::uint64_t>("fjlt/in/first", begin);
-      cluster.store(id).set_value<std::uint64_t>("fjlt/in/count",
-                                                 end - begin);
-    }
-  }
-
+/// transform to its block in place — zero communication, one
+/// (empty-message) round.
+void run_local_mode(Cluster& cluster, const PointSet& points,
+                    const FjltConfig& config) {
+  mpc::scatter_points(cluster, points);
   Serializer local;
   local.write(config);
   cluster.run_round(StepSpec("fjlt/local-transform", std::move(local)));
+}
 
-  // While still fast-forwarding past this point, the resumed run restored
-  // state from *after* this gather erased its keys; the coordinates it
-  // would return were already consumed by the snapshotted rounds, and the
-  // resuming driver takes its derived decisions (delta, scale) from the
-  // driver note instead. Return a placeholder with the correct shape.
-  if (cluster.fast_forwarding()) return PointSet(n, config.output_dim);
-
-  PointSet out(n, config.output_dim);
-  for (MachineId id = 0; id < m; ++id) {
-    const auto first = cluster.store(id).get_value<std::uint64_t>("fjlt/in/first");
-    const auto count = cluster.store(id).get_value<std::uint64_t>("fjlt/in/count");
-    const auto data = cluster.store(id).get_vector<double>("fjlt/out");
-    for (std::uint64_t i = 0; i < count; ++i) {
-      auto dst = out[first + i];
-      for (std::size_t j = 0; j < config.output_dim; ++j) {
-        dst[j] = data[i * config.output_dim + j];
-      }
-    }
-    cluster.store(id).erase("fjlt/out");
-    cluster.store(id).erase("fjlt/in/first");
-    cluster.store(id).erase("fjlt/in/count");
-  }
-  return out;
+/// Owner-side accumulation of P partials into the final k-dim outputs in
+/// the block layout (the sharded paths' last round).
+void assemble_outputs_round(Cluster& cluster, std::size_t k, std::size_t n) {
+  Serializer assemble;
+  assemble.write(static_cast<std::uint64_t>(k));
+  assemble.write(static_cast<std::uint64_t>(n));
+  cluster.run_round(StepSpec("fjlt/assemble", std::move(assemble)));
 }
 
 /// Sharded mode: each point's padded coordinates are split into g row
 /// blocks of size b (g <= b), spread round-robin over machines.
-PointSet run_sharded_mode(Cluster& cluster, const PointSet& points,
-                          const FjltConfig& config, std::size_t block) {
+void run_sharded_mode(Cluster& cluster, const PointSet& points,
+                      const FjltConfig& config, std::size_t block) {
   const std::size_t m = cluster.num_machines();
   const std::size_t n = points.size();
   const std::size_t d_pad = config.padded_dim;
@@ -447,8 +428,8 @@ PointSet run_sharded_mode(Cluster& cluster, const PointSet& points,
     return static_cast<MachineId>((point * g + j) % m);
   };
 
-  // Host-side scatter of padded row blocks (suppressed during
-  // fast-forward; see run_local_mode).
+  // Host-side scatter of padded row blocks (suppressed while
+  // fast-forwarding a restored run: the restored stores already hold it).
   if (!cluster.fast_forwarding()) {
     std::vector<std::vector<KV>> idx(m);
     std::vector<std::vector<double>> data(m);
@@ -481,59 +462,14 @@ PointSet run_sharded_mode(Cluster& cluster, const PointSet& points,
 
   // Round 3: cross-block FWHT_g per offset, global 1/sqrt(d) scale, then
   // local P partial sums routed to each point's owner.
-  cluster.run_round(
-      config_block_spec("fjlt/fwht_g+P-partials", config, block));
+  Serializer partials;
+  partials.write(config);
+  partials.write(static_cast<std::uint64_t>(block));
+  partials.write(static_cast<std::uint64_t>(n));
+  cluster.run_round(StepSpec("fjlt/fwht_g+P-partials", std::move(partials)));
 
   // Round 4: owners accumulate partials and apply the k^{-1/2} scale.
-  Serializer assemble;
-  assemble.write(static_cast<std::uint64_t>(k));
-  cluster.run_round(StepSpec("fjlt/assemble", std::move(assemble)));
-
-  // Host-side gather (placeholder during fast-forward; see run_local_mode).
-  if (cluster.fast_forwarding()) return PointSet(n, k);
-  PointSet out(n, k);
-  for (MachineId id = 0; id < m; ++id) {
-    const auto idx = cluster.store(id).get_vector<KV>("fjlt/out/idx");
-    const auto data = cluster.store(id).get_vector<double>("fjlt/out/data");
-    for (std::size_t rec = 0; rec < idx.size(); ++rec) {
-      auto dst = out[idx[rec].key];
-      for (std::size_t row = 0; row < k; ++row) {
-        dst[row] = data[rec * k + row];
-      }
-    }
-    cluster.store(id).erase("fjlt/out/idx");
-    cluster.store(id).erase("fjlt/out/data");
-  }
-  return out;
-}
-
-/// Owner-side accumulation of P partials into the final k-dim outputs
-/// (shared by the sharded paths' last round).
-void assemble_outputs_round(Cluster& cluster, std::size_t k) {
-  Serializer assemble;
-  assemble.write(static_cast<std::uint64_t>(k));
-  cluster.run_round(StepSpec("fjlt/assemble", std::move(assemble)));
-}
-
-/// Host-side gather of the assembled outputs.
-PointSet gather_outputs(Cluster& cluster, std::size_t n, std::size_t k) {
-  // Placeholder during fast-forward (see run_local_mode's gather).
-  if (cluster.fast_forwarding()) return PointSet(n, k);
-  PointSet out(n, k);
-  for (MachineId id = 0; id < cluster.num_machines(); ++id) {
-    if (!cluster.store(id).contains("fjlt/out/idx")) continue;
-    const auto idx = cluster.store(id).get_vector<KV>("fjlt/out/idx");
-    const auto data = cluster.store(id).get_vector<double>("fjlt/out/data");
-    for (std::size_t rec = 0; rec < idx.size(); ++rec) {
-      auto dst = out[idx[rec].key];
-      for (std::size_t row = 0; row < k; ++row) {
-        dst[row] = data[rec * k + row];
-      }
-    }
-    cluster.store(id).erase("fjlt/out/idx");
-    cluster.store(id).erase("fjlt/out/data");
-  }
-  return out;
+  assemble_outputs_round(cluster, k, n);
 }
 
 /// General multi-stage mode: H_d = ⊗_t H_{f_t} over bit-chunks of width
@@ -541,49 +477,25 @@ PointSet gather_outputs(Cluster& cluster, std::size_t n, std::size_t k) {
 /// every axis-t fiber (group = index with the chunk's bits removed),
 /// applies the chunk's butterflies locally, and re-routes for stage t+1.
 /// Works for any d_padded <= block^m — the eps < 1/2 regime.
-PointSet run_multilevel_mode(Cluster& cluster, const PointSet& points,
-                             const FjltConfig& config, std::size_t block,
-                             std::size_t* levels_out) {
+void run_multilevel_mode(Cluster& cluster, const PointSet& points,
+                         const FjltConfig& config, std::size_t block,
+                         std::size_t* levels_out) {
   const std::size_t m_machines = cluster.num_machines();
   const std::size_t n = points.size();
   const std::size_t d_pad = config.padded_dim;
   const std::size_t k = config.output_dim;
-  const auto total_bits = static_cast<std::size_t>(floor_log2(d_pad));
-  const auto chunk_bits = static_cast<std::size_t>(floor_log2(block));
-  const std::size_t stages = std::max<std::size_t>(
-      1, ceil_div(total_bits, chunk_bits));
-  if (levels_out != nullptr) *levels_out = stages;
-
-  // Bit ranges per stage (stage-0 routing only; the step bodies recompute
-  // the same geometry from their params).
-  const auto stage_offset = [&](std::size_t t) { return t * chunk_bits; };
-  const auto stage_bits = [&](std::size_t t) {
-    return std::min(chunk_bits, total_bits - stage_offset(t));
-  };
-  // Group id: the index with stage t's bits removed, plus the point.
-  const auto group_of = [&](std::size_t t, std::uint64_t point,
-                            std::uint32_t e) {
-    const std::size_t offset = stage_offset(t);
-    const std::uint32_t low = e & ((1u << offset) - 1u);
-    const std::uint32_t high =
-        static_cast<std::uint32_t>(e >> (offset + stage_bits(t)));
-    const std::uint32_t group = (high << offset) | low;
-    return hash_combine(mix64(point ^ 0x9e0417ull), group);
-  };
-  const auto machine_of = [&](std::size_t t, std::uint64_t point,
-                              std::uint32_t e) {
-    return static_cast<MachineId>(group_of(t, point, e) % m_machines);
-  };
+  const KronGeometry geometry(d_pad, block, m_machines);
+  if (levels_out != nullptr) *levels_out = geometry.stages;
 
   // Host scatter: every padded element routed to its stage-0 machine
-  // (suppressed during fast-forward; see run_local_mode).
+  // (suppressed while fast-forwarding, like the sharded scatter).
   if (!cluster.fast_forwarding()) {
     std::vector<std::vector<ElemRecord>> init(m_machines);
     for (std::size_t i = 0; i < n; ++i) {
       const auto p = points[i];
       for (std::uint32_t e = 0; e < d_pad; ++e) {
         const double value = e < points.dim() ? p[e] : 0.0;
-        init[machine_of(0, i, e)].push_back(ElemRecord{i, e, 0, value});
+        init[geometry.machine(0, i, e)].push_back(ElemRecord{i, e, 0, value});
       }
     }
     for (MachineId id = 0; id < m_machines; ++id) {
@@ -591,23 +503,23 @@ PointSet run_multilevel_mode(Cluster& cluster, const PointSet& points,
     }
   }
 
-  for (std::size_t t = 0; t < stages; ++t) {
+  for (std::size_t t = 0; t < geometry.stages; ++t) {
     Serializer stage;
     stage.write(config);
     stage.write(static_cast<std::uint64_t>(block));
     stage.write(static_cast<std::uint64_t>(t));
+    stage.write(static_cast<std::uint64_t>(n));
     cluster.run_round(StepSpec("fjlt/kron-stage", std::move(stage)),
                       "fjlt/kron-stage-" + std::to_string(t));
   }
 
-  assemble_outputs_round(cluster, k);
-  return gather_outputs(cluster, n, k);
+  assemble_outputs_round(cluster, k, n);
 }
 
 }  // namespace
 
-PointSet mpc_fjlt(mpc::Cluster& cluster, const PointSet& points,
-                  const FjltConfig& config, MpcFjltReport* report) {
+MpcFjltReport mpc_fjlt(mpc::Cluster& cluster, const PointSet& points,
+                       const FjltConfig& config) {
   if (points.dim() != config.input_dim) {
     throw MpteError("mpc_fjlt: point dimension does not match config");
   }
@@ -628,13 +540,10 @@ PointSet mpc_fjlt(mpc::Cluster& cluster, const PointSet& points,
       chunk_points * 8 * (d_pad + config.output_dim) +
       static_cast<std::size_t>(16.0 * nnz_estimate);
 
-  PointSet out;
-  bool sharded = false;
-  std::size_t block = 0;
-  std::size_t levels = 0;
+  MpcFjltReport report;
   if (local_mode_bytes * 2 <= budget || d_pad < 4) {
     const obs::Span mode_span("fjlt", "local-mode");
-    out = run_local_mode(cluster, points, config);
+    run_local_mode(cluster, points, config);
   } else {
     // Largest power-of-two fiber a machine can hold with headroom.
     std::size_t block_cap = 1;
@@ -644,30 +553,27 @@ PointSet mpc_fjlt(mpc::Cluster& cluster, const PointSet& points,
           "mpc_fjlt: local memory cannot hold even a 2-element fiber; "
           "increase local memory");
     }
-    sharded = true;
+    report.sharded = true;
     if (block_cap * block_cap >= d_pad) {
       // One transpose suffices: pick the balanced block ~ sqrt(d_pad).
-      block = std::min(d_pad,
-                       next_power_of_two(static_cast<std::size_t>(std::ceil(
-                           std::sqrt(static_cast<double>(d_pad))))));
-      levels = 2;
-      const obs::Span mode_span("fjlt", "sharded-mode", "block", block);
-      out = run_sharded_mode(cluster, points, config, block);
+      report.block_size = std::min(
+          d_pad, next_power_of_two(static_cast<std::size_t>(
+                     std::ceil(std::sqrt(static_cast<double>(d_pad))))));
+      report.kronecker_levels = 2;
+      const obs::Span mode_span("fjlt", "sharded-mode", "block",
+                                report.block_size);
+      run_sharded_mode(cluster, points, config, report.block_size);
     } else {
       // General m-stage pipeline for the eps < 1/2 regime.
-      block = block_cap;
-      const obs::Span mode_span("fjlt", "multilevel-mode", "block", block);
-      out = run_multilevel_mode(cluster, points, config, block, &levels);
+      report.block_size = block_cap;
+      const obs::Span mode_span("fjlt", "multilevel-mode", "block",
+                                report.block_size);
+      run_multilevel_mode(cluster, points, config, report.block_size,
+                          &report.kronecker_levels);
     }
   }
-
-  if (report != nullptr) {
-    report->rounds = cluster.stats().rounds() - rounds_before;
-    report->sharded = sharded;
-    report->block_size = block;
-    report->kronecker_levels = levels;
-  }
-  return out;
+  report.rounds = cluster.stats().rounds() - rounds_before;
+  return report;
 }
 
 }  // namespace mpte

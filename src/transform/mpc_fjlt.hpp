@@ -26,6 +26,8 @@
 // caps below), the "local mode" short-circuits all communication: each
 // machine applies the sequential Fjlt to its chunk — bit-identical output,
 // one round.
+// Every mode leaves its output on the machines, in the block layout of
+// mpc/point_blocks.hpp, where Algorithm 2's later stages read it.
 #pragma once
 
 #include "geometry/point_set.hpp"
@@ -48,15 +50,15 @@ struct MpcFjltReport {
 };
 
 /// Runs the MPC FJLT on `cluster`: scatters `points` (host-side input
-/// loading), executes the rounds, gathers and returns the k-dimensional
-/// output in input order. Round/space accounting accumulates in
-/// cluster.stats(). In local mode the output is bit-identical to
-/// Fjlt(config) applied sequentially; in sharded mode it is equal up to
-/// floating-point summation order of the P partial sums.
+/// loading), executes the rounds, and leaves the k-dimensional output
+/// resident. Round/space accounting accumulates in cluster.stats(). In
+/// local mode the output is bit-identical to Fjlt(config) applied
+/// sequentially; in sharded mode it is equal up to floating-point
+/// summation order of the P partial sums.
 ///
 /// Throws MpcViolation if the cluster's local memory cannot hold even one
 /// sqrt(d_padded)-sized block (the fully scalable regime assumption).
-PointSet mpc_fjlt(mpc::Cluster& cluster, const PointSet& points,
-                  const FjltConfig& config, MpcFjltReport* report = nullptr);
+MpcFjltReport mpc_fjlt(mpc::Cluster& cluster, const PointSet& points,
+                       const FjltConfig& config);
 
 }  // namespace mpte

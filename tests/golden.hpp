@@ -82,6 +82,62 @@ inline EmbedOptions auto_delta_embed_options() {
   return options;
 }
 
+/// The FJLT + derived-Δ configuration: 120 clustered points in R^300 (the
+/// FJLT takes them to 154 dims), Δ derived from the transformed points,
+/// and U = 175 grids per set, so attempts 0 and 1 fail coverage and
+/// attempt 2 succeeds. Run on golden_config().
+inline PointSet fjlt_points() {
+  return generate_gaussian_clusters(120, 300, 4, 100.0, 1.0, 5);
+}
+
+inline MpcEmbedOptions fjlt_options() {
+  MpcEmbedOptions options;
+  options.seed = 4;
+  options.num_grids = 175;
+  return options;
+}
+
+/// mpc_embed on the FJLT configuration, captured before embed, mpc_embed,
+/// the MPC applications and dyn shared one front end.
+inline constexpr std::uint64_t kFjltMpcHash = 15380268312859599126ull;
+inline constexpr double kFjltScaleToInput = 0x1.354b05df4244bp-4;
+inline constexpr std::uint64_t kFjltDelta = 2903;
+inline constexpr int kFjltRetries = 2;
+
+/// What the Corollary 1 applications report on one configuration, bit for
+/// bit. The EMD sides are the first and the second half of the points;
+/// the weighted EMD's masses are 1 + i % 3 on side a and 1 + (i + 1) % 3
+/// on side b.
+struct AppPins {
+  /// The densest-ball query diameter, in input units.
+  double max_diameter;
+  double emd;
+  double weighted_emd;
+  std::size_t ball_count;
+  double ball_diameter;
+  /// FNV-1a over the MST's (u, v) index pairs as u64, in result order.
+  std::uint64_t mst_fingerprint;
+  double mst_length;
+  /// retries_used: the same for every application, which all embed the
+  /// same points.
+  int retries;
+  /// rounds_used of the EMD (plain and weighted), densest ball and MST.
+  std::size_t emd_rounds;
+  std::size_t ball_rounds;
+  std::size_t mst_rounds;
+};
+
+/// The applications on golden_points()/golden_options() and on
+/// fjlt_points()/fjlt_options(), captured with kFjltMpcHash.
+inline constexpr AppPins kGoldenAppPins{
+    80.0, 0x1.50aba79658643p+14, 0x1.5558d3c207338p+15, 8,
+    0x1.dede77df861c7p+5, 13975696757314228887ull, 0x1.08a4d618690e5p+12,
+    0, 20, 19, 24};
+inline constexpr AppPins kFjltAppPins{
+    2000.0, 0x1.5108f1eeac294p+20, 0x1.42119df7af8f1p+21, 3,
+    0x1.328198e1021d4p+10, 6767017456479305469ull, 0x1.c9d6370b023ecp+12,
+    2, 35, 34, 39};
+
 /// FNV-1a over the tree bytes, then the embedded point coordinates.
 inline std::uint64_t fingerprint(const Hst& tree, const PointSet& embedded) {
   const auto tree_bytes = hst_to_bytes(tree);
@@ -90,10 +146,6 @@ inline std::uint64_t fingerprint(const Hst& tree, const PointSet& embedded) {
   return fnv1a64(std::span(reinterpret_cast<const std::uint8_t*>(raw.data()),
                            raw.size() * sizeof(double)),
                  h);
-}
-
-inline std::uint64_t fingerprint(const MpcEmbedding& result) {
-  return fingerprint(result.tree, result.embedded_points);
 }
 
 inline std::uint64_t fingerprint(const Embedding& result) {

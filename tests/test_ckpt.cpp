@@ -7,8 +7,10 @@
 // threads.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <string>
 #include <fstream>
 #include <vector>
 
@@ -275,6 +277,108 @@ TEST(Recovery, CrashAtEveryRoundRecoversGoldenFingerprint) {
       // r rounds are fast-forwarded.
       EXPECT_EQ(resilience.rounds_replayed, crash_round);
       EXPECT_TRUE(coordinator.last_write_status().ok());
+      fs::remove_all(dir);
+    }
+  }
+}
+
+TEST(Recovery, CrashAtEveryRoundRecoversFjltDerivedDelta) {
+  // The FJLT output stays on the machines and Delta is derived from it;
+  // the pinned attempt 2 follows two coverage failures. A resumed run must
+  // take Delta and the attempt from the driver note, and the cell from
+  // rank 0's store, so every reported field matches the fault-free run.
+  const PointSet points = golden::fjlt_points();
+  for (const std::size_t threads : {1u, 8u}) {
+    Cluster reference(golden_config(threads));
+    const auto clean =
+        mpc_embed(reference, points, golden::fjlt_options());
+    ASSERT_TRUE(clean.ok()) << clean.status().to_string();
+    ASSERT_EQ(fingerprint(*clean), golden::kFjltMpcHash);
+    const std::size_t total_rounds = reference.stats().rounds();
+
+    for (std::size_t crash_round = 0; crash_round < total_rounds;
+         ++crash_round) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " crash_round=" + std::to_string(crash_round));
+      const fs::path dir = scratch_dir(
+          "fjlt_t" + std::to_string(threads) + "_r" +
+          std::to_string(crash_round));
+      ClusterConfig config = golden_config(threads);
+      config.checkpoint.mode = CheckpointPolicy::Mode::kEveryK;
+      config.checkpoint.directory = dir.string();
+      config.checkpoint.every_k = 1;
+      Cluster cluster(config);
+      FaultPlan plan;
+      plan.add_crash(crash_round, crash_round % config.num_machines);
+      Coordinator coordinator =
+          Coordinator::for_cluster(cluster, std::move(plan));
+      cluster.set_hooks(&coordinator);
+
+      const auto result = run_with_recovery(cluster, coordinator, [&] {
+        return mpc_embed(cluster, points, golden::fjlt_options());
+      });
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+      EXPECT_EQ(fingerprint(*result), golden::kFjltMpcHash);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result->scale_to_input),
+                std::bit_cast<std::uint64_t>(golden::kFjltScaleToInput));
+      EXPECT_EQ(result->delta_used, golden::kFjltDelta);
+      EXPECT_EQ(result->retries_used, golden::kFjltRetries);
+      EXPECT_EQ(cluster.stats().resilience().recoveries, 1u);
+      EXPECT_EQ(cluster.stats().resilience().rounds_replayed, crash_round);
+      fs::remove_all(dir);
+    }
+  }
+}
+
+TEST(Recovery, CrashAtEveryRoundRecoversShardedFjlt) {
+  // The sharded and multilevel FJLT modes scatter row blocks and leave
+  // their output with each point's block owner; a resumed run must
+  // rebuild the same embedding from any round. Tiny budgets force the
+  // modes, so limits are off.
+  MpcEmbedOptions multilevel;
+  multilevel.seed = 5;
+  multilevel.fjlt_xi = 0.45;
+  MpcEmbedOptions sharded;
+  sharded.seed = 3;
+  const struct {
+    PointSet points;
+    MpcEmbedOptions options;
+    ClusterConfig config;
+  } cases[] = {
+      {generate_gaussian_clusters(60, 300, 3, 100.0, 1.0, 11), sharded,
+       ClusterConfig{8, 8192, false}},
+      {generate_uniform_cube(20, 200, 3.0, 41), multilevel,
+       ClusterConfig{32, 400, false}},
+  };
+  for (const auto& c : cases) {
+    Cluster reference(c.config);
+    const auto clean = mpc_embed(reference, c.points, c.options);
+    ASSERT_TRUE(clean.ok()) << clean.status().to_string();
+    ASSERT_TRUE(clean->fjlt_applied);
+    for (std::size_t crash_round = 0;
+         crash_round < reference.stats().rounds(); ++crash_round) {
+      SCOPED_TRACE("machines=" + std::to_string(c.config.num_machines) +
+                   " crash_round=" + std::to_string(crash_round));
+      const fs::path dir =
+          scratch_dir("sharded_m" + std::to_string(c.config.num_machines) +
+                      "_r" + std::to_string(crash_round));
+      ClusterConfig config = c.config;
+      config.checkpoint.mode = CheckpointPolicy::Mode::kEveryK;
+      config.checkpoint.directory = dir.string();
+      config.checkpoint.every_k = 1;
+      Cluster cluster(config);
+      FaultPlan plan;
+      plan.add_crash(crash_round, crash_round % config.num_machines);
+      Coordinator coordinator =
+          Coordinator::for_cluster(cluster, std::move(plan));
+      cluster.set_hooks(&coordinator);
+      const auto result = run_with_recovery(cluster, coordinator, [&] {
+        return mpc_embed(cluster, c.points, c.options);
+      });
+      ASSERT_TRUE(result.ok()) << result.status().to_string();
+      EXPECT_EQ(fingerprint(*result), fingerprint(*clean));
+      EXPECT_EQ(result->scale_to_input, clean->scale_to_input);
+      EXPECT_EQ(result->delta_used, clean->delta_used);
       fs::remove_all(dir);
     }
   }

@@ -222,6 +222,27 @@ TEST(DynamicEmbedder, CreateReportsCoverageAndGridSetFailures) {
   EXPECT_NE(infeasible.status().message().find("k = 16"), std::string::npos);
 }
 
+TEST(DynamicEmbedder, DeltaOfOneIsInvalidArgument) {
+  DynOptions options = base_options();
+  options.delta = 1;
+  const auto created = DynamicEmbedder::create(anchored_points(10, 3, 5),
+                                               options);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DynamicEmbedder, BucketsAboveDimensionAreClamped) {
+  // r = 9 on 4-dim input pins r = 4, like every static pipeline.
+  DynOptions options = base_options();
+  options.num_buckets = 9;
+  auto dynamic = DynamicEmbedder::create(anchored_points(20, 4, 7), options);
+  ASSERT_TRUE(dynamic.ok()) << dynamic.status().to_string();
+  const auto materialized = dynamic->materialize();
+  ASSERT_TRUE(materialized.ok());
+  EXPECT_EQ(materialized->buckets_used, 4u);
+  EXPECT_EQ(dynamic->static_equivalent_options().num_buckets, 4u);
+}
+
 TEST(DynamicEmbedder, UpdateGuards) {
   const PointSet initial = anchored_points(4, 3, 21);
   auto dynamic = DynamicEmbedder::create(initial, base_options());

@@ -18,6 +18,38 @@ TEST(Embedder, RejectsTooFewPoints) {
   EXPECT_FALSE(embed(one, EmbedOptions{}).ok());
 }
 
+TEST(Embedder, DeltaOfOneIsInvalidArgument) {
+  const PointSet points = generate_uniform_cube(20, 3, 10.0, 2);
+  EmbedOptions options;
+  options.delta = 1;
+  const auto result = embed(points, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Embedder, NegativeMaxRetriesIsInvalidArgument) {
+  const PointSet points = generate_uniform_cube(20, 3, 10.0, 3);
+  EmbedOptions options;
+  options.max_retries = -1;
+  const auto result = embed(points, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Embedder, BucketsAboveDimensionAreClamped) {
+  const PointSet points = generate_uniform_cube(30, 4, 10.0, 4);
+  EmbedOptions options;
+  options.num_buckets = 9;
+  options.delta = 256;
+  const auto clamped = embed(points, options);
+  ASSERT_TRUE(clamped.ok()) << clamped.status().to_string();
+  EXPECT_EQ(clamped->buckets_used, 4u);
+  options.num_buckets = 4;
+  const auto exact = embed(points, options);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(golden::fingerprint(*clamped), golden::fingerprint(*exact));
+}
+
 TEST(Embedder, MethodNames) {
   EXPECT_STREQ(to_string(PartitionMethod::kGrid), "grid");
   EXPECT_STREQ(to_string(PartitionMethod::kBall), "ball");

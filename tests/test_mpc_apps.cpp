@@ -4,14 +4,18 @@
 
 #include <cmath>
 
+#include <span>
+#include <string>
+
 #include "apps/densest_ball.hpp"
 #include "apps/emd.hpp"
 #include "apps/mst.hpp"
 #include "apps/union_find.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
-#include <string>
+#include "golden.hpp"
 
 namespace mpte {
 namespace {
@@ -297,6 +301,130 @@ TEST(MpcApps, InfeasibleGridCountIsAStatus) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("k = 16"), std::string::npos);
+}
+
+/// Runs the four applications on `points` (EMD sides: the two halves) and
+/// expects every reported field to equal `pins` bit for bit.
+void expect_app_pins(const PointSet& points, const MpcEmbedOptions& options,
+                     const golden::AppPins& pins) {
+  const std::size_t half = points.size() / 2;
+  PointSet a, b;
+  std::vector<std::int64_t> mass_a, mass_b;
+  for (std::size_t i = 0; i < half; ++i) {
+    a.push_back(points[i]);
+    b.push_back(points[half + i]);
+    mass_a.push_back(1 + static_cast<std::int64_t>(i % 3));
+    mass_b.push_back(1 + static_cast<std::int64_t>((i + 1) % 3));
+  }
+  for (const std::size_t threads : {1u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    {
+      Cluster cluster(golden::golden_config(threads));
+      const auto emd = mpc_tree_emd(cluster, a, b, options);
+      ASSERT_TRUE(emd.ok()) << emd.status().to_string();
+      EXPECT_EQ(emd->emd, pins.emd);
+      EXPECT_EQ(emd->retries_used, pins.retries);
+      EXPECT_EQ(emd->rounds_used, pins.emd_rounds);
+    }
+    {
+      Cluster cluster(golden::golden_config(threads));
+      const auto emd =
+          mpc_tree_emd_weighted(cluster, a, b, mass_a, mass_b, options);
+      ASSERT_TRUE(emd.ok()) << emd.status().to_string();
+      EXPECT_EQ(emd->emd, pins.weighted_emd);
+      EXPECT_EQ(emd->retries_used, pins.retries);
+      EXPECT_EQ(emd->rounds_used, pins.emd_rounds);
+    }
+    {
+      Cluster cluster(golden::golden_config(threads));
+      const auto ball =
+          mpc_densest_ball(cluster, points, pins.max_diameter, options);
+      ASSERT_TRUE(ball.ok()) << ball.status().to_string();
+      EXPECT_EQ(ball->count, pins.ball_count);
+      EXPECT_EQ(ball->diameter, pins.ball_diameter);
+      EXPECT_EQ(ball->retries_used, pins.retries);
+      EXPECT_EQ(ball->rounds_used, pins.ball_rounds);
+    }
+    {
+      Cluster cluster(golden::golden_config(threads));
+      const auto mst = mpc_tree_mst(cluster, points, options);
+      ASSERT_TRUE(mst.ok()) << mst.status().to_string();
+      std::uint64_t edges = kFnv1aOffsetBasis;
+      for (const MstEdge& e : mst->edges) {
+        const std::uint64_t uv[2] = {e.u, e.v};
+        edges = fnv1a64(std::span(reinterpret_cast<const std::uint8_t*>(uv),
+                                  sizeof uv),
+                        edges);
+      }
+      EXPECT_EQ(edges, pins.mst_fingerprint);
+      EXPECT_EQ(mst->total_length, pins.mst_length);
+      EXPECT_EQ(mst->retries_used, pins.retries);
+      EXPECT_EQ(mst->rounds_used, pins.mst_rounds);
+    }
+  }
+}
+
+TEST(MpcApps, GoldenConfigPinnedBitForBit) {
+  expect_app_pins(golden::golden_points(), golden::golden_options(),
+                  golden::kGoldenAppPins);
+}
+
+TEST(MpcApps, FjltDerivedDeltaConfigPinnedBitForBit) {
+  expect_app_pins(golden::fjlt_points(), golden::fjlt_options(),
+                  golden::kFjltAppPins);
+}
+
+/// The status each of the four applications returns for `options`.
+std::vector<Status> app_statuses(const MpcEmbedOptions& options) {
+  const PointSet a = generate_uniform_cube(12, 4, 30.0, 71);
+  const PointSet b = generate_uniform_cube(12, 4, 30.0, 72);
+  const std::vector<std::int64_t> unit(12, 1);
+  PointSet all = a;
+  for (std::size_t i = 0; i < b.size(); ++i) all.push_back(b[i]);
+  std::vector<Status> out;
+  Cluster cluster = big_cluster();
+  out.push_back(mpc_tree_emd(cluster, a, b, options).status());
+  out.push_back(
+      mpc_tree_emd_weighted(cluster, a, b, unit, unit, options).status());
+  out.push_back(mpc_densest_ball(cluster, all, 10.0, options).status());
+  out.push_back(mpc_tree_mst(cluster, all, options).status());
+  return out;
+}
+
+TEST(MpcApps, DeltaOfOneIsInvalidArgument) {
+  MpcEmbedOptions options = base_options(73);
+  options.delta = 1;
+  for (const Status& status : app_statuses(options)) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.to_string();
+  }
+}
+
+TEST(MpcApps, NegativeMaxRetriesIsInvalidArgument) {
+  MpcEmbedOptions options = base_options(75);
+  options.max_retries = -1;
+  for (const Status& status : app_statuses(options)) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.to_string();
+  }
+}
+
+TEST(MpcApps, BucketsAboveDimensionAreClamped) {
+  // r = 9 on 4-dim input runs as r = 4: the same results as asking for 4.
+  MpcEmbedOptions clamped = base_options(77);
+  clamped.num_buckets = 9;
+  MpcEmbedOptions exact = base_options(77);
+  exact.num_buckets = 4;
+  const PointSet points = generate_uniform_cube(30, 4, 30.0, 79);
+  Cluster c1 = big_cluster();
+  Cluster c2 = big_cluster();
+  const auto a = mpc_tree_mst(c1, points, clamped);
+  const auto b = mpc_tree_mst(c2, points, exact);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->total_length, b->total_length);
+  for (const Status& status : app_statuses(clamped)) {
+    EXPECT_TRUE(status.ok()) << status.to_string();
+  }
 }
 
 }  // namespace

@@ -26,6 +26,61 @@ TEST(MpcEmbedder, RejectsTooFewPoints) {
   EXPECT_FALSE(mpc_embed(cluster, one, MpcEmbedOptions{}).ok());
 }
 
+TEST(MpcEmbedder, DeltaOfOneIsInvalidArgument) {
+  Cluster cluster = big_cluster();
+  const PointSet points = generate_uniform_cube(20, 3, 10.0, 2);
+  MpcEmbedOptions options;
+  options.delta = 1;
+  const auto result = mpc_embed(cluster, points, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MpcEmbedder, NegativeMaxRetriesIsInvalidArgument) {
+  Cluster cluster = big_cluster();
+  const PointSet points = generate_uniform_cube(20, 3, 10.0, 3);
+  MpcEmbedOptions options;
+  options.max_retries = -1;
+  const auto result = mpc_embed(cluster, points, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(cluster.stats().rounds(), 0u);  // rejected before any round
+}
+
+TEST(MpcEmbedder, BucketsAboveDimensionAreClamped) {
+  const PointSet points = generate_uniform_cube(30, 4, 10.0, 4);
+  MpcEmbedOptions options;
+  options.num_buckets = 9;
+  options.delta = 256;
+  Cluster c1 = big_cluster();
+  const auto clamped = mpc_embed(c1, points, options);
+  ASSERT_TRUE(clamped.ok()) << clamped.status().to_string();
+  EXPECT_EQ(clamped->buckets_used, 4u);
+  options.num_buckets = 4;
+  Cluster c2 = big_cluster();
+  const auto exact = mpc_embed(c2, points, options);
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(golden::fingerprint(*clamped), golden::fingerprint(*exact));
+}
+
+TEST(MpcEmbedder, FjltDerivedDeltaPinned) {
+  // The FJLT output never leaves the machines; Delta is derived from the
+  // one read-back, and every reported field matches the pinned run.
+  Cluster cluster(golden::golden_config(1));
+  const auto result =
+      mpc_embed(cluster, golden::fjlt_points(), golden::fjlt_options());
+  ASSERT_TRUE(result.ok()) << result.status().to_string();
+  EXPECT_TRUE(result->fjlt_applied);
+  EXPECT_EQ(golden::fingerprint(*result), golden::kFjltMpcHash);
+  EXPECT_EQ(result->scale_to_input, golden::kFjltScaleToInput);
+  EXPECT_EQ(result->delta_used, golden::kFjltDelta);
+  EXPECT_EQ(result->retries_used, golden::kFjltRetries);
+  // Nothing of the run stays resident after the readout.
+  for (mpc::MachineId id = 0; id < cluster.num_machines(); ++id) {
+    EXPECT_TRUE(cluster.store(id).entries().empty()) << "rank " << id;
+  }
+}
+
 TEST(MpcEmbedder, ProducesValidDominatingTree) {
   Cluster cluster = big_cluster(6);
   const PointSet points = generate_uniform_cube(90, 5, 30.0, 3);

@@ -45,7 +45,7 @@ TEST(PackLevelNode, DistinctIdsStayDistinct) {
 TEST(ScatterPoints, PreservesIndexCoordinatePairing) {
   Cluster cluster = test_cluster(3);
   const PointSet points = generate_uniform_cube(10, 2, 5.0, 1);
-  scatter_points(cluster, points);
+  mpc::scatter_points(cluster, points);
   for (std::uint32_t id = 0; id < 3; ++id) {
     const auto idx = cluster.store(id).get_vector<std::uint64_t>("emb/idx");
     const auto data = cluster.store(id).get_vector<double>("emb/pts");
@@ -61,7 +61,7 @@ TEST(MpcQuantize, MatchesSequentialQuantizer) {
   Cluster cluster = test_cluster(4);
   const PointSet points = generate_uniform_cube(37, 3, 80.0, 3);
   const std::uint64_t delta = 128;
-  scatter_points(cluster, points);
+  mpc::scatter_points(cluster, points);
   mpc_quantize(cluster, 3, delta, 2);
 
   const Quantized expected = quantize_to_grid(points, delta);
@@ -101,10 +101,10 @@ TEST(RunPartitionAttempt, EdgesMatchSequentialHierarchy) {
   const Quantized q = quantize_to_grid(raw, delta);
 
   Cluster cluster = test_cluster(3);
-  scatter_points(cluster, q.points);
+  mpc::scatter_points(cluster, q.points);
   const auto params = make_params(seed, n, dim, 2, delta);
   const std::uint64_t failures =
-      run_partition_attempt(cluster, dim, params, 2);
+      run_attempt(cluster, dim, params, 2, PathOutput::kTreeEdges);
   ASSERT_EQ(failures, 0u);
 
   // Sequential reference ids.
@@ -138,9 +138,9 @@ TEST(RunPathRecordsAttempt, RecordsCoverEveryPointAndLevel) {
   const Quantized q = quantize_to_grid(raw, delta);
 
   Cluster cluster = test_cluster(4);
-  scatter_points(cluster, q.points);
+  mpc::scatter_points(cluster, q.points);
   const auto params = make_params(seed, n, dim, 2, delta);
-  ASSERT_EQ(run_path_records_attempt(cluster, dim, params, 2), 0u);
+  ASSERT_EQ(run_attempt(cluster, dim, params, 2, PathOutput::kRecords), 0u);
 
   const ScaleLadder ladder = hybrid_scale_ladder(dim, 2, delta);
   const auto records = mpc::gather_vector<KV>(cluster, "emb/nodes");
@@ -164,11 +164,11 @@ TEST(RunPathRecordsAttempt, LinksFormChains) {
   const Quantized q = quantize_to_grid(raw, delta);
 
   Cluster cluster = test_cluster(3);
-  scatter_points(cluster, q.points);
+  mpc::scatter_points(cluster, q.points);
   const auto params = make_params(seed, n, dim, 1, delta);
-  ASSERT_EQ(run_path_records_attempt(cluster, dim, params, 2,
-                                     /*emit_links=*/true),
-            0u);
+  ASSERT_EQ(
+      run_attempt(cluster, dim, params, 2, PathOutput::kRecordsAndLinks),
+      0u);
 
   const auto links = mpc::gather_vector<KV>(cluster, "emb/links");
   EXPECT_FALSE(links.empty());
@@ -191,10 +191,10 @@ TEST(RunPartitionAttempt, ReportsFailuresWithStarvedGrids) {
   const Quantized q = quantize_to_grid(raw, 64);
 
   Cluster cluster = test_cluster(3);
-  scatter_points(cluster, q.points);
+  mpc::scatter_points(cluster, q.points);
   auto params = make_params(13, n, dim, 1, 64);
   params.num_grids = 1;  // hopeless coverage in 4 dims
-  EXPECT_GT(run_partition_attempt(cluster, dim, params, 2), 0u);
+  EXPECT_GT(run_attempt(cluster, dim, params, 2, PathOutput::kTreeEdges), 0u);
 }
 
 /// The point-major loop paths/compute and paths/records ran before the
@@ -282,7 +282,7 @@ TEST(PathStages, MatchPointMajorOracleRecordForRecord) {
     const Quantized q =
         quantize_to_grid(generate_uniform_cube(n, c.dim, 50.0, seed), delta);
     Cluster cluster = test_cluster(3);
-    scatter_points(cluster, q.points);
+    mpc::scatter_points(cluster, q.points);
     PartitionParams params = make_params(seed, n, c.dim, c.buckets, delta);
     if (c.grids > 0) params.num_grids = c.grids;
     params.uncovered_singleton = c.singleton;
@@ -299,7 +299,7 @@ TEST(PathStages, MatchPointMajorOracleRecordForRecord) {
       EXPECT_GT(want_failures, 0u);
     }
 
-    EXPECT_EQ(run_partition_attempt(cluster, c.dim, params, 2),
+    EXPECT_EQ(run_attempt(cluster, c.dim, params, 2, PathOutput::kTreeEdges),
               want_failures);
     for (std::uint32_t m = 0; m < cluster.num_machines(); ++m) {
       const auto& store = cluster.store(m);
@@ -308,8 +308,8 @@ TEST(PathStages, MatchPointMajorOracleRecordForRecord) {
       EXPECT_EQ(keys::kFail.get(store), want[m].failures);
     }
 
-    EXPECT_EQ(run_path_records_attempt(cluster, c.dim, params, 2,
-                                       /*emit_links=*/true),
+    EXPECT_EQ(run_attempt(cluster, c.dim, params, 2,
+                          PathOutput::kRecordsAndLinks),
               want_failures);
     for (std::uint32_t m = 0; m < cluster.num_machines(); ++m) {
       const auto& store = cluster.store(m);

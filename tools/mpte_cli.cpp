@@ -361,11 +361,7 @@ int report_mpc_embedding(const mpc::Cluster& cluster,
                          const PointSet& points,
                          const MpcEmbedding& result,
                          const std::string& out_path) {
-  const Embedding embedding{result.tree,           result.embedded_points,
-                            result.scale_to_input, result.delta_used,
-                            result.buckets_used,   result.grids_used,
-                            result.dim_used,       result.fjlt_applied,
-                            result.retries_used,   /*point_ids=*/{}};
+  const Embedding& embedding = result;
   save_embedding(embedding, out_path, /*include_points=*/false);
 
   const HstShape shape = hst_shape(result.tree);
