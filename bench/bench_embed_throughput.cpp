@@ -3,11 +3,15 @@
 // Delta, not n; expected ball probes are O(1/p_k) per level).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "core/embedder.hpp"
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
 #include "partition/coverage.hpp"
 #include "partition/hybrid_partition.hpp"
+#include "partition/plan.hpp"
 #include "tree/embedding_builder.hpp"
 
 namespace mpte::bench {
@@ -107,6 +111,71 @@ void BM_HybridPathIds(benchmark::State& state) {
 BENCHMARK(BM_HybridPathIds)
     ->Args({4000, 310, 104, 4096, 16000})
     ->Args({10000, 16, 6, 1024, 40000})
+    ->Unit(benchmark::kMillisecond);
+
+// The one tree assembly (EXPERIMENTS.md E19) on the hybrid hierarchy of
+// n clustered points in R^16 (8 clusters, perfbench's mpc input; Delta
+// derived, seed 5). Args: the caller (0 = the build_hst adapter on the
+// hierarchy, one edge per (level, point); 1 = mpc_embed's readout,
+// assemble_tree on the hierarchy's deduplicated edges in a shuffled
+// gather order) and n.
+void BM_AssembleTree(benchmark::State& state) {
+  const bool readout = state.range(0) == 1;
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const PointSet raw = generate_gaussian_clusters(n, 16, 8, 100.0, 1.0, 1);
+  const std::uint64_t delta = recommended_delta(raw, 0.05, 1ull << 20);
+  const PointSet points = quantize_to_grid(raw, delta).points;
+  PartitionOptions options;
+  options.uncovered = UncoveredPolicy::kSingleton;
+  const auto plan =
+      plan_partition(PartitionMethod::kHybrid, n, 16, delta, options);
+  if (!plan.ok()) {
+    state.SkipWithError(plan.status().to_string().c_str());
+    return;
+  }
+  const auto hierarchy = build_hierarchy(points, *plan, 5);
+  if (!hierarchy.ok()) {
+    state.SkipWithError(hierarchy.status().to_string().c_str());
+    return;
+  }
+  const auto& ids = hierarchy->cluster_of_point;
+  std::vector<TreeEdge> edges;
+  for (std::size_t level = 1; level < ids.size(); ++level) {
+    for (std::size_t i = 0; i < n; ++i) {
+      edges.push_back(TreeEdge{ids[level][i], ids[level - 1][i]});
+    }
+  }
+  std::sort(edges.begin(), edges.end(),
+            [](const TreeEdge& a, const TreeEdge& b) {
+              return a.parent != b.parent ? a.parent < b.parent
+                                          : a.child < b.child;
+            });
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  Rng rng(7);
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.uniform_u64(i)]);
+  }
+  std::vector<TreeLeaf> leaves(n);
+  for (std::size_t i = 0; i < n; ++i) leaves[i] = TreeLeaf{i, ids.back()[i]};
+
+  std::size_t nodes = 0;
+  for (auto _ : state) {
+    const Hst tree = readout ? assemble_tree(edges, leaves, ids[0][0], n,
+                                             hierarchy->edge_weight)
+                             : build_hst(*hierarchy);
+    nodes = tree.num_nodes();
+    benchmark::DoNotOptimize(nodes);
+  }
+  state.counters["edges"] = static_cast<double>(edges.size());
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_AssembleTree)
+    ->Args({0, 20000})
+    ->Args({1, 20000})
+    ->Args({0, 250000})
+    ->Args({1, 250000})
     ->Unit(benchmark::kMillisecond);
 
 void BM_EmbedGridBaseline(benchmark::State& state) {

@@ -31,7 +31,8 @@ Snapshot decode_payload(std::span<const std::uint8_t> payload,
 
   Snapshot snap;
   snap.rounds = d.read<std::uint64_t>();
-  const auto num_machines = d.read<std::uint64_t>();
+  // Each machine holds at least its blob and message counts.
+  const auto num_machines = d.read_count(2 * sizeof(std::uint64_t));
   snap.state.machines.resize(num_machines);
   for (auto& machine : snap.state.machines) {
     const auto num_blobs = d.read<std::uint64_t>();
@@ -39,7 +40,8 @@ Snapshot decode_payload(std::span<const std::uint8_t> payload,
       const std::string key = d.read_string();
       machine.store.set_blob(key, read_buffer(d));
     }
-    const auto num_messages = d.read<std::uint64_t>();
+    const auto num_messages =
+        d.read_count(sizeof(mpc::MachineId) + sizeof(std::uint64_t));
     machine.inbox.reserve(num_messages);
     for (std::uint64_t i = 0; i < num_messages; ++i) {
       const auto from = d.read<mpc::MachineId>();
@@ -47,7 +49,9 @@ Snapshot decode_payload(std::span<const std::uint8_t> payload,
     }
   }
 
-  const auto num_records = d.read<std::uint64_t>();
+  // A record is at least a label length, six counters and a channel
+  // count.
+  const auto num_records = d.read_count(8 * sizeof(std::uint64_t));
   if (num_records != snap.rounds) {
     throw MpteError(context + ": record count " +
                     std::to_string(num_records) +

@@ -9,8 +9,7 @@ void Serializer::write_string(const std::string& s) {
 }
 
 std::string Deserializer::read_string() {
-  const auto count = read<std::uint64_t>();
-  require(count);
+  const auto count = read_count(1);
   std::string s(reinterpret_cast<const char*>(data_ + cursor_), count);
   cursor_ += count;
   return s;

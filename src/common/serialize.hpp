@@ -96,8 +96,9 @@ class Serializer {
 };
 
 /// Cursor-based decoder over a received byte buffer. Out-of-bounds reads
-/// throw MpteError (a malformed message is a programming error in the
-/// simulator, not a runtime condition).
+/// throw MpteError, and so does a length prefix longer than the bytes
+/// left, before anything is allocated: decoders of outside bytes (tree and
+/// embedding files, snapshots) turn the throw into a Status.
 class Deserializer {
  public:
   explicit Deserializer(const std::vector<std::uint8_t>& buffer)
@@ -120,8 +121,7 @@ class Deserializer {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vector() {
-    const auto count = read<std::uint64_t>();
-    require(count * sizeof(T));
+    const auto count = read_count(sizeof(T));
     std::vector<T> values(count);
     if (count > 0) {
       std::memcpy(values.data(), data_ + cursor_, count * sizeof(T));
@@ -132,12 +132,23 @@ class Deserializer {
 
   std::string read_string();
 
+  /// Reads a length prefix for records of at least `min_bytes` each and
+  /// throws unless that many bytes are left. A hostile count never wraps
+  /// count * min_bytes or reaches the allocator.
+  std::uint64_t read_count(std::size_t min_bytes) {
+    const auto count = read<std::uint64_t>();
+    if (count > remaining() / min_bytes) {
+      throw MpteError("Deserializer: length prefix exceeds message");
+    }
+    return count;
+  }
+
   bool exhausted() const { return cursor_ == size_; }
   std::size_t remaining() const { return size_ - cursor_; }
 
  private:
   void require(std::size_t n) const {
-    if (cursor_ + n > size_) {
+    if (n > size_ - cursor_) {
       throw MpteError("Deserializer: read past end of message");
     }
   }

@@ -19,7 +19,7 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
 
   // Stage spans under one root, named like mpc_embed's: fjlt/fjlt,
   // emb/delta, emb/quantize, emb/partition-attempt (one per attempt) and
-  // emb/build-hst.
+  // emb/assemble.
   const obs::Span pipeline_span("emb", "embed", "points", points.size());
 
   // (1) Dimension reduction when it pays.
@@ -66,7 +66,7 @@ Result<Embedding> embed(const PointSet& points, const EmbedOptions& options) {
     }
 
     Hst tree = [&] {
-      const obs::Span span("emb", "build-hst");
+      const obs::Span span("emb", "assemble");
       return build_hst(*hierarchy);
     }();
     Embedding embedding{

@@ -1,5 +1,7 @@
 #include "core/mpc_embedder.hpp"
 
+#include <cstddef>
+
 #include "core/mpc_stages.hpp"
 #include "mpc/point_blocks.hpp"
 #include "mpc/primitives.hpp"
@@ -10,6 +12,15 @@ namespace mpte {
 
 using mpc::Cluster;
 using mpc::KV;
+
+// The edge set holds KV{child, parent} and keys::kLeaf KV{point, id}: the
+// layouts of TreeEdge and TreeLeaf, so the readout gathers them as such.
+static_assert(sizeof(TreeEdge) == sizeof(KV) &&
+              offsetof(TreeEdge, child) == offsetof(KV, key) &&
+              offsetof(TreeEdge, parent) == offsetof(KV, value));
+static_assert(sizeof(TreeLeaf) == sizeof(KV) &&
+              offsetof(TreeLeaf, point) == offsetof(KV, key) &&
+              offsetof(TreeLeaf, id) == offsetof(KV, value));
 
 Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
                                const MpcEmbedOptions& options) {
@@ -26,14 +37,13 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
     mpc::dedup_kv(cluster, detail::keys::kEdges.name, dedup_key.name);
   }
 
-  // Host-side assembly (output readout): BFS from the root id over the
-  // gathered edge set, then the shared pruning pass.
+  // Host-side assembly (output readout): the one tree assembly over the
+  // gathered edge set and leaf records.
   const obs::Span assemble_span("emb", "assemble");
-  const auto leaves = mpc::gather_vector<KV>(cluster, detail::keys::kLeaf.name);
-  RawTree raw = detail::assemble_raw_tree(
-      mpc::gather_vector<KV>(cluster, dedup_key.name), leaves,
-      hybrid_root_id(run->params.seed), n);
-  raw.edge_weight = run->plan.ladder.edge_weight;
+  Hst tree = assemble_tree(
+      mpc::gather_vector<TreeEdge>(cluster, dedup_key.name),
+      mpc::gather_vector<TreeLeaf>(cluster, detail::keys::kLeaf.name),
+      hybrid_root_id(run->params.seed), n, run->plan.ladder.edge_weight);
 
   // Gather the quantized points for inspection/distortion measurement.
   PointSet embedded = mpc::gather_points(cluster, n, run->dim);
@@ -41,7 +51,7 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
 
   MpcEmbedding embedding{
       {
-          assemble_pruned(raw),
+          std::move(tree),
           std::move(embedded),
           run->cell,
           run->plan.delta,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -39,91 +38,6 @@ PartitionParams partition_params(const PartitionPlan& plan,
   params.uncovered_singleton =
       plan.uncovered == UncoveredPolicy::kSingleton ? 1 : 0;
   return params;
-}
-
-RawTree assemble_raw_tree(std::vector<KV> edges, std::span<const KV> leaves,
-                          std::uint64_t root_id, std::size_t num_points) {
-  // Edges by (parent, child): each node's children are one contiguous run,
-  // in the ascending order the BFS appends them.
-  std::sort(edges.begin(), edges.end(), [](const KV& a, const KV& b) {
-    return a.value != b.value ? a.value < b.value : a.key < b.key;
-  });
-  // Node indexes are 32-bit (RawNode::parent is an int32_t).
-  if (edges.size() >= std::numeric_limits<std::int32_t>::max()) {
-    throw MpteError("mpc_embed: too many tree edges to assemble");
-  }
-  const auto m = static_cast<std::uint32_t>(edges.size());
-  // Slot e < m stands for edge e's child, slot m for the root.
-  const auto id_of = [&](std::uint32_t slot) {
-    return slot < m ? edges[slot].key : root_id;
-  };
-  std::vector<std::uint32_t> by_id(std::size_t{m} + 1);
-  std::iota(by_id.begin(), by_id.end(), 0u);
-  std::sort(by_id.begin(), by_id.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return id_of(a) < id_of(b) || (id_of(a) == id_of(b) && a < b);
-  });
-  // Join slots (by id) against edges (by parent): [run_begin, run_end) of
-  // a slot are the edges whose parent is that slot's id.
-  std::vector<std::uint32_t> run_begin(by_id.size()), run_end(by_id.size());
-  std::uint32_t e = 0;
-  for (const std::uint32_t slot : by_id) {
-    const std::uint64_t id = id_of(slot);
-    while (e < m && edges[e].value < id) ++e;
-    std::uint32_t f = e;
-    while (f < m && edges[f].value == id) ++f;
-    run_begin[slot] = e;
-    run_end[slot] = f;
-  }
-
-  // BFS over the runs; the node order stays topological.
-  RawTree raw;
-  raw.nodes.reserve(by_id.size());
-  raw.nodes.push_back(RawTree::RawNode{root_id, -1, 0});
-  std::vector<std::uint32_t> slot_of_node{m};
-  slot_of_node.reserve(by_id.size());
-  for (std::size_t head = 0; head < raw.nodes.size(); ++head) {
-    const std::uint32_t slot = slot_of_node[head];
-    const std::uint32_t level = raw.nodes[head].level + 1;
-    for (std::uint32_t c = run_begin[slot]; c < run_end[slot]; ++c) {
-      raw.nodes.push_back(RawTree::RawNode{
-          edges[c].key, static_cast<std::int32_t>(head), level});
-      slot_of_node.push_back(c);
-    }
-  }
-
-  // (id, first BFS index) for every reached id, ascending by id.
-  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> first_node(by_id.size(), kUnreached);
-  for (std::size_t i = raw.nodes.size(); i-- > 0;) {
-    first_node[slot_of_node[i]] = static_cast<std::uint32_t>(i);
-  }
-  std::vector<KV> index_by_id;
-  index_by_id.reserve(raw.nodes.size());
-  for (const std::uint32_t slot : by_id) {
-    if (first_node[slot] == kUnreached) continue;
-    if (!index_by_id.empty() && index_by_id.back().key == id_of(slot)) {
-      index_by_id.back().value =
-          std::min<std::uint64_t>(index_by_id.back().value, first_node[slot]);
-    } else {
-      index_by_id.push_back(KV{id_of(slot), first_node[slot]});
-    }
-  }
-
-  raw.bottom_of_point.assign(num_points, 0);
-  for (const KV& leaf : leaves) {
-    const auto it = std::lower_bound(
-        index_by_id.begin(), index_by_id.end(), leaf.value,
-        [](const KV& entry, std::uint64_t id) { return entry.key < id; });
-    if (it == index_by_id.end() || it->key != leaf.value ||
-        leaf.key >= num_points) {
-      throw MpteError("mpc_embed: leaf record (point " +
-                      std::to_string(leaf.key) + ", node " +
-                      std::to_string(leaf.value) +
-                      ") names no node of the assembled tree");
-    }
-    raw.bottom_of_point[leaf.key] = static_cast<std::uint32_t>(it->value);
-  }
-  return raw;
 }
 
 std::uint64_t pack_level_node(std::size_t level, std::uint64_t cluster_id) {

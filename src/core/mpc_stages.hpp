@@ -14,10 +14,8 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/mpc_embedder.hpp"
 #include "geometry/point_set.hpp"
@@ -26,7 +24,6 @@
 #include "mpc/point_blocks.hpp"
 #include "mpc/primitives.hpp"
 #include "partition/plan.hpp"
-#include "tree/embedding_builder.hpp"
 
 namespace mpte::detail {
 
@@ -72,18 +69,6 @@ inline const mpc::ValueKey<double> kCell{"emb/cell"};
 /// quantize_to_grid applies) and leaves keys::kCell on rank 0.
 void mpc_quantize(mpc::Cluster& cluster, std::size_t dim,
                   std::uint64_t delta, std::size_t fanout);
-
-/// Stage 5's host-side readout: the raw cluster tree from the gathered,
-/// deduplicated keys::kEdges records (KV child-id -> parent-id) and the
-/// keys::kLeaf records (KV point-index -> bottom cluster id). Nodes are in
-/// BFS order from `root_id`, each node's children in ascending id order;
-/// an id reached under two parents appears under both, and a leaf attaches
-/// to its id's first BFS occurrence. Points without a leaf record stay at
-/// the root. Throws MpteError when a leaf names an id the BFS never
-/// reaches or a point index >= num_points. edge_weight is left empty.
-RawTree assemble_raw_tree(std::vector<mpc::KV> edges,
-                          std::span<const mpc::KV> leaves,
-                          std::uint64_t root_id, std::size_t num_points);
 
 /// Node id of the hierarchy cluster a point occupies at `level`, packed
 /// with the level in the top byte — the key format the distributed

@@ -192,29 +192,31 @@ Result<Embedding> DynamicEmbedder::materialize() const {
                   "materialize: need at least two live points");
   }
   const obs::Span span("dyn", "materialize", "points", n);
-  Hierarchy h;
-  h.num_buckets = plan_.num_buckets;
-  h.num_grids = plan_.num_grids;
-  h.scales = plan_.ladder.scales;
-  h.edge_weight = plan_.ladder.edge_weight;
-  h.cluster_of_point.assign(levels() + 1, std::vector<std::uint64_t>(n));
+  // Each record's column is its root-to-leaf path: one edge per level and
+  // its bottom id as the leaf. std::map iterates in ascending id order —
+  // the dense order of the equivalent static build.
+  std::vector<TreeEdge> edges;
+  edges.reserve(n * levels());
+  std::vector<TreeLeaf> leaves;
+  leaves.reserve(n);
   PointSet points(n, dim_);
   std::vector<std::uint64_t> ids;
   ids.reserve(n);
-  std::size_t i = 0;
-  // std::map iterates in ascending id order — the dense order of the
-  // equivalent static build.
   for (const auto& [id, record] : records_) {
-    for (std::size_t level = 0; level <= levels(); ++level) {
-      h.cluster_of_point[level][i] = record.column[level];
+    const std::size_t i = ids.size();
+    for (std::size_t level = 1; level <= levels(); ++level) {
+      edges.push_back(
+          TreeEdge{record.column[level], record.column[level - 1]});
     }
+    leaves.push_back(TreeLeaf{i, record.column[levels()]});
     std::copy(record.snapped.begin(), record.snapped.end(),
               points[i].begin());
     ids.push_back(id);
-    ++i;
   }
   Embedding embedding{
-      build_hst(h),
+      assemble_tree(std::move(edges), std::move(leaves),
+                    records_.begin()->second.column[0], n,
+                    plan_.ladder.edge_weight),
       std::move(points),
       frame_.cell,
       frame_.delta,

@@ -17,9 +17,10 @@
 // creation, through the front-end calls embed() makes, then
 // maintains a map from stable point id to that point's snapped coordinates
 // and cluster-id column. insert() computes one new column (O(levels * r)
-// ball probes); erase() drops one. materialize() lays the live columns out
-// in ascending-id order and runs the *same* build_hst the static path
-// runs, so the produced tree is byte-identical (hst_to_bytes) to
+// ball probes); erase() drops one. materialize() hands the live columns,
+// in ascending-id order, as edges and leaf records to the *same*
+// assemble_tree every pipeline runs, so the produced tree is
+// byte-identical (hst_to_bytes) to
 // embed(final_points, static_equivalent_options()) whenever the final
 // set's bounding box matches the pinned frame — the core correctness
 // contract, asserted by tests/test_dyn.cpp.
@@ -105,9 +106,10 @@ class DynamicEmbedder {
   /// column).
   std::uint64_t cells_recomputed() const { return cells_recomputed_; }
 
-  /// Rebuilds the full Embedding over the live set: columns in ascending
-  /// id order -> Hierarchy -> the shared build_hst. O(n * depth), no
-  /// partition probes. Byte-identical to the static build over the same
+  /// Rebuilds the full Embedding over the live set: each column, in
+  /// ascending id order, is one edge per level plus its bottom id as the
+  /// leaf record, into the shared assemble_tree. O(n * depth) records and
+  /// one sort of them, no partition probes. Byte-identical to the static build over the same
   /// final set (see file comment for the exact conditions). Traced as
   /// dyn/materialize.
   Result<Embedding> materialize() const;

@@ -1,16 +1,22 @@
 // Builds the HST from a hierarchical partitioning (the tree-construction
 // half of Algorithms 1 and 2).
 //
-// Both the sequential and the MPC paths first produce the *full* cluster
-// tree — one node per (level, cluster id), chains continuing below
-// singleton clusters — and then run the same pruning pass: each point's
-// leaf attaches at its topmost singleton ancestor and the chain below is
-// dropped (Algorithm 1's "stop once |C(v)| <= 1"). Sharing the assembly
-// guarantees the two paths produce identical trees for the same seed,
-// which the integration tests assert.
+// Algorithm 2's tree is the deduplicated union of the points' root-to-leaf
+// cluster-id paths, and Algorithm 1 stops splitting once |C(v)| <= 1.
+// assemble_tree does both, and it is the only routine that does: embed
+// (through build_hst), every EmbeddingEnsemble member, dyn materialize and
+// mpc_embed's readout all hand it their paths as (child id, parent id)
+// edges plus one (point, deepest id) leaf record per point. A seed fixes
+// the paths, so it fixes the tree byte for byte (hst_to_bytes), whichever
+// pipeline computed them.
+//
+// Node order: the kept cluster nodes in BFS order from the root, each
+// node's children in ascending cluster id, then one leaf per point in
+// point order.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "partition/hybrid_partition.hpp"
@@ -18,28 +24,40 @@
 
 namespace mpte {
 
-/// The unpruned cluster tree, in topological (level-major) node order.
-struct RawTree {
-  struct RawNode {
-    /// Cluster id (diagnostic; carried into HstNode::cluster_id).
-    std::uint64_t key = 0;
-    /// Parent index, -1 for the root.
-    std::int32_t parent = -1;
-    std::uint32_t level = 0;
-  };
-  std::vector<RawNode> nodes;
-  /// Per point: index of its deepest-level cluster node.
-  std::vector<std::uint32_t> bottom_of_point;
-  /// Weight of an edge entering a node on each level (index 0 unused).
-  std::vector<double> edge_weight;
+/// One edge of the cluster tree: a cluster id and its parent's id.
+struct TreeEdge {
+  std::uint64_t child;
+  std::uint64_t parent;
+
+  friend bool operator==(const TreeEdge&, const TreeEdge&) = default;
 };
 
-/// Prunes singleton chains and produces the final HST: every point's leaf
-/// hangs (weight 0) under its topmost ancestor containing only that point;
-/// nodes below are dropped.
-Hst assemble_pruned(const RawTree& raw);
+/// A point and the id of its deepest cluster.
+struct TreeLeaf {
+  std::uint64_t point;
+  std::uint64_t id;
+};
 
-/// Constructs the HST for a Hierarchy (sequential path).
+/// The one tree assembly. Grows the cluster tree from `root_id` by BFS
+/// over `edges` (any order, repeats allowed), each node's children in
+/// ascending id; an id reached under two parents appears under both, and
+/// edges under a parent the BFS never reaches are ignored. A leaf record
+/// puts its point on the first BFS occurrence of its id; a point without
+/// one sits at the root, and duplicate points share their bottom node.
+/// Then it prunes as Algorithm 1 does: each point's leaf hangs (weight 0)
+/// under its topmost ancestor holding only that point, or under its
+/// bottom node when duplicates never separate, and the chains below are
+/// dropped. The edge entering a level-l node weighs edge_weight[l].
+///
+/// Throws MpteError when num_points is 0, a leaf names a point
+/// >= num_points or an id the BFS never reaches, a path runs deeper than
+/// edge_weight, or there are more than INT32_MAX distinct edges.
+Hst assemble_tree(std::vector<TreeEdge> edges, std::vector<TreeLeaf> leaves,
+                  std::uint64_t root_id, std::size_t num_points,
+                  std::span<const double> edge_weight);
+
+/// The tree of a Hierarchy (sequential path): one edge per (level >= 1,
+/// point) and each point's last-level id as its leaf, into assemble_tree.
 Hst build_hst(const Hierarchy& hierarchy);
 
 /// Summary shape statistics for reporting.

@@ -29,10 +29,11 @@ inline constexpr std::uint64_t kFingerprintSeed = 1469598103934665603ull;
 /// Auto-Δ pins: the golden points and options with delta = 0, so Δ is
 /// derived from the input by recommended_delta. Captured with the
 /// all-pairs distance scan; the closest-pair search that replaced it must
-/// find the same d_min bit for bit, so Δ and both embeddings stay put.
+/// find the same d_min bit for bit, so Δ and the embedding stay put.
+/// embed() on auto_delta_embed_options() builds the same bytes: every
+/// pipeline runs one tree assembly.
 inline constexpr std::uint64_t kAutoDelta = 202;
 inline constexpr std::uint64_t kAutoDeltaMpcHash = 6322586044953844604ull;
-inline constexpr std::uint64_t kAutoDeltaEmbedHash = 14854787649588370003ull;
 
 inline PointSet golden_points() {
   return generate_uniform_cube(150, 8, 30.0, 7);
@@ -71,15 +72,17 @@ inline MpcEmbedOptions auto_delta_options() {
   return options;
 }
 
+/// The sequential embed() counterpart of MPC options: the same shared
+/// fields, the hybrid method.
+inline EmbedOptions embed_options(const MpcEmbedOptions& mpc) {
+  EmbedOptions options;
+  static_cast<PipelineOptions&>(options) = mpc;
+  return options;
+}
+
 /// The sequential embed() counterpart of auto_delta_options().
 inline EmbedOptions auto_delta_embed_options() {
-  const MpcEmbedOptions mpc = auto_delta_options();
-  EmbedOptions options;
-  options.seed = mpc.seed;
-  options.num_buckets = mpc.num_buckets;
-  options.delta = mpc.delta;
-  options.use_fjlt = mpc.use_fjlt;
-  return options;
+  return embed_options(auto_delta_options());
 }
 
 /// The FJLT + derived-Δ configuration: 120 clustered points in R^300 (the

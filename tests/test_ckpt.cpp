@@ -18,6 +18,8 @@
 #include "ckpt/manager.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/snapshot.hpp"
+#include "common/checksum.hpp"
+#include "common/serialize.hpp"
 #include "golden.hpp"
 #include "mpc/primitives.hpp"
 
@@ -119,6 +121,34 @@ TEST(Snapshot, FileRoundTripAndCorruptionRejection) {
   const auto trunc = Snapshot::from_bytes(truncated, "truncated");
   ASSERT_FALSE(trunc.ok());
   EXPECT_EQ(trunc.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Snapshot, HostileCountsBehindAValidEnvelopeAreAStatus) {
+  // A checksum-valid payload whose counts are hostile: a machine count of
+  // 2^61 + 1, then a blob key and a blob length of 2^64 - 1 (which wrap
+  // the cursor). Each must come back as kInvalidArgument.
+  constexpr std::uint64_t kHuge = (std::uint64_t{1} << 61) + 1;
+  constexpr std::uint64_t kWraps = ~std::uint64_t{0};
+  const auto payload = [](std::uint64_t machines, std::uint64_t key_length,
+                          std::uint64_t blob_length) {
+    Serializer s;
+    s.write(Snapshot::kMagic);
+    s.write(Snapshot::kVersion);
+    s.write<std::uint64_t>(0);  // rounds
+    s.write(machines);
+    s.write<std::uint64_t>(1);  // blobs on machine 0
+    s.write(key_length);
+    s.write<std::uint8_t>('k');
+    s.write(blob_length);
+    for (int i = 0; i < 5; ++i) s.write<std::uint64_t>(0);
+    return wrap_checksummed(s.bytes());
+  };
+  for (const auto& bytes :
+       {payload(kHuge, 1, 0), payload(1, kWraps, 0), payload(1, 1, kWraps)}) {
+    const auto decoded = Snapshot::from_bytes(bytes, "hostile");
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(Coordinator, CorruptNewestSnapshotFallsBackToOlderOne) {

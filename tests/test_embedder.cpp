@@ -219,10 +219,28 @@ TEST(Embedder, AutoDeltaGoldenFingerprintPinned) {
                               golden::auto_delta_embed_options());
     ASSERT_TRUE(result.ok()) << result.status().to_string();
     EXPECT_EQ(result->delta_used, golden::kAutoDelta);
-    EXPECT_EQ(golden::fingerprint(*result), golden::kAutoDeltaEmbedHash)
+    EXPECT_EQ(golden::fingerprint(*result), golden::kAutoDeltaMpcHash)
         << "threads " << threads;
   }
   par::set_default_threads(0);
+}
+
+TEST(Embedder, ReproducesTheMpcGoldenPins) {
+  // One tree assembly: on the pinned configurations the sequential
+  // pipeline builds mpc_embed's bytes.
+  const auto golden = embed(golden::golden_points(),
+                            golden::embed_options(golden::golden_options()));
+  ASSERT_TRUE(golden.ok()) << golden.status().to_string();
+  EXPECT_EQ(golden::fingerprint(*golden), golden::kGoldenHash);
+
+  const auto fjlt = embed(golden::fjlt_points(),
+                          golden::embed_options(golden::fjlt_options()));
+  ASSERT_TRUE(fjlt.ok()) << fjlt.status().to_string();
+  ASSERT_TRUE(fjlt->fjlt_applied);
+  EXPECT_EQ(golden::fingerprint(*fjlt), golden::kFjltMpcHash);
+  EXPECT_EQ(fjlt->scale_to_input, golden::kFjltScaleToInput);
+  EXPECT_EQ(fjlt->delta_used, golden::kFjltDelta);
+  EXPECT_EQ(fjlt->retries_used, golden::kFjltRetries);
 }
 
 TEST(Embedder, InfeasibleGridCountIsAStatus) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
+#include "common/checksum.hpp"
 #include "geometry/generators.hpp"
 
 namespace mpte {
@@ -90,6 +92,28 @@ TEST(EmbeddingIo, RejectsOnDiskCorruption) {
   EXPECT_NE(result.status().to_string().find("checksum"),
             std::string::npos);
   EXPECT_THROW((void)load_embedding(path), MpteError);
+  std::remove(path.c_str());
+}
+
+TEST(EmbeddingIo, HostileIdCountBehindAValidEnvelopeIsAStatus) {
+  // The stable-id count follows the 49-byte header (magic, version,
+  // scale, delta, buckets, grids, dim, fjlt, retries). 2^61 + 1 ids of 8
+  // bytes wrap to 8 bytes; the checksum is recomputed, so only the
+  // decoder stands between the count and the allocator.
+  auto payload = embedding_to_bytes(sample_embedding(15));
+  constexpr std::size_t kIdCountAt = 49;
+  std::uint64_t count = 0;
+  std::memcpy(&count, payload.data() + kIdCountAt, sizeof(count));
+  ASSERT_EQ(count, 0u);  // a static embedding stores no ids
+  count = (std::uint64_t{1} << 61) + 1;
+  std::memcpy(payload.data() + kIdCountAt, &count, sizeof(count));
+  const auto enveloped = wrap_checksummed(payload);
+  const std::string path =
+      ::testing::TempDir() + "mpte_embedding_io_hostile.bin";
+  ASSERT_TRUE(write_file_atomic(path, enveloped).ok());
+  const auto result = try_load_embedding(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 

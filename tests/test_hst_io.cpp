@@ -71,6 +71,27 @@ TEST(HstIo, RejectsTruncatedInput) {
   EXPECT_THROW((void)hst_from_bytes(bytes), MpteError);
 }
 
+TEST(HstIo, HostileNodeCountInALegacyFileIsAStatus) {
+  // 56 bytes of pre-envelope file: magic, version 1, a node count of
+  // 2^61 + 1 (its 40-byte records wrap to 40 bytes), then 40 zero bytes.
+  const auto valid = hst_to_bytes(sample_tree());
+  std::vector<std::uint8_t> bytes(valid.begin(), valid.begin() + 8);
+  const std::uint64_t count = (std::uint64_t{1} << 61) + 1;
+  const auto* count_bytes = reinterpret_cast<const std::uint8_t*>(&count);
+  bytes.insert(bytes.end(), count_bytes, count_bytes + sizeof(count));
+  bytes.resize(56, 0);
+  const std::string path = ::testing::TempDir() + "mpte_hst_io_hostile.tree";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const auto result = try_load_hst(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
 TEST(HstIo, RejectsCorruptedStructure) {
   // Corrupt a parent pointer deep inside; validate() must catch it.
   const Hst tree = sample_tree(11);

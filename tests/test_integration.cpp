@@ -15,6 +15,7 @@
 #include "geometry/generators.hpp"
 #include "tree/distortion.hpp"
 #include "tree/embedding_builder.hpp"
+#include "tree/hst_io.hpp"
 
 namespace mpte {
 namespace {
@@ -59,7 +60,8 @@ TEST(Integration, DistortionOrderingAcrossMethods) {
 
 TEST(Integration, MpcPipelineEqualsSequentialThroughFjlt) {
   // With a roomy cluster the FJLT runs in local mode (bit-identical), so
-  // the *entire* MPC pipeline must reproduce the sequential tree metric.
+  // the *entire* MPC pipeline must reproduce the sequential tree, byte
+  // for byte.
   const PointSet points = generate_uniform_cube(48, 130, 10.0, 5);
 
   EmbedOptions seq;
@@ -81,11 +83,8 @@ TEST(Integration, MpcPipelineEqualsSequentialThroughFjlt) {
   ASSERT_TRUE(b.ok()) << b.status().to_string();
   ASSERT_TRUE(b->fjlt_applied);
 
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::size_t j = i + 1; j < points.size(); ++j) {
-      EXPECT_DOUBLE_EQ(a->tree.distance(i, j), b->tree.distance(i, j));
-    }
-  }
+  EXPECT_EQ(b->embedded_points.raw(), a->embedded_points.raw());
+  EXPECT_EQ(hst_to_bytes(b->tree), hst_to_bytes(a->tree));
 }
 
 TEST(Integration, ApplicationsShareOneEmbedding) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -318,137 +317,6 @@ TEST(PathStages, MatchPointMajorOracleRecordForRecord) {
       expect_same_records(keys::kLinks.get(store), want[m].links, "links");
     }
   }
-}
-
-/// The hash-map BFS that assemble_raw_tree replaced, kept as its oracle:
-/// children per parent id, sorted when their parent is expanded, and the
-/// first BFS occurrence of an id wins for leaves.
-RawTree hash_map_raw_tree(const std::vector<KV>& edges,
-                          const std::vector<KV>& leaves,
-                          std::uint64_t root_id, std::size_t n) {
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> children;
-  for (const KV& edge : edges) children[edge.value].push_back(edge.key);
-  RawTree raw;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_of;
-  raw.nodes.push_back(RawTree::RawNode{root_id, -1, 0});
-  index_of.emplace(root_id, 0);
-  for (std::size_t head = 0; head < raw.nodes.size(); ++head) {
-    const auto it = children.find(raw.nodes[head].key);
-    if (it == children.end()) continue;
-    std::vector<std::uint64_t> kids = it->second;
-    std::sort(kids.begin(), kids.end());
-    for (const std::uint64_t kid : kids) {
-      const auto index = static_cast<std::uint32_t>(raw.nodes.size());
-      raw.nodes.push_back(RawTree::RawNode{
-          kid, static_cast<std::int32_t>(head), raw.nodes[head].level + 1});
-      index_of.emplace(kid, index);
-    }
-  }
-  raw.bottom_of_point.assign(n, 0);
-  for (const KV& leaf : leaves) {
-    raw.bottom_of_point[leaf.key] = index_of.at(leaf.value);
-  }
-  return raw;
-}
-
-void expect_same_raw_tree(const RawTree& got, const RawTree& want) {
-  ASSERT_EQ(got.nodes.size(), want.nodes.size());
-  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
-    EXPECT_EQ(got.nodes[i].key, want.nodes[i].key) << "node " << i;
-    EXPECT_EQ(got.nodes[i].parent, want.nodes[i].parent) << "node " << i;
-    EXPECT_EQ(got.nodes[i].level, want.nodes[i].level) << "node " << i;
-  }
-  EXPECT_EQ(got.bottom_of_point, want.bottom_of_point);
-}
-
-/// A random hierarchy: `levels` levels below the root, 1–4 children per
-/// node, random 64-bit ids, edges shuffled (the gather concatenates
-/// machines in no id order), and every point on a random deepest node.
-struct RandomTree {
-  std::uint64_t root = 0;
-  std::vector<KV> edges;
-  std::vector<KV> leaves;
-  std::vector<std::uint64_t> bottom;
-};
-
-RandomTree random_tree(std::uint64_t seed, std::size_t levels,
-                       std::size_t n) {
-  Rng rng(seed);
-  RandomTree tree;
-  tree.root = rng();
-  std::vector<std::uint64_t> frontier{tree.root};
-  for (std::size_t level = 0; level < levels; ++level) {
-    std::vector<std::uint64_t> next;
-    for (const std::uint64_t parent : frontier) {
-      const std::size_t kids = 1 + rng.uniform_u64(4);
-      for (std::size_t k = 0; k < kids; ++k) {
-        next.push_back(rng());
-        tree.edges.push_back(KV{next.back(), parent});
-      }
-    }
-    frontier = std::move(next);
-  }
-  tree.bottom = frontier;
-  for (std::size_t p = 0; p < n; ++p) {
-    tree.leaves.push_back(
-        KV{p, frontier[rng.uniform_u64(frontier.size())]});
-  }
-  for (std::size_t i = tree.edges.size(); i > 1; --i) {
-    std::swap(tree.edges[i - 1], tree.edges[rng.uniform_u64(i)]);
-  }
-  return tree;
-}
-
-TEST(AssembleRawTree, MatchesHashMapBfs) {
-  for (const std::uint64_t seed : {1, 2, 3, 4}) {
-    const RandomTree tree = random_tree(seed, 5, 300);
-    expect_same_raw_tree(
-        assemble_raw_tree(tree.edges, tree.leaves, tree.root, 300),
-        hash_map_raw_tree(tree.edges, tree.leaves, tree.root, 300));
-  }
-}
-
-TEST(AssembleRawTree, IdUnderTwoParentsAndUnreachableEdgesMatchHashMapBfs) {
-  RandomTree tree = random_tree(9, 4, 200);
-  // An id reached under two parents appears under both (with its whole
-  // subtree); a leaf on it attaches to its first BFS occurrence.
-  ASSERT_GE(tree.bottom.size(), 2u);
-  const std::uint64_t shared = tree.bottom.front();
-  tree.edges.push_back(KV{shared, tree.bottom.back()});
-  tree.edges.push_back(KV{12345, shared});
-  tree.leaves.push_back(KV{200, shared});
-  tree.leaves.push_back(KV{201, 12345});
-  // Edges under a parent the BFS never reaches are ignored.
-  tree.edges.push_back(KV{777, 888});
-  tree.edges.push_back(KV{999, 777});
-  // A point whose leaf names the root, and one with no leaf record.
-  tree.leaves.push_back(KV{202, tree.root});
-  const RawTree got =
-      assemble_raw_tree(tree.edges, tree.leaves, tree.root, 204);
-  expect_same_raw_tree(
-      got, hash_map_raw_tree(tree.edges, tree.leaves, tree.root, 204));
-  EXPECT_EQ(got.bottom_of_point[202], 0u);
-  EXPECT_EQ(got.bottom_of_point[203], 0u);
-}
-
-TEST(AssembleRawTree, LeafOutsideTheGatheredTreeThrows) {
-  const RandomTree tree = random_tree(5, 3, 50);
-  // An id no edge names.
-  std::vector<KV> leaves = tree.leaves;
-  leaves.push_back(KV{10, 0xdeadbeefull});
-  EXPECT_THROW(assemble_raw_tree(tree.edges, leaves, tree.root, 50),
-               MpteError);
-  // An id that is the child of an edge the BFS never reaches.
-  std::vector<KV> edges = tree.edges;
-  edges.push_back(KV{4242, 4141});
-  leaves = tree.leaves;
-  leaves.push_back(KV{11, 4242});
-  EXPECT_THROW(assemble_raw_tree(edges, leaves, tree.root, 50), MpteError);
-  // A point index past the end.
-  leaves = tree.leaves;
-  leaves.push_back(KV{50, tree.bottom[0]});
-  EXPECT_THROW(assemble_raw_tree(tree.edges, leaves, tree.root, 50),
-               MpteError);
 }
 
 }  // namespace

@@ -424,8 +424,8 @@ TEST(ObservationOnly, TracedSequentialEmbedIsByteIdenticalAndSplitsByStage) {
       embed(golden::golden_points(), golden::auto_delta_embed_options());
   Tracer::global().disable();
   ASSERT_TRUE(traced.ok()) << traced.status().to_string();
-  EXPECT_EQ(golden::fingerprint(*plain), golden::kAutoDeltaEmbedHash);
-  EXPECT_EQ(golden::fingerprint(*traced), golden::kAutoDeltaEmbedHash);
+  EXPECT_EQ(golden::fingerprint(*plain), golden::kAutoDeltaMpcHash);
+  EXPECT_EQ(golden::fingerprint(*traced), golden::kAutoDeltaMpcHash);
 
   const auto events = Tracer::global().snapshot();
   const SpanEvent* root = nullptr;
@@ -445,7 +445,7 @@ TEST(ObservationOnly, TracedSequentialEmbedIsByteIdenticalAndSplitsByStage) {
   EXPECT_EQ(children["emb/delta"], 1);
   EXPECT_EQ(children["emb/quantize"], 1);
   EXPECT_EQ(children["emb/partition-attempt"], 1);
-  EXPECT_EQ(children["emb/build-hst"], 1);
+  EXPECT_EQ(children["emb/assemble"], 1);
   EXPECT_EQ(children.count("fjlt/fjlt"), 0u);  // 8 dims: no FJLT
 
   // The FJLT stage gets its own span when the transform applies.

@@ -123,5 +123,37 @@ TEST(Serialize, PodStructRoundTrip) {
   EXPECT_EQ(v[1].c, 9u);
 }
 
+TEST(Deserialize, HostileLengthPrefixesThrowBeforeAllocating) {
+  // 2^61 + 1 records of 8 or 16 bytes wrap to 8 or 16 bytes, and 2^64 - 1
+  // bytes wrap the cursor: each must throw MpteError, never reach the
+  // allocator, even with 40 real bytes behind the prefix.
+  for (const std::uint64_t count :
+       {(std::uint64_t{1} << 61) + 1, ~std::uint64_t{0}}) {
+    Serializer s;
+    s.write(count);
+    for (int i = 0; i < 5; ++i) s.write<std::uint64_t>(0);
+    Deserializer doubles(s.bytes());
+    EXPECT_THROW((void)doubles.read_vector<double>(), MpteError) << count;
+    Deserializer records(s.bytes());
+    EXPECT_THROW((void)records.read_vector<PodRecord>(), MpteError) << count;
+    Deserializer bytes(s.bytes());
+    EXPECT_THROW((void)bytes.read_vector<std::uint8_t>(), MpteError)
+        << count;
+    Deserializer string(s.bytes());
+    EXPECT_THROW((void)string.read_string(), MpteError) << count;
+  }
+}
+
+TEST(Deserialize, ReadCountBoundsByTheBytesLeft) {
+  Serializer s;
+  s.write<std::uint64_t>(2);
+  s.write<std::uint64_t>(0);
+  s.write<std::uint64_t>(0);
+  Deserializer fits(s.bytes());
+  EXPECT_EQ(fits.read_count(8), 2u);
+  Deserializer too_long(s.bytes());
+  EXPECT_THROW((void)too_long.read_count(9), MpteError);
+}
+
 }  // namespace
 }  // namespace mpte
