@@ -1,24 +1,24 @@
-// Serving-tier throughput: batched + cached EmbeddingService vs a
-// one-at-a-time baseline (ISSUE 2 acceptance experiment).
+// Serving-tier throughput: the batched EmbeddingService vs a
+// one-at-a-time baseline.
 //
 // Both configurations run the same deterministic query mix (70% dist /
-// 20% knn / 10% range, Zipf-ish hot set so the cache has something to
-// hit) from 8 client threads against the same ensemble:
+// 20% knn / 10% range, half of it on a hot set of 64 points) from 8
+// client threads against the same ensemble:
 //
-//   baseline   max_batch=1, max_wait=0, cache off; every client submits
-//              one request and blocks on the future before the next —
-//              one queue/condvar handoff and one pool dispatch per query.
-//   batched    max_batch=128, max_wait=200us, 1 MiB cache; every client
-//              pipelines windows of 64 via submit_batch, then drains.
+//   baseline   max_batch=1, max_wait=0; every client submits one request
+//              and blocks on the future before the next — one
+//              queue/condvar handoff and one pool dispatch per query.
+//   batched    max_batch=128, max_wait=200us; every client pipelines
+//              windows of 64 via submit_batch, then drains.
 //
 // Answers from both runs are checked against direct evaluate() on the
-// ensemble; `mismatches` must be 0 (batching/caching change scheduling,
-// never values). On a multi-core host batched_qps should be >= 3x
+// ensemble; `mismatches` must be 0 (batching changes scheduling, never
+// values). On a multi-core host batched_qps should be >= 3x
 // baseline_qps; on one hardware thread the gap measures only the saved
 // handoffs, so the ratio is reported, not asserted.
 //
 // Counters: baseline_qps, batched_qps, speedup, p50_ms, p99_ms (batched
-// run, submit-to-completion), hit_rate, mismatches, hw_threads, spans.
+// run, submit-to-completion), mismatches, hw_threads, spans.
 // The batched run is traced (mpte::obs) and leaves
 // bench_serve_throughput.trace.json / .metrics.prom next to the binary.
 #include <benchmark/benchmark.h>
@@ -53,8 +53,8 @@ constexpr std::size_t kWindow = 64;
 serve::Request make_request(std::size_t client, std::size_t i,
                             std::size_t num_points) {
   const std::uint64_t h = mix64(hash_combine(client + 1, i));
-  // A hot set of 64 points gets half the traffic — repeated pairs are
-  // the cache fodder; the other half is uniform (cold).
+  // A hot set of 64 points gets half the traffic; the other half is
+  // uniform (cold).
   const bool hot = (h & 1) != 0;
   const std::size_t p = static_cast<std::size_t>(
       (h >> 1) % (hot ? std::min<std::size_t>(64, num_points)
@@ -123,8 +123,8 @@ RunResult run_clients(serve::EmbeddingService& service, bool pipelined) {
   return result;
 }
 
-/// Re-derives every answer through evaluate() (no queue, no cache) and
-/// counts disagreements with the service path. Both go through the same
+/// Re-derives every answer through evaluate() (no queue) and counts
+/// disagreements with the service path. Both go through the same
 /// LcaIndex code, so the comparison is exact equality.
 std::uint64_t verify_answers(serve::EmbeddingService& service) {
   std::uint64_t mismatches = 0;
@@ -168,11 +168,9 @@ serve::EmbeddingService make_service(const PointSet& points,
   if (batched) {
     service_options.max_batch = 128;
     service_options.max_wait = std::chrono::microseconds(200);
-    service_options.cache_bytes = 1 << 20;
   } else {
     service_options.max_batch = 1;
     service_options.max_wait = std::chrono::microseconds(0);
-    service_options.cache_bytes = 0;
   }
   service_options.max_queue = 1 << 16;
   return serve::EmbeddingService(std::move(ensemble).value(),
@@ -226,7 +224,6 @@ void BM_ServeThroughput(benchmark::State& state) {
         baseline_qps > 0.0 ? run.qps / baseline_qps : 0.0;
     state.counters["p50_ms"] = run.stats.p50_ms;
     state.counters["p99_ms"] = run.stats.p99_ms;
-    state.counters["hit_rate"] = run.stats.cache_hit_rate;
     state.counters["mismatches"] = static_cast<double>(mismatches);
     state.counters["hw_threads"] =
         static_cast<double>(par::hardware_threads());

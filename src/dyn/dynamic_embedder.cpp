@@ -149,6 +149,15 @@ Status DynamicEmbedder::insert_with_id(std::uint64_t id,
     return Status(StatusCode::kInvalidArgument,
                   "insert: id " + std::to_string(id) + " is already live");
   }
+  // The snap would clamp an infinite coordinate to the box edge and pass
+  // NaN through into the grid ids; neither is a point.
+  for (std::size_t j = 0; j < coords.size(); ++j) {
+    if (!std::isfinite(coords[j])) {
+      return Status(StatusCode::kInvalidArgument,
+                    "insert: coordinate " + std::to_string(j) +
+                        " is not finite");
+    }
+  }
   Record record;
   record.snapped.resize(dim_);
   frame_.snap(coords, record.snapped);

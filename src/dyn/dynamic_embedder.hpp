@@ -82,7 +82,8 @@ class DynamicEmbedder {
   Result<std::uint64_t> insert(std::span<const double> coords);
 
   /// Inserts under a caller-chosen id (ensemble members must agree on
-  /// ids). Fails with kInvalidArgument if the id is live.
+  /// ids). Fails with kInvalidArgument if the id is live, the dimension
+  /// is wrong or a coordinate is NaN or infinite.
   Status insert_with_id(std::uint64_t id, std::span<const double> coords);
 
   /// Removes a live point. Fails with kInvalidArgument on an unknown id,

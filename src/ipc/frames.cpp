@@ -53,6 +53,36 @@ mpc::Buffer read_buffer(Deserializer& d,
   return mpc::Buffer::copy_of(arena.subspan(offset, length));
 }
 
+// The smallest encoding of one record behind each count. decode reads
+// every count through read_count with these, so a count the bytes left
+// cannot hold is refused before anything is allocated for it.
+constexpr std::size_t kMinBlobBytes = 1 + sizeof(std::uint64_t);
+constexpr std::size_t kMinDeltaBytes = sizeof(std::uint64_t) + 1;
+constexpr std::size_t kMinChannelBytes = 2 * sizeof(std::uint64_t);
+constexpr std::size_t kMinMessageBytes =
+    sizeof(mpc::MachineId) + kMinBlobBytes;
+
+void write_deltas(Serializer& s, const std::vector<StoreDelta>& deltas,
+                  BlobArena* arena) {
+  s.write(static_cast<std::uint64_t>(deltas.size()));
+  for (const auto& delta : deltas) {
+    s.write_string(delta.key);
+    s.write(static_cast<std::uint8_t>(delta.present ? 1 : 0));
+    if (delta.present) write_buffer(s, delta.blob, arena);
+  }
+}
+
+std::vector<StoreDelta> read_deltas(Deserializer& d,
+                                    std::span<const std::uint8_t> arena) {
+  std::vector<StoreDelta> deltas(d.read_count(kMinDeltaBytes));
+  for (StoreDelta& delta : deltas) {
+    delta.key = d.read_string();
+    delta.present = d.read<std::uint8_t>() != 0;
+    if (delta.present) delta.blob = read_buffer(d, arena);
+  }
+  return deltas;
+}
+
 Frame decode(std::span<const std::uint8_t> payload,
              std::span<const std::uint8_t> arena) {
   Deserializer d(payload);
@@ -70,25 +100,13 @@ Frame decode(std::span<const std::uint8_t> payload,
       result.rank = d.read<mpc::MachineId>();
       result.round = d.read<std::uint64_t>();
       frame.round = result.round;
-      const auto num_deltas = d.read<std::uint64_t>();
-      result.store_delta.reserve(num_deltas);
-      for (std::uint64_t i = 0; i < num_deltas; ++i) {
-        StoreDelta delta;
-        delta.key = d.read_string();
-        delta.present = d.read<std::uint8_t>() != 0;
-        if (delta.present) delta.blob = read_buffer(d, arena);
-        result.store_delta.push_back(std::move(delta));
+      result.store_delta = read_deltas(d, arena);
+      result.fragments.resize(d.read_count(sizeof(std::uint64_t)));
+      for (auto& cell : result.fragments) {
+        cell.resize(d.read_count(kMinBlobBytes));
+        for (mpc::Buffer& fragment : cell) fragment = read_buffer(d, arena);
       }
-      const auto num_dst = d.read<std::uint64_t>();
-      result.fragments.resize(num_dst);
-      for (std::uint64_t dst = 0; dst < num_dst; ++dst) {
-        const auto num_fragments = d.read<std::uint64_t>();
-        result.fragments[dst].reserve(num_fragments);
-        for (std::uint64_t f = 0; f < num_fragments; ++f) {
-          result.fragments[dst].push_back(read_buffer(d, arena));
-        }
-      }
-      const auto num_channels = d.read<std::uint64_t>();
+      const auto num_channels = d.read_count(kMinChannelBytes);
       for (std::uint64_t c = 0; c < num_channels; ++c) {
         std::string channel = d.read_string();
         result.channel_bytes[std::move(channel)] = d.read<std::uint64_t>();
@@ -104,22 +122,11 @@ Frame decode(std::span<const std::uint8_t> payload,
       step.step_params = read_buffer(d, arena);
       step.reset_store = d.read<std::uint8_t>() != 0;
       step.inject_kill = d.read<std::uint8_t>() != 0;
-      const auto num_patch = d.read<std::uint64_t>();
-      step.store_patch.reserve(num_patch);
-      for (std::uint64_t i = 0; i < num_patch; ++i) {
-        StoreDelta delta;
-        delta.key = d.read_string();
-        delta.present = d.read<std::uint8_t>() != 0;
-        if (delta.present) delta.blob = read_buffer(d, arena);
-        step.store_patch.push_back(std::move(delta));
-      }
-      const auto num_messages = d.read<std::uint64_t>();
-      step.inbox.reserve(num_messages);
-      for (std::uint64_t i = 0; i < num_messages; ++i) {
-        mpc::Message message;
+      step.store_patch = read_deltas(d, arena);
+      step.inbox.resize(d.read_count(kMinMessageBytes));
+      for (mpc::Message& message : step.inbox) {
         message.from = d.read<mpc::MachineId>();
         message.payload = read_buffer(d, arena);
-        step.inbox.push_back(std::move(message));
       }
       return frame;
     }
@@ -161,12 +168,7 @@ mpc::Buffer encode_result(const ResultFrame& frame, BlobArena* arena) {
   s.write(static_cast<std::uint32_t>(FrameKind::kResult));
   s.write(frame.rank);
   s.write(frame.round);
-  s.write(static_cast<std::uint64_t>(frame.store_delta.size()));
-  for (const auto& delta : frame.store_delta) {
-    s.write_string(delta.key);
-    s.write(static_cast<std::uint8_t>(delta.present ? 1 : 0));
-    if (delta.present) write_buffer(s, delta.blob, arena);
-  }
+  write_deltas(s, frame.store_delta, arena);
   s.write(static_cast<std::uint64_t>(frame.fragments.size()));
   for (const auto& cell : frame.fragments) {
     s.write(static_cast<std::uint64_t>(cell.size()));
@@ -207,12 +209,7 @@ mpc::Buffer encode_step(const StepFrame& frame, BlobArena* arena) {
   write_buffer(s, frame.step_params, arena);
   s.write(static_cast<std::uint8_t>(frame.reset_store ? 1 : 0));
   s.write(static_cast<std::uint8_t>(frame.inject_kill ? 1 : 0));
-  s.write(static_cast<std::uint64_t>(frame.store_patch.size()));
-  for (const auto& delta : frame.store_patch) {
-    s.write_string(delta.key);
-    s.write(static_cast<std::uint8_t>(delta.present ? 1 : 0));
-    if (delta.present) write_buffer(s, delta.blob, arena);
-  }
+  write_deltas(s, frame.store_patch, arena);
   s.write(static_cast<std::uint64_t>(frame.inbox.size()));
   for (const auto& message : frame.inbox) {
     s.write(message.from);

@@ -113,11 +113,14 @@ void SocketServer::handle_connection(int fd) {
         fd, std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(chunk),
                                     sizeof(chunk)));
     if (!n.ok() || *n == 0) break;
+    // The bytes kept from earlier reads hold no newline; scan only the
+    // new ones.
+    const std::size_t scan_from = buffer.size();
     buffer.append(chunk, *n);
     std::string responses;
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos && open;
+    for (std::size_t nl = buffer.find('\n', scan_from);
+         nl != std::string::npos && open && nl - start <= kMaxLineBytes;
          start = nl + 1, nl = buffer.find('\n', start)) {
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -137,8 +140,25 @@ void SocketServer::handle_connection(int fd) {
     }
     buffer.erase(0, start);
     flush(&responses);
+    // Left over: a partial line, or the complete line over the bound that
+    // stopped the scan. Past the bound it gets one error reply and the
+    // connection closes.
+    if (open && buffer.size() > kMaxLineBytes) {
+      responses += format_response(Status(
+                       StatusCode::kInvalidArgument,
+                       "line longer than " + std::to_string(kMaxLineBytes) +
+                           " bytes")) +
+                   "\n";
+      open = false;
+    }
     if (!responses.empty() && !net::send_all(fd, responses).ok()) break;
     if (want_shutdown) break;
+  }
+  {
+    // Forgotten before close, so stop() never shuts down a descriptor
+    // number the process has handed to another socket since.
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::erase(connection_fds_, fd);
   }
   ::close(fd);
   if (want_shutdown) {

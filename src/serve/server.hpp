@@ -1,11 +1,11 @@
 // TCP front end for EmbeddingService (loopback, newline protocol).
 //
 // One accept thread plus one thread per connection. A connection reads
-// complete lines, groups consecutive query lines into one submit_batch
-// (so a pipelining client gets server-side batching for free), and writes
-// one response line per request in order. Control lines (stats / info /
-// quit / shutdown) are answered inline; `shutdown` additionally stops the
-// whole server, which unblocks wait().
+// complete lines of at most kMaxLineBytes, groups consecutive query lines
+// into one submit_batch (so a pipelining client gets server-side batching
+// for free), and writes one response line per request in order. Control
+// lines (stats / info / quit / shutdown) are answered inline; `shutdown`
+// additionally stops the whole server, which unblocks wait().
 //
 // LineClient is the matching blocking client used by the CLI bench-client
 // and the tests.
@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -23,6 +24,11 @@
 #include "serve/service.hpp"
 
 namespace mpte::serve {
+
+/// Longest request line a connection accepts, newline excluded. A longer
+/// line gets one `err invalid-argument` reply and the connection closes.
+/// An `upsert` line of d coordinates needs about 25·d bytes.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 struct ServerOptions {
   /// 0 = pick an ephemeral port (start() returns the actual one).

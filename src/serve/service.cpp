@@ -1,12 +1,9 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <optional>
 
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "obs/trace.hpp"
 
 namespace mpte::serve {
@@ -18,29 +15,6 @@ const char* kKindNames[] = {"dist", "knn", "range", "upsert", "remove"};
 
 double to_ms(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double, std::milli>(d).count();
-}
-
-/// Cache keys mix the epoch version into the tag, so entries cached
-/// against a superseded epoch can never answer for the current one (the
-/// point set may have changed under them).
-CacheKey cache_key(const Request& request, std::uint64_t epoch) {
-  CacheKey key;
-  key.tag = hash_combine((static_cast<std::uint64_t>(request.kind) << 8) |
-                             static_cast<std::uint64_t>(request.combiner),
-                         epoch);
-  switch (request.kind) {
-    case RequestKind::kDistance:
-      key.a = std::min(request.p, request.q);
-      key.b = std::max(request.p, request.q);
-      break;
-    case RequestKind::kRangeCount:
-      key.a = request.p;
-      key.b = std::bit_cast<std::uint64_t>(request.radius);
-      break;
-    default:
-      break;  // knn and updates are not cached
-  }
-  return key;
 }
 
 /// Wraps a static-mode ensemble as the one fixed epoch the service serves.
@@ -67,7 +41,6 @@ EmbeddingService::EmbeddingService(EmbeddingEnsemble ensemble,
                                    ServiceOptions options)
     : static_epoch_(make_static_epoch(std::move(ensemble))),
       options_(options),
-      cache_(options.cache_bytes, options.cache_shards),
       started_(Clock::now()),
       paused_(options.start_paused) {
   options_.max_batch = std::max<std::size_t>(1, options_.max_batch);
@@ -79,7 +52,6 @@ EmbeddingService::EmbeddingService(
     std::unique_ptr<dyn::DynamicEnsemble> dynamic, ServiceOptions options)
     : dynamic_(std::move(dynamic)),
       options_(options),
-      cache_(options.cache_bytes, options.cache_shards),
       started_(Clock::now()),
       paused_(options.start_paused) {
   options_.max_batch = std::max<std::size_t>(1, options_.max_batch);
@@ -221,7 +193,7 @@ void EmbeddingService::run_batch(std::vector<Pending>& batch) {
               return Status(StatusCode::kDeadlineExceeded,
                             "deadline expired before evaluation");
             }
-            return evaluate_cached(item.request);
+            return evaluate(item.request);
           }();
           latency_ms[i] = to_ms(Clock::now() - item.enqueued);
         }
@@ -266,24 +238,6 @@ Result<Response> EmbeddingService::apply_update(const Request& request) {
   }
   response.value = static_cast<double>(response.id);
   return response;  // epoch stamped by run_batch after the batch publish
-}
-
-Result<Response> EmbeddingService::evaluate_cached(const Request& request) {
-  if (request.kind == RequestKind::kKnn || !cache_.enabled()) {
-    return evaluate(request);
-  }
-  const CacheKey key = cache_key(request, epoch());
-  double cached = 0.0;
-  if (cache_.lookup(key, &cached)) {
-    Response response;
-    response.kind = request.kind;
-    response.value = cached;
-    response.epoch = epoch();
-    return response;
-  }
-  auto result = evaluate(request);
-  if (result.ok()) cache_.insert(key, result->value);
-  return result;
 }
 
 Result<Response> EmbeddingService::evaluate(const Request& request) const {
@@ -369,7 +323,8 @@ Result<Response> EmbeddingService::evaluate(const Request& request) const {
                       "point index out of range (n=" + std::to_string(n) +
                           ")");
       }
-      if (request.radius < 0.0) {
+      // NaN fails this test too; +inf counts every point.
+      if (!(request.radius >= 0.0)) {
         return Status(StatusCode::kInvalidArgument,
                       "range radius must be >= 0");
       }
@@ -401,14 +356,6 @@ ServiceStats EmbeddingService::stats() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     out.queue_depth = queue_.size();
-  }
-  const auto cache = cache_.counters();
-  out.cache_hits = cache.hits;
-  out.cache_misses = cache.misses;
-  out.cache_evictions = cache.evictions;
-  if (cache.hits + cache.misses > 0) {
-    out.cache_hit_rate = static_cast<double>(cache.hits) /
-                         static_cast<double>(cache.hits + cache.misses);
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   out.submitted = submitted_;
@@ -454,18 +401,10 @@ void export_service_stats(const ServiceStats& stats,
         stats.failed);
   count("mpte_serve_batches_total", "Batcher wakeups that drained work.",
         stats.batches);
-  count("mpte_serve_cache_hits_total", "Scalar-answer cache hits.",
-        stats.cache_hits);
-  count("mpte_serve_cache_misses_total", "Scalar-answer cache misses.",
-        stats.cache_misses);
-  count("mpte_serve_cache_evictions_total", "Cache entries evicted (LRU).",
-        stats.cache_evictions);
   gauge("mpte_serve_queue_depth", "Requests currently queued.",
         static_cast<double>(stats.queue_depth));
   gauge("mpte_serve_max_batch", "Largest batch drained so far.",
         static_cast<double>(stats.max_batch_observed));
-  gauge("mpte_serve_cache_hit_rate", "hits / (hits + misses).",
-        stats.cache_hit_rate);
   gauge("mpte_serve_qps", "Completed requests per second of uptime.",
         stats.qps);
   gauge("mpte_serve_latency_p50_ms",

@@ -9,16 +9,14 @@
 //    (waiting at most max_wait for a batch to fill) and evaluates them
 //    concurrently on the mpte::par pool — one queue/condvar handoff per
 //    batch instead of per request;
-//  * a sharded byte-bounded LRU cache over scalar answers (hot pairs);
 //  * admission control: the queue is bounded (submit past capacity is
 //    rejected immediately with kResourceExhausted — backpressure, not
 //    unbounded growth) and each request may carry a deadline (still
 //    queued past it -> kDeadlineExceeded, the work is never done late).
 //
 // Every answer is computed by the same evaluate() used directly against
-// the ensemble, so service answers are byte-identical to unbatched,
-// uncached queries — batching and caching change scheduling, never
-// values.
+// the ensemble, so service answers are byte-identical to unbatched
+// queries — batching changes scheduling, never values.
 //
 // A service is either *static* (owns one immutable EmbeddingEnsemble,
 // epoch 0, updates rejected) or *dynamic* (owns a dyn::DynamicEnsemble).
@@ -27,8 +25,7 @@
 // block on writers — and upsert/remove requests ride the same batcher:
 // each drained batch applies its updates serially in submission order,
 // publishes ONE new epoch, and only then evaluates the batch's queries
-// (against the fresh epoch). Cache keys mix the epoch version in, so
-// entries from superseded epochs can never answer for the current one.
+// (against the fresh epoch).
 #pragma once
 
 #include <chrono>
@@ -43,7 +40,6 @@
 #include "core/ensemble.hpp"
 #include "dyn/dynamic_ensemble.hpp"
 #include "obs/metrics.hpp"
-#include "serve/lru_cache.hpp"
 #include "serve/types.hpp"
 
 namespace mpte::serve {
@@ -57,9 +53,6 @@ struct ServiceOptions {
   /// Admission bound: submits beyond this many queued requests are
   /// rejected with kResourceExhausted.
   std::size_t max_queue = 4096;
-  /// Total LRU cache budget in bytes across shards; 0 disables caching.
-  std::size_t cache_bytes = 1 << 20;
-  std::size_t cache_shards = 8;
   /// Threads for concurrent batch evaluation (0 = mpte::par default).
   std::size_t eval_threads = 0;
   /// Start with the batcher paused (tests exercise admission control by
@@ -96,8 +89,8 @@ class EmbeddingService {
       const std::vector<Request>& requests);
 
   /// Evaluates a request synchronously against the ensemble — no queue,
-  /// no cache, no stats. This is the oracle the batched path must match
-  /// byte-for-byte, and what tests compare against.
+  /// no stats. The batched path answers every query with this same call,
+  /// and tests compare against it.
   Result<Response> evaluate(const Request& request) const;
 
   /// Counters + latency percentiles snapshot.
@@ -166,8 +159,6 @@ class EmbeddingService {
   /// Applies one upsert/remove to the dynamic ensemble (batcher thread
   /// only). The response's epoch is stamped after the batch publish.
   Result<Response> apply_update(const Request& request);
-  /// evaluate() plus cache lookup/fill for scalar-valued kinds.
-  Result<Response> evaluate_cached(const Request& request);
   void record_latency(double ms);
 
   /// Non-null in dynamic mode; writer side touched only by the batcher.
@@ -175,7 +166,6 @@ class EmbeddingService {
   /// Static mode's one fixed epoch (version 0); null in dynamic mode.
   std::shared_ptr<const dyn::EnsembleEpoch> static_epoch_;
   ServiceOptions options_;
-  ShardedLruCache cache_;
   Clock::time_point started_;
 
   mutable std::mutex mutex_;  // guards queue_, paused_, stopping_

@@ -151,11 +151,6 @@ struct ServiceStats {
   std::size_t queue_depth = 0;
   /// Largest batch the batcher has drained.
   std::size_t max_batch_observed = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  /// hits / (hits + misses), 0 when no cacheable traffic yet.
-  double cache_hit_rate = 0.0;
   /// completed / uptime.
   double qps = 0.0;
   double p50_ms = 0.0;

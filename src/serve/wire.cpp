@@ -192,12 +192,11 @@ std::string format_stats(const ServiceStats& stats) {
   char buffer[512];
   std::snprintf(
       buffer, sizeof(buffer),
-      "ok stats qps=%.1f p50_ms=%.3f p99_ms=%.3f hit_rate=%.3f depth=%zu "
+      "ok stats qps=%.1f p50_ms=%.3f p99_ms=%.3f depth=%zu "
       "rejected=%llu completed=%llu",
       registry.gauge_value("mpte_serve_qps"),
       registry.gauge_value("mpte_serve_latency_p50_ms"),
       registry.gauge_value("mpte_serve_latency_p99_ms"),
-      registry.gauge_value("mpte_serve_cache_hit_rate"),
       static_cast<std::size_t>(registry.gauge_value("mpte_serve_queue_depth")),
       static_cast<unsigned long long>(
           registry.counter_value("mpte_serve_rejected_queue_full_total") +

@@ -1,8 +1,8 @@
 // Newline-delimited text protocol for the socket server.
 //
-// One request per line, one response line per request, in order. Kept as
-// pure string <-> struct functions so the protocol is unit-testable
-// without sockets. Grammar (fields space-separated; [] optional):
+// One request per line, one response line per request, in order; a line
+// holds at most kMaxLineBytes (serve/server.hpp). Kept as pure string <->
+// struct functions so the protocol is unit-testable without sockets. Grammar (fields space-separated; [] optional):
 //
 //   dist  <p> <q> [min|exp] [deadline_ms]
 //   knn   <p> <k> [min|exp] [deadline_ms]
@@ -19,8 +19,8 @@
 //   ok upsert id=<id> epoch=<e>
 //   ok remove id=<id> epoch=<e>
 //   ok info points=<n> trees=<t> epoch=<e> dim=<d>
-//   ok stats qps=... p50_ms=... p99_ms=... hit_rate=... depth=...
-//            rejected=... completed=...
+//   ok stats qps=... p50_ms=... p99_ms=... depth=... rejected=...
+//            completed=...
 //   err <code> <message>
 //
 // Updates batched together publish one ensemble epoch; <e> is the version

@@ -12,6 +12,7 @@
 #include "dyn/dynamic_ensemble.hpp"
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -387,6 +388,43 @@ TEST(DynamicEnsemble, InsertRollsBackAllMembersOnFailure) {
   for (std::size_t t = 0; t < options.trees; ++t) {
     EXPECT_EQ((*ensemble)->member(t).size(), initial.size());
   }
+}
+
+TEST(DynamicEnsemble, NonFiniteInsertIsRejectedAndChangesNothing) {
+  const PointSet initial = anchored_points(12, 3, 43);
+  DynamicEnsemble::Options options;
+  options.trees = 2;
+  options.member = base_options();
+  auto created = DynamicEnsemble::create(initial, options);
+  ASSERT_TRUE(created.ok()) << created.status().to_string();
+  DynamicEnsemble& ensemble = **created;
+  const auto fingerprints = [&](const EnsembleEpoch& epoch) {
+    std::vector<std::uint64_t> out;
+    for (std::size_t t = 0; t < options.trees; ++t) {
+      out.push_back(fnv1a64(hst_to_bytes(epoch.ensemble->member(t).tree)));
+    }
+    return out;
+  };
+  const auto published_before = fingerprints(*ensemble.current());
+  const auto live_before = ensemble.member(0).live_ids();
+  const std::uint64_t next_before = ensemble.member(0).next_id();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& p :
+       {std::vector<double>{nan, nan, nan}, std::vector<double>{1.0, inf, 2.0},
+        std::vector<double>{-inf, 0.0, 0.0},
+        std::vector<double>{0.0, 0.0, nan}}) {
+    EXPECT_EQ(ensemble.insert(p).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (std::size_t t = 0; t < options.trees; ++t) {
+    EXPECT_EQ(ensemble.member(t).live_ids(), live_before);
+    EXPECT_EQ(ensemble.member(t).next_id(), next_before);
+  }
+  auto published = ensemble.publish();
+  ASSERT_TRUE(published.ok()) << published.status().to_string();
+  EXPECT_EQ(fingerprints(**published), published_before);
 }
 
 TEST(DynamicEnsemble, ReadersNeverBlockDuringConcurrentPublish) {

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "ckpt/manager.hpp"
@@ -528,6 +529,76 @@ TEST(Frames, ReservedKindTwoIsRejected) {
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
   ::close(sv[0]);
   ::close(sv[1]);
+}
+
+TEST(Frames, InflatedCountsBehindAValidChecksumAreRefusedUpFront) {
+  // Each count of a kResult or kStep frame in turn claims 2^20 records
+  // while only a few bytes follow it. The decoder must refuse the count
+  // itself, before it reserves or resizes anything for it.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 20;
+  const auto u64 = [](Serializer& s, std::uint64_t v) { s.write(v); };
+  const auto result_head = [](Serializer& s) {
+    s.write(static_cast<std::uint32_t>(ipc::FrameKind::kResult));
+    s.write(mpc::MachineId{1});
+    s.write(std::uint64_t{7});
+  };
+  const auto step_head = [](Serializer& s) {
+    s.write(static_cast<std::uint32_t>(ipc::FrameKind::kStep));
+    s.write(mpc::MachineId{1});
+    s.write(std::uint64_t{7});
+    s.write_string("test/ring");
+    s.write(std::uint8_t{0});  // inline step_params blob
+    s.write_span(std::span<const std::uint8_t>());
+    s.write(std::uint8_t{0});  // reset_store
+    s.write(std::uint8_t{0});  // inject_kill
+  };
+  struct Case {
+    const char* count;
+    std::function<void(Serializer&)> build;
+  };
+  const std::vector<Case> cases = {
+      {"num_deltas", [&](Serializer& s) { result_head(s); u64(s, kHuge); }},
+      {"num_dst",
+       [&](Serializer& s) {
+         result_head(s);
+         u64(s, 0);
+         u64(s, kHuge);
+       }},
+      {"num_fragments",
+       [&](Serializer& s) {
+         result_head(s);
+         u64(s, 0);
+         u64(s, 1);
+         u64(s, kHuge);
+       }},
+      {"num_channels",
+       [&](Serializer& s) {
+         result_head(s);
+         u64(s, 0);
+         u64(s, 0);
+         u64(s, kHuge);
+       }},
+      {"num_patch", [&](Serializer& s) { step_head(s); u64(s, kHuge); }},
+      {"num_messages",
+       [&](Serializer& s) {
+         step_head(s);
+         u64(s, 0);
+         u64(s, kHuge);
+       }},
+  };
+  for (const Case& c : cases) {
+    Serializer payload;
+    c.build(payload);
+    payload.write(std::uint64_t{0});  // a few bytes, far short of kHuge
+    const mpc::Buffer encoded(wrap_checksummed(payload.bytes()));
+    const auto decoded = ipc::decode_envelope(encoded.span());
+    ASSERT_FALSE(decoded.ok()) << c.count;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << c.count;
+    EXPECT_NE(decoded.status().message().find("length prefix exceeds"),
+              std::string::npos)
+        << c.count << ": " << decoded.status().message();
+  }
 }
 
 TEST(WorkerLoss, DeadlineMissSurfacesAsWorkerLost) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/embedder.hpp"
+#include "core/ensemble.hpp"
 #include "geometry/generators.hpp"
 #include "golden.hpp"
 #include "obs/metrics.hpp"
@@ -323,7 +324,6 @@ TEST(Exporters, ServeStatsLineAndMetricsAgree) {
   stats.qps = 123.45;
   stats.p50_ms = 1.5;
   stats.p99_ms = 8.0;
-  stats.cache_hit_rate = 0.25;
   stats.queue_depth = 4;
 
   Registry registry;
@@ -340,8 +340,22 @@ TEST(Exporters, ServeStatsLineAndMetricsAgree) {
   EXPECT_NE(line.find("completed=9"), std::string::npos) << line;
   EXPECT_NE(line.find("rejected=3"), std::string::npos) << line;
   EXPECT_NE(line.find("qps=123.5"), std::string::npos) << line;
-  EXPECT_NE(line.find("hit_rate=0.250"), std::string::npos) << line;
   EXPECT_NE(line.find("depth=4"), std::string::npos) << line;
+
+  // Every answer comes from evaluate(): no exported series names a cache.
+  EmbedOptions options;
+  options.use_fjlt = false;
+  auto ensemble = EmbeddingEnsemble::build(
+      generate_uniform_cube(16, 3, 10.0, 3), options, 2);
+  ASSERT_TRUE(ensemble.ok()) << ensemble.status().to_string();
+  serve::EmbeddingService service(std::move(ensemble).value());
+  ASSERT_TRUE(service.submit(serve::Request::Distance(0, 1)).get().ok());
+  Registry exported;
+  service.export_metrics(&exported);
+  ASSERT_FALSE(exported.samples().empty());
+  for (const Sample& sample : exported.samples()) {
+    EXPECT_EQ(sample.name.find("cache"), std::string::npos) << sample.name;
+  }
 }
 
 // -------------------------------------------------------- profiling hooks

@@ -1,7 +1,13 @@
-// mpte::serve — batcher correctness vs direct queries, cache semantics,
-// admission control (backpressure + deadlines), the wire protocol, the
-// socket server, and a multi-threaded hammer suitable for the TSan job.
+// mpte::serve — batcher correctness vs direct queries, admission control
+// (backpressure + deadlines), the wire protocol, the socket server, and a
+// multi-threaded hammer suitable for the TSan job.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <limits>
 #include <thread>
@@ -9,10 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/net.hpp"
 #include "common/rng.hpp"
 #include "core/ensemble.hpp"
 #include "geometry/generators.hpp"
-#include "serve/lru_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
@@ -29,57 +35,6 @@ EmbeddingEnsemble test_ensemble(std::size_t n = 60, std::size_t trees = 3,
   auto result = EmbeddingEnsemble::build(points, options, trees);
   EXPECT_TRUE(result.ok()) << result.status().to_string();
   return std::move(result).value();
-}
-
-// ---------------------------------------------------------------- cache
-
-TEST(LruCache, HitMissAndRecency) {
-  ShardedLruCache cache(ShardedLruCache::kEntryBytes * 64, 1);
-  double value = 0.0;
-  EXPECT_FALSE(cache.lookup({1, 2, 3}, &value));
-  cache.insert({1, 2, 3}, 7.5);
-  EXPECT_TRUE(cache.lookup({1, 2, 3}, &value));
-  EXPECT_EQ(value, 7.5);
-  const auto counters = cache.counters();
-  EXPECT_EQ(counters.hits, 1u);
-  EXPECT_EQ(counters.misses, 1u);
-  EXPECT_EQ(counters.entries, 1u);
-}
-
-TEST(LruCache, EvictsLeastRecentlyUsedWithinByteBudget) {
-  // Budget of exactly 3 entries, single shard so order is total.
-  ShardedLruCache cache(ShardedLruCache::kEntryBytes * 3, 1);
-  cache.insert({0, 0, 1}, 1.0);
-  cache.insert({0, 0, 2}, 2.0);
-  cache.insert({0, 0, 3}, 3.0);
-  double value = 0.0;
-  EXPECT_TRUE(cache.lookup({0, 0, 1}, &value));  // refresh key 1
-  cache.insert({0, 0, 4}, 4.0);                  // evicts key 2 (LRU)
-  EXPECT_FALSE(cache.lookup({0, 0, 2}, &value));
-  EXPECT_TRUE(cache.lookup({0, 0, 1}, &value));
-  EXPECT_TRUE(cache.lookup({0, 0, 3}, &value));
-  EXPECT_TRUE(cache.lookup({0, 0, 4}, &value));
-  EXPECT_EQ(cache.counters().evictions, 1u);
-  EXPECT_LE(cache.counters().bytes, ShardedLruCache::kEntryBytes * 3);
-}
-
-TEST(LruCache, ZeroBytesDisables) {
-  ShardedLruCache cache(0, 4);
-  EXPECT_FALSE(cache.enabled());
-  cache.insert({1, 1, 1}, 1.0);
-  double value = 0.0;
-  EXPECT_FALSE(cache.lookup({1, 1, 1}, &value));
-  EXPECT_EQ(cache.counters().entries, 0u);
-}
-
-TEST(LruCache, InsertRefreshesExistingKey) {
-  ShardedLruCache cache(ShardedLruCache::kEntryBytes * 8, 2);
-  cache.insert({9, 1, 2}, 1.0);
-  cache.insert({9, 1, 2}, 2.0);
-  double value = 0.0;
-  EXPECT_TRUE(cache.lookup({9, 1, 2}, &value));
-  EXPECT_EQ(value, 2.0);
-  EXPECT_EQ(cache.counters().entries, 1u);
 }
 
 // ----------------------------------------------------------------- wire
@@ -237,33 +192,14 @@ TEST(Service, RangeCountMatchesBruteForce) {
   }
 }
 
-TEST(Service, CachedAnswersEqualUncached) {
+TEST(Service, RepeatedAndSwappedPairsAnswerIdentically) {
   EmbeddingService service(test_ensemble());
   const auto first = service.submit(Request::Distance(1, 2)).get();
   const auto second = service.submit(Request::Distance(1, 2)).get();
   const auto swapped = service.submit(Request::Distance(2, 1)).get();
   ASSERT_TRUE(first.ok() && second.ok() && swapped.ok());
   EXPECT_EQ(first->value, second->value);
-  EXPECT_EQ(first->value, swapped->value);  // canonicalized pair key
-  const ServiceStats stats = service.stats();
-  EXPECT_GE(stats.cache_hits, 2u);
-  EXPECT_GE(stats.cache_misses, 1u);
-  EXPECT_GT(stats.cache_hit_rate, 0.0);
-}
-
-TEST(Service, CacheDisabledStillAnswersIdentically) {
-  ServiceOptions cached_options;
-  ServiceOptions uncached_options;
-  uncached_options.cache_bytes = 0;
-  EmbeddingService cached(test_ensemble(40, 2, 3), cached_options);
-  EmbeddingService uncached(test_ensemble(40, 2, 3), uncached_options);
-  for (std::size_t q = 1; q < 40; q += 3) {
-    const auto a = cached.submit(Request::Distance(0, q)).get();
-    const auto b = uncached.submit(Request::Distance(0, q)).get();
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->value, b->value);
-  }
-  EXPECT_EQ(uncached.stats().cache_hits + uncached.stats().cache_misses, 0u);
+  EXPECT_EQ(first->value, swapped->value);
 }
 
 TEST(Service, InvalidRequestsGetTypedStatuses) {
@@ -420,6 +356,92 @@ TEST(Server, AnswersWireQueriesOverLoopback) {
   server.stop();
 }
 
+/// A bare loopback connection, for bytes a LineClient would not send.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(Server, OverlongLineGetsOneErrorThenTheConnectionCloses) {
+  EmbeddingService service(test_ensemble());
+  SocketServer server(service);
+  const auto port = server.start();
+  ASSERT_TRUE(port.ok()) << port.status().to_string();
+
+  const int fd = connect_raw(*port);
+  ASSERT_GE(fd, 0);
+  // 2 MiB and no newline. The server stops reading past kMaxLineBytes and
+  // closes, so this send may fail part way; only the reply matters.
+  (void)net::send_all(fd, std::string(2 * kMaxLineBytes, 'x'));
+  std::string received;
+  while (true) {
+    const auto readable = net::wait_readable(fd, 10000);
+    ASSERT_TRUE(readable.ok() && *readable)
+        << "no reply and no close within 10 s";
+    char chunk[4096];
+    const auto n = net::recv_some(
+        fd, std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(chunk),
+                                    sizeof(chunk)));
+    if (!n.ok() || *n == 0) break;  // closed (FIN, or RST after unread data)
+    received.append(chunk, *n);
+  }
+  ::close(fd);
+  EXPECT_EQ(received,
+            format_response(Status(StatusCode::kInvalidArgument,
+                                   "line longer than " +
+                                       std::to_string(kMaxLineBytes) +
+                                       " bytes")) +
+                "\n");
+
+  // Other connections keep working.
+  LineClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", *port).ok());
+  const auto distance = client.roundtrip("dist 1 2");
+  ASSERT_TRUE(distance.ok());
+  EXPECT_EQ(*distance,
+            format_response(service.evaluate(Request::Distance(1, 2))));
+  server.stop();
+}
+
+TEST(Server, StopLeavesTheDescriptorsOfClosedConnectionsAlone) {
+  EmbeddingService service(test_ensemble());
+  SocketServer server(service);
+  const auto port = server.start();
+  ASSERT_TRUE(port.ok()) << port.status().to_string();
+  {
+    LineClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", *port).ok());
+    ASSERT_TRUE(client.send_line("quit").ok());
+    // EOF: the server has closed its end of the connection.
+    EXPECT_FALSE(client.read_line().ok());
+  }
+  // New descriptors take the lowest free numbers, including the one the
+  // closed connection held on the server side.
+  std::vector<std::array<int, 2>> pairs(4);
+  for (auto& pair : pairs) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair.data()), 0);
+  }
+  server.stop();
+  for (const auto& pair : pairs) {
+    EXPECT_TRUE(net::send_all(pair[0], std::string_view("ping")).ok());
+    EXPECT_TRUE(net::send_all(pair[1], std::string_view("pong")).ok());
+    std::array<std::uint8_t, 4> got{};
+    EXPECT_TRUE(net::recv_exact(pair[1], got, 1000).ok());
+    EXPECT_TRUE(net::recv_exact(pair[0], got, 1000).ok());
+    ::close(pair[0]);
+    ::close(pair[1]);
+  }
+}
+
 // -------------------------------------------------------- dynamic serving
 
 std::unique_ptr<dyn::DynamicEnsemble> test_dynamic_ensemble(
@@ -508,26 +530,65 @@ TEST(DynamicService, UpsertRemovePublishEpochsAndStampResponses) {
   EXPECT_EQ(queried->value, direct->value);
 }
 
-TEST(DynamicService, CacheNeverServesAcrossEpochs) {
-  // Distances are cached per epoch: after an update republishes, the same
-  // query must be recomputed against the new ensemble, not answered from
-  // the superseded epoch's cache entry.
+TEST(DynamicService, QueryAfterAnUpsertAnswersFromTheNewEpoch) {
+  // The batch that applies an upsert publishes a new epoch before it
+  // evaluates anything; a later query is stamped with that epoch and
+  // equals evaluate() on it.
   EmbeddingService service(test_dynamic_ensemble(30));
+  const std::size_t n = service.num_points();
   auto before = service.submit(Request::Distance(3, 4)).get();
   ASSERT_TRUE(before.ok());
-  auto cached = service.submit(Request::Distance(3, 4)).get();
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(cached->value, before->value);
-  const auto hits_before = service.stats().cache_hits;
 
   const std::vector<double> p = {9.0, 9.0, 9.0};
-  ASSERT_TRUE(service.submit(Request::Upsert(p)).get().ok());
+  auto upsert = service.submit(Request::Upsert(p)).get();
+  ASSERT_TRUE(upsert.ok()) << upsert.status().to_string();
+  EXPECT_GT(upsert->epoch, before->epoch);
+  ASSERT_EQ(service.epoch(), upsert->epoch);
 
-  auto after = service.submit(Request::Distance(3, 4)).get();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->value, before->value);  // same points, same answer
-  // The post-publish query missed the cache (fresh epoch in the key).
-  EXPECT_EQ(service.stats().cache_hits, hits_before);
+  // The new point has the highest stable id, so its dense index is n; the
+  // superseded epoch has no such point.
+  for (const Request& request :
+       {Request::Distance(3, 4), Request::Distance(0, n),
+        Request::RangeCount(3, std::numeric_limits<double>::infinity())}) {
+    auto served = service.submit(request).get();
+    ASSERT_TRUE(served.ok()) << served.status().to_string();
+    EXPECT_EQ(served->epoch, upsert->epoch);
+    const auto direct = service.evaluate(request);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(direct->epoch, upsert->epoch);
+    EXPECT_EQ(served->value, direct->value);
+  }
+  auto all = service.submit(Request::RangeCount(
+                                3, std::numeric_limits<double>::infinity()))
+                 .get();
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->value, static_cast<double>(n));  // every other point
+}
+
+TEST(DynamicService, NonFiniteInputsGetInvalidArgumentOverTheWire) {
+  EmbeddingService service(test_dynamic_ensemble());
+  SocketServer server(service);
+  const auto port = server.start();
+  ASSERT_TRUE(port.ok()) << port.status().to_string();
+  const std::size_t points = service.num_points();
+  const std::uint64_t epoch = service.epoch();
+
+  LineClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", *port).ok());
+  for (const char* line : {"upsert nan nan nan", "upsert 1 inf 2",
+                           "upsert -inf 0 0", "range 0 nan"}) {
+    const auto reply = client.roundtrip(line);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->rfind("err invalid-argument ", 0), 0u)
+        << line << " -> " << *reply;
+  }
+  EXPECT_EQ(service.num_points(), points);
+  EXPECT_EQ(service.epoch(), epoch);  // nothing was applied or published
+  // An infinite radius is a number: it counts every other point.
+  const auto all = client.roundtrip("range 0 inf");
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, "ok range " + std::to_string(points - 1));
+  server.stop();
 }
 
 TEST(DynamicService, ServesUpdateVerbsOverLoopback) {

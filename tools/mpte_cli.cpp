@@ -25,8 +25,7 @@
 //   mpte_cli query <tree> <i> <j>
 //   mpte_cli distortion <tree> <in.csv>
 //   mpte_cli serve <tree...> --port <p> [--batch N] [--wait-us N]
-//       [--queue N] [--cache-bytes N] [--threads N]
-//       [--trace-out FILE] [--metrics-out FILE]
+//       [--queue N] [--threads N] [--trace-out FILE] [--metrics-out FILE]
 //       Long-lived query service over the newline protocol
 //       (docs/serving.md); multiple tree files form an ensemble. Runs
 //       until a client sends `shutdown`, then prints final stats.
@@ -113,8 +112,8 @@ int usage() {
                "  mpte_cli distortion <tree> <in.csv>\n"
                "  mpte_cli serve <tree...> --port <p> [--batch N] "
                "[--wait-us N] [--queue N]\n"
-               "            [--cache-bytes N] [--threads N] "
-               "[--trace-out FILE] [--metrics-out FILE]\n"
+               "            [--threads N] [--trace-out FILE] "
+               "[--metrics-out FILE]\n"
                "  mpte_cli serve --dynamic <in.csv> --port <p> [--trees T] "
                "[--seed S]\n"
                "            [--method hybrid|grid|ball] [--updates FILE] "
@@ -795,8 +794,6 @@ int cmd_serve(int argc, char** argv) {
       std::atoll(flag_value(flags, "--wait-us", "200").c_str()));
   options.max_queue = static_cast<std::size_t>(
       std::atoll(flag_value(flags, "--queue", "4096").c_str()));
-  options.cache_bytes = static_cast<std::size_t>(
-      std::atoll(flag_value(flags, "--cache-bytes", "1048576").c_str()));
   options.eval_threads = static_cast<std::size_t>(
       std::atoll(flag_value(flags, "--threads", "0").c_str()));
 
@@ -865,24 +862,24 @@ int cmd_serve(int argc, char** argv) {
     return 2;
   }
   std::printf("serving %zu points, %zu tree(s) on 127.0.0.1:%u "
-              "(%s epoch=%llu batch=%zu wait=%lldus queue=%zu cache=%zuB)\n",
+              "(%s epoch=%llu batch=%zu wait=%lldus queue=%zu)\n",
               service->num_points(), service->ensemble().size(),
               static_cast<unsigned>(*port),
               service->is_dynamic() ? "dynamic" : "static",
               static_cast<unsigned long long>(service->epoch()),
               options.max_batch,
               static_cast<long long>(options.max_wait.count()),
-              options.max_queue, options.cache_bytes);
+              options.max_queue);
   std::fflush(stdout);
   server.wait();
   server.stop();
   const serve::ServiceStats stats = service->stats();
   std::printf("shutdown: completed=%llu rejected=%llu qps=%.1f "
-              "hit_rate=%.3f p50_ms=%.3f p99_ms=%.3f epoch=%llu\n",
+              "p50_ms=%.3f p99_ms=%.3f epoch=%llu\n",
               static_cast<unsigned long long>(stats.completed),
               static_cast<unsigned long long>(stats.rejected_queue_full +
                                               stats.rejected_deadline),
-              stats.qps, stats.cache_hit_rate, stats.p50_ms, stats.p99_ms,
+              stats.qps, stats.p50_ms, stats.p99_ms,
               static_cast<unsigned long long>(service->epoch()));
   return write_obs_artifacts(outputs, [&](obs::Registry* registry) {
     service->export_metrics(registry);
