@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 namespace mpte::net {
@@ -43,57 +42,6 @@ Result<std::size_t> recv_some(int fd, std::span<std::uint8_t> buf) {
     }
     return static_cast<std::size_t>(n);
   }
-}
-
-Result<bool> wait_readable(int fd, int timeout_ms) {
-  pollfd pfd{fd, POLLIN, 0};
-  while (true) {
-    const int polled = ::poll(&pfd, 1, timeout_ms);
-    if (polled < 0) {
-      if (errno == EINTR) continue;  // conservatively restart the budget
-      return socket_error("poll");
-    }
-    return polled > 0;
-  }
-}
-
-Status recv_exact(int fd, std::span<std::uint8_t> buf, int timeout_ms) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms < 0 ? 0
-                                                              : timeout_ms);
-  std::size_t filled = 0;
-  while (filled < buf.size()) {
-    if (timeout_ms >= 0) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(deadline - Clock::now());
-      if (remaining.count() <= 0) {
-        return Status(StatusCode::kDeadlineExceeded,
-                      "recv: deadline expired with " +
-                          std::to_string(buf.size() - filled) +
-                          "B outstanding");
-      }
-      const auto readable =
-          wait_readable(fd, static_cast<int>(remaining.count()));
-      if (!readable.ok()) return readable.status();
-      if (!*readable) {
-        return Status(StatusCode::kDeadlineExceeded,
-                      "recv: deadline expired with " +
-                          std::to_string(buf.size() - filled) +
-                          "B outstanding");
-      }
-    }
-    const auto n = recv_some(fd, buf.subspan(filled));
-    if (!n.ok()) return n.status();
-    if (*n == 0) {
-      return Status(StatusCode::kUnavailable,
-                    "recv: connection closed with " +
-                        std::to_string(buf.size() - filled) +
-                        "B outstanding");
-    }
-    filled += *n;
-  }
-  return Status::Ok();
 }
 
 Status finish_connect(int fd) {

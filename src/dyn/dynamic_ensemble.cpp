@@ -53,6 +53,7 @@ Result<std::unique_ptr<DynamicEnsemble>> DynamicEnsemble::create(
 
 Result<std::uint64_t> DynamicEnsemble::insert(std::span<const double> coords) {
   const std::uint64_t id = members_.front().next_id();
+  const obs::Span span("dyn", "insert", "id", id);
   const std::size_t trees = members_.size();
   std::vector<Status> statuses(trees);
   par::parallel_for_chunked(
@@ -82,6 +83,7 @@ Result<std::uint64_t> DynamicEnsemble::insert(std::span<const double> coords) {
 }
 
 Status DynamicEnsemble::erase(std::uint64_t id) {
+  const obs::Span span("dyn", "erase", "id", id);
   // Members hold identical live sets, so the first member's guards decide
   // for all; the erase itself is O(log n) per member.
   for (DynamicEmbedder& member : members_) {

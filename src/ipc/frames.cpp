@@ -1,12 +1,9 @@
 #include "ipc/frames.hpp"
 
-#include <array>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
 #include "common/checksum.hpp"
-#include "common/net.hpp"
 #include "common/serialize.hpp"
 
 namespace mpte::ipc {
@@ -137,30 +134,6 @@ Frame decode(std::span<const std::uint8_t> payload,
                   std::to_string(static_cast<std::uint32_t>(frame.kind)));
 }
 
-/// Checks the digest trailing `body` (payload + u64 FNV-1a) and decodes
-/// the payload. Every failure, including a malformed payload, is
-/// kInvalidArgument.
-Result<Frame> verify_and_decode(std::span<const std::uint8_t> body,
-                                std::span<const std::uint8_t> arena) {
-  const auto payload = body.first(body.size() - kEnvelopeTrailerBytes);
-  std::uint64_t stored;
-  std::memcpy(&stored, body.data() + payload.size(), sizeof(stored));
-  if (stored != fnv1a64(payload)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "ipc frame: checksum mismatch");
-  }
-  try {
-    Frame frame = decode(payload, arena);
-    frame.wire_bytes = kEnvelopeHeaderBytes + body.size();
-    return frame;
-  } catch (const MpteError& e) {
-    return Status(StatusCode::kInvalidArgument, e.what());
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string("ipc frame: ") + e.what());
-  }
-}
-
 }  // namespace
 
 mpc::Buffer encode_result(const ResultFrame& frame, BlobArena* arena) {
@@ -224,10 +197,6 @@ mpc::Buffer encode_shutdown() {
   return envelope(s);
 }
 
-Status write_frame(int fd, const mpc::Buffer& encoded) {
-  return encoded.write_fd(fd);
-}
-
 Result<Frame> decode_envelope(std::span<const std::uint8_t> envelope,
                               std::span<const std::uint8_t> arena) {
   if (envelope.size() < kEnvelopeHeaderBytes + kEnvelopeTrailerBytes) {
@@ -237,43 +206,30 @@ Result<Frame> decode_envelope(std::span<const std::uint8_t> envelope,
   const auto payload_size = envelope_payload_size(
       envelope.first(kEnvelopeHeaderBytes), "ipc frame header");
   if (!payload_size.ok()) return payload_size.status();
-  if (envelope.size() !=
-      kEnvelopeHeaderBytes + *payload_size + kEnvelopeTrailerBytes) {
+  const std::size_t body_size =
+      envelope.size() - kEnvelopeHeaderBytes - kEnvelopeTrailerBytes;
+  if (*payload_size != body_size) {
     return Status(StatusCode::kInvalidArgument,
                   "ipc frame: envelope size does not match header");
   }
-  return verify_and_decode(
-      envelope.subspan(kEnvelopeHeaderBytes,
-                       *payload_size + kEnvelopeTrailerBytes),
-      arena);
-}
-
-Result<Frame> read_frame(int fd, int timeout_ms,
-                         std::span<const std::uint8_t> arena) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms < 0 ? 0
-                                                              : timeout_ms);
-  const auto remaining_ms = [&]() -> int {
-    if (timeout_ms < 0) return -1;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    return static_cast<int>(std::max<std::int64_t>(0, left.count()));
-  };
-
-  std::array<std::uint8_t, kEnvelopeHeaderBytes> header;
-  const Status got_header = net::recv_exact(fd, header, remaining_ms());
-  if (!got_header.ok()) return got_header;
-  const auto payload_size =
-      envelope_payload_size(header, "ipc frame header");
-  if (!payload_size.ok()) return payload_size.status();
-
-  // Payload + trailing digest land in one slab — the single allocation
-  // per frame that Buffer::from_fd exists for.
-  const std::size_t body_size = *payload_size + kEnvelopeTrailerBytes;
-  auto body = mpc::Buffer::from_fd(fd, body_size, remaining_ms());
-  if (!body.ok()) return body.status();
-  return verify_and_decode(body->span(), arena);
+  const auto payload = envelope.subspan(kEnvelopeHeaderBytes, body_size);
+  std::uint64_t stored;
+  std::memcpy(&stored, payload.data() + payload.size(), sizeof(stored));
+  if (stored != fnv1a64(payload)) {
+    return Status(StatusCode::kInvalidArgument,
+                  "ipc frame: checksum mismatch");
+  }
+  // Every failure, including a malformed payload, is kInvalidArgument.
+  try {
+    Frame frame = decode(payload, arena);
+    frame.wire_bytes = envelope.size();
+    return frame;
+  } catch (const MpteError& e) {
+    return Status(StatusCode::kInvalidArgument, e.what());
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string("ipc frame: ") + e.what());
+  }
 }
 
 }  // namespace mpte::ipc

@@ -8,11 +8,10 @@
 //   u64 FNV-1a(payload)
 //
 // — the exact byte layout snapshots and trees use on disk, so one
-// integrity path covers files and the wire. decode_envelope() validates
-// an envelope already in memory (the shared-memory ring path);
-// read_frame() pulls one from a socketpair (the oversized-frame
-// fallback): the fixed 16-byte prefix first, then payload+digest in a
-// single Buffer::from_fd allocation.
+// integrity path covers files and the wire. The shared-memory ring
+// carries the envelope as it is: the receiver reads the fixed 16-byte
+// prefix, learns payload_size from it, reads the rest, and hands the
+// whole envelope to decode_envelope().
 //
 // Blobs (store deltas/patches, outbox fragments, inbox payloads) are
 // tagged: inline (length + bytes) or an (offset, length) reference into
@@ -145,27 +144,13 @@ mpc::Buffer encode_error(const ErrorFrame& frame);
 mpc::Buffer encode_step(const StepFrame& frame, BlobArena* arena = nullptr);
 mpc::Buffer encode_shutdown();
 
-/// Writes one encoded frame to `fd`.
-Status write_frame(int fd, const mpc::Buffer& encoded);
-
 /// Validates and decodes one complete envelope (header + payload +
-/// digest) already in memory — the shared-memory ring path. `arena` must
-/// cover the sender's blob arena when the frame may carry arena
-/// references; blob bytes are copied out (Buffer::copy_of), so the frame
-/// outlives the arena's next reset. kInvalidArgument for a bad header,
-/// digest mismatch, malformed payload, or an arena reference that falls
-/// outside `arena`.
+/// digest) already in memory. `arena` must cover the sender's blob arena
+/// when the frame may carry arena references; blob bytes are copied out
+/// (Buffer::copy_of), so the frame outlives the arena's next reset.
+/// kInvalidArgument for a bad header, digest mismatch, malformed
+/// payload, or an arena reference that falls outside `arena`.
 Result<Frame> decode_envelope(std::span<const std::uint8_t> envelope,
                               std::span<const std::uint8_t> arena = {});
-
-/// Reads and validates one frame. `timeout_ms` bounds the whole read
-/// (prefix + payload + digest); < 0 blocks indefinitely. `arena` as in
-/// decode_envelope (a frame that fell back to the socketpair may still
-/// reference arena blobs — the arena is shared memory regardless of
-/// which descriptor carried the frame). Codes: kDeadlineExceeded past
-/// the budget, kUnavailable when the peer closed, kInvalidArgument for
-/// bytes that are not a well-formed frame.
-Result<Frame> read_frame(int fd, int timeout_ms,
-                         std::span<const std::uint8_t> arena = {});
 
 }  // namespace mpte::ipc

@@ -133,7 +133,6 @@ void drain_pool_counters(ProcessPool& pool, IpcStats& stats) {
     stats.ring_wraps += delta.wraps;
     stats.ring_full_waits += delta.full_waits;
     stats.shm_bytes += delta.shm_bytes;
-    stats.fallback_frames += delta.fallback_frames;
   }
 }
 
@@ -161,8 +160,8 @@ WorkerLost::WorkerLost(mpc::MachineId rank, std::size_t round, Cause cause,
 ProcBackend::~ProcBackend() {
   if (!pool_) return;
   // Graceful end-of-life: ask every live worker to _exit(0), then join.
-  // Workers blocked in read_frame see either the kShutdown or the EOF
-  // when the pool closes fds; the pool destructor SIGKILLs stragglers.
+  // Workers blocked in recv_frame see either the kShutdown or the closed
+  // channel; the pool destructor SIGKILLs stragglers.
   const mpc::Buffer shutdown = encode_shutdown();
   for (mpc::MachineId rank = 0; rank < pool_->size(); ++rank) {
     (void)pool_->channel(rank).send_frame(shutdown);
@@ -404,9 +403,6 @@ void ProcBackend::export_metrics(obs::Registry& registry) const {
   c("mpte_ipc_shm_bytes_total",
     "Bytes moved through shared-memory rings and blob arenas.",
     stats_.shm_bytes);
-  c("mpte_ipc_fallback_frames_total",
-    "Frames that exceeded ring capacity and fell back to the socketpair.",
-    stats_.fallback_frames);
   for (const auto& [step, rounds] : stats_.step_rounds) {
     registry
         .counter("mpte_ipc_step_rounds_total",

@@ -18,8 +18,8 @@
 // and the golden fingerprints are byte-identical between backends.
 //
 // Frames travel per-worker shared-memory rings + blob arenas (ShmChannel,
-// shm_ring.hpp); a frame too large for its ring falls back to the rank's
-// socketpair. See docs/ipc-transport.md.
+// shm_ring.hpp); a frame larger than its ring streams through it. See
+// docs/ipc-transport.md.
 //
 // Failure semantics: a worker that dies (EOF/POLLHUP, observed exit),
 // misses the round deadline, or sends garbage surfaces as WorkerLost —
@@ -101,8 +101,6 @@ struct IpcStats {
   std::uint64_t ring_full_waits = 0;
   /// Bytes moved through shared-memory rings and blob arenas.
   std::uint64_t shm_bytes = 0;
-  /// Frames that exceeded ring capacity and fell back to the socketpair.
-  std::uint64_t fallback_frames = 0;
   /// Rounds executed per step name (exported with a step="..." label).
   std::map<std::string, std::uint64_t> step_rounds;
   double barrier_seconds = 0.0;

@@ -1,9 +1,9 @@
 // Worker pool for the multi-process MPC backend.
 //
 // spawn() creates, per rank, a shared-memory ShmChannel (mapped before
-// fork so both processes share it) plus a Unix-domain socketpair — the
-// channel's liveness probe and oversized-frame fallback — and forks one
-// child that runs the supplied entry function. The child must _exit
+// fork so both processes share it) plus a Unix-domain socketpair that
+// carries no data — the channel's liveness probe — and forks one child
+// that runs the supplied entry function. The child must _exit
 // (never return: running atexit handlers or flushing inherited stdio in
 // a forked child would corrupt the parent's world).
 //

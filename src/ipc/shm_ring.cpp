@@ -1,12 +1,16 @@
 #include "ipc/shm_ring.hpp"
 
 #include <poll.h>
+#include <sys/sysinfo.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
-#include <vector>
+#include <string>
 
 #include "common/checksum.hpp"
 
@@ -48,15 +52,87 @@ bool peer_dead(int fd) {
   return (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
 }
 
-/// Milliseconds for the next futex slice: min(slice, time to deadline).
-/// Returns 0 when the deadline has passed (infinite never does).
-int next_slice_ms(Clock::time_point deadline, bool infinite) {
-  if (infinite) return kFutexSliceMs;
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - Clock::now());
-  if (left.count() <= 0) return 0;
-  return static_cast<int>(
-      std::min<std::int64_t>(left.count(), kFutexSliceMs));
+/// One budget for a whole operation; timeout_ms < 0 never expires.
+class Deadline {
+ public:
+  explicit Deadline(int timeout_ms)
+      : infinite_(timeout_ms < 0),
+        at_(Clock::now() + std::chrono::milliseconds(infinite_ ? 0
+                                                               : timeout_ms)) {}
+
+  /// Milliseconds left (-1 when infinite, 0 once passed).
+  int remaining_ms() const {
+    if (infinite_) return -1;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        at_ - Clock::now());
+    return static_cast<int>(std::max<std::int64_t>(0, left.count()));
+  }
+
+  /// Milliseconds for the next futex slice: min(slice, time left), 0
+  /// once the deadline has passed.
+  int next_slice_ms() const {
+    if (infinite_) return kFutexSliceMs;
+    return std::min(remaining_ms(), kFutexSliceMs);
+  }
+
+ private:
+  bool infinite_;
+  Clock::time_point at_;
+};
+
+/// One wait of either side of a ring for the other: `cursor` is the
+/// peer's index, last seen at `seen`; `seq` is the futex word the peer
+/// bumps when it advances `cursor`, and `waiting` is this side's park
+/// flag. Spins, then parks for at most one slice. Ok once the cursor
+/// moved, the ring closed, or the slice ended (the caller re-reads the
+/// cursors); kUnavailable once the peer's end of `peer_fd` is gone;
+/// kDeadlineExceeded past the deadline.
+Status await_peer(const RingHeader& header,
+                  const std::atomic<std::uint64_t>& cursor,
+                  std::uint64_t seen, std::atomic<std::uint32_t>& seq,
+                  std::atomic<std::uint32_t>& waiting, int peer_fd,
+                  const Deadline& deadline) {
+  const auto moved = [&](std::memory_order order) {
+    return cursor.load(order) != seen ||
+           header.closed.load(std::memory_order_acquire) != 0;
+  };
+  for (int i = 0; i < kSpinIterations; ++i) {
+    if (moved(std::memory_order_acquire)) return Status::Ok();
+    cpu_relax();
+  }
+  if (peer_dead(peer_fd)) {
+    return Status(StatusCode::kUnavailable, "shm ring: peer closed");
+  }
+  const int slice = deadline.next_slice_ms();
+  if (slice == 0) {
+    return Status(StatusCode::kDeadlineExceeded, "shm ring: timed out");
+  }
+  // Dekker-style park: flag (seq_cst) then re-check, against the peer's
+  // cursor-store/flag-load on the other side — one of the two always
+  // observes the other, so no wake is ever missed.
+  const std::uint32_t expected = seq.load(std::memory_order_acquire);
+  waiting.store(1, std::memory_order_seq_cst);
+  if (!moved(std::memory_order_seq_cst)) futex_wait(seq, expected, slice);
+  waiting.store(0, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+/// The most bytes one frame may occupy: this host's memory and swap. The
+/// sender held the whole envelope in memory to write it, so a header
+/// claiming more is corrupt, and refusing it keeps a hostile length away
+/// from operator new (which a sanitizer build aborts on, not throws).
+std::uint64_t max_frame_bytes() {
+  static const std::uint64_t bytes = [] {
+    struct sysinfo info {};
+    if (::sysinfo(&info) != 0 || info.totalram == 0) {
+      return std::uint64_t{SIZE_MAX};
+    }
+    const std::uint64_t total =
+        (static_cast<std::uint64_t>(info.totalram) + info.totalswap) *
+        std::max<std::uint64_t>(info.mem_unit, 1);
+    return std::min<std::uint64_t>(total, SIZE_MAX);
+  }();
+  return bytes;
 }
 
 std::size_t round_up_pow2(std::size_t v) {
@@ -76,9 +152,7 @@ std::size_t align_up(std::size_t v, std::size_t a) {
 
 Status ShmRing::write(std::span<const std::uint8_t> bytes, int peer_fd,
                       int timeout_ms) {
-  const bool infinite = timeout_ms < 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(infinite ? 0 : timeout_ms);
+  const Deadline deadline(timeout_ms);
   const std::size_t mask = capacity_ - 1;
   std::size_t offset = 0;
   bool blocking_counted = false;
@@ -94,35 +168,10 @@ Status ShmRing::write(std::span<const std::uint8_t> bytes, int peer_fd,
         header_->full_waits.fetch_add(1, std::memory_order_relaxed);
         blocking_counted = true;
       }
-      bool moved = false;
-      for (int i = 0; i < kSpinIterations; ++i) {
-        if (header_->head.load(std::memory_order_acquire) != head ||
-            closed()) {
-          moved = true;
-          break;
-        }
-        cpu_relax();
-      }
-      if (moved) continue;
-      if (peer_dead(peer_fd)) {
-        return Status(StatusCode::kUnavailable, "shm ring: peer closed");
-      }
-      const int slice = next_slice_ms(deadline, infinite);
-      if (slice == 0) {
-        return Status(StatusCode::kDeadlineExceeded,
-                      "shm ring: write timed out");
-      }
-      // Dekker-style park: flag (seq_cst) then re-check, against the
-      // consumer's cursor-store/flag-load on the other side — one of the
-      // two always observes the other, so no wake is ever missed.
-      const std::uint32_t seq =
-          header_->head_seq.load(std::memory_order_acquire);
-      header_->writer_waiting.store(1, std::memory_order_seq_cst);
-      if (header_->head.load(std::memory_order_seq_cst) == head &&
-          !closed()) {
-        futex_wait(header_->head_seq, seq, slice);
-      }
-      header_->writer_waiting.store(0, std::memory_order_relaxed);
+      const Status waited =
+          await_peer(*header_, header_->head, head, header_->head_seq,
+                     header_->writer_waiting, peer_fd, deadline);
+      if (!waited.ok()) return waited;
       continue;
     }
     blocking_counted = false;
@@ -146,9 +195,7 @@ Status ShmRing::write(std::span<const std::uint8_t> bytes, int peer_fd,
 
 Status ShmRing::read(std::span<std::uint8_t> out, int peer_fd,
                      int timeout_ms) {
-  const bool infinite = timeout_ms < 0;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(infinite ? 0 : timeout_ms);
+  const Deadline deadline(timeout_ms);
   const std::size_t mask = capacity_ - 1;
   std::size_t offset = 0;
   while (offset < out.size()) {
@@ -160,32 +207,10 @@ Status ShmRing::read(std::span<std::uint8_t> out, int peer_fd,
       if (closed()) {
         return Status(StatusCode::kUnavailable, "shm ring: closed");
       }
-      bool moved = false;
-      for (int i = 0; i < kSpinIterations; ++i) {
-        if (header_->tail.load(std::memory_order_acquire) != tail ||
-            closed()) {
-          moved = true;
-          break;
-        }
-        cpu_relax();
-      }
-      if (moved) continue;
-      if (peer_dead(peer_fd)) {
-        return Status(StatusCode::kUnavailable, "shm ring: peer closed");
-      }
-      const int slice = next_slice_ms(deadline, infinite);
-      if (slice == 0) {
-        return Status(StatusCode::kDeadlineExceeded,
-                      "shm ring: read timed out");
-      }
-      const std::uint32_t seq =
-          header_->tail_seq.load(std::memory_order_acquire);
-      header_->reader_waiting.store(1, std::memory_order_seq_cst);
-      if (header_->tail.load(std::memory_order_seq_cst) == tail &&
-          !closed()) {
-        futex_wait(header_->tail_seq, seq, slice);
-      }
-      header_->reader_waiting.store(0, std::memory_order_relaxed);
+      const Status waited =
+          await_peer(*header_, header_->tail, tail, header_->tail_seq,
+                     header_->reader_waiting, peer_fd, deadline);
+      if (!waited.ok()) return waited;
       continue;
     }
     const std::size_t at = static_cast<std::size_t>(head & mask);
@@ -218,8 +243,6 @@ struct ShmChannel::Meta {
   std::uint64_t arena_capacity = 0;
   /// Blob bytes passed through the arenas (both directions).
   std::atomic<std::uint64_t> arena_bytes{0};
-  /// Frames that exceeded ring capacity and took the socketpair.
-  std::atomic<std::uint64_t> fallback_frames{0};
 };
 
 Result<ShmChannel> ShmChannel::create(const Config& config) {
@@ -278,10 +301,6 @@ ShmRing& ShmChannel::recv_ring() {
   return side_ == Side::kCoordinator ? to_coordinator_ : to_worker_;
 }
 
-std::size_t ShmChannel::max_ring_frame() const {
-  return static_cast<std::size_t>(meta_->ring_capacity) - sizeof(std::uint64_t);
-}
-
 BlobArena* ShmChannel::encode_arena() {
   send_arena_.reset();
   return &send_arena_;
@@ -295,49 +314,45 @@ Status ShmChannel::send_frame(const mpc::Buffer& encoded, int timeout_ms) {
                                  std::memory_order_relaxed);
     send_arena_.used = 0;
   }
-  ShmRing& ring = send_ring();
-  std::uint64_t marker = encoded.size();
-  if (encoded.size() > max_ring_frame()) {
-    // Too big for the ring: announce with a 0 marker (keeps per-channel
-    // frame order) and ship the envelope over the socketpair.
-    meta_->fallback_frames.fetch_add(1, std::memory_order_relaxed);
-    marker = 0;
-    const Status announced = ring.write(
-        std::span(reinterpret_cast<const std::uint8_t*>(&marker),
-                  sizeof(marker)),
-        fd_, timeout_ms);
-    if (!announced.ok()) return announced;
-    return write_frame(fd_, encoded);
-  }
-  const Status announced = ring.write(
-      std::span(reinterpret_cast<const std::uint8_t*>(&marker),
-                sizeof(marker)),
-      fd_, timeout_ms);
-  if (!announced.ok()) return announced;
-  return ring.write(encoded.span(), fd_, timeout_ms);
+  return send_ring().write(encoded.span(), fd_, timeout_ms);
 }
 
 Result<Frame> ShmChannel::recv_frame(int timeout_ms) {
   ShmRing& ring = recv_ring();
-  std::uint64_t marker = 0;
-  const Status got_marker = ring.read(
-      std::span(reinterpret_cast<std::uint8_t*>(&marker), sizeof(marker)),
-      fd_, timeout_ms);
-  if (!got_marker.ok()) return got_marker;
+  const Deadline deadline(timeout_ms);
+  std::array<std::uint8_t, kEnvelopeHeaderBytes> header;
+  const Status got_header = ring.read(header, fd_, deadline.remaining_ms());
+  if (!got_header.ok()) return got_header;
+  const auto payload_size =
+      envelope_payload_size(header, "ipc frame header");
+  if (!payload_size.ok()) return payload_size.status();
+  // Checked before any arithmetic: the sum below cannot overflow, and a
+  // claim no sender could have held is refused before the allocation.
+  const std::uint64_t framing = kEnvelopeHeaderBytes + kEnvelopeTrailerBytes;
+  if (*payload_size > max_frame_bytes() - framing) {
+    return Status(StatusCode::kInvalidArgument,
+                  "ipc frame: header claims " + std::to_string(*payload_size) +
+                      " payload bytes, more than this host's memory");
+  }
+  const std::size_t size = static_cast<std::size_t>(*payload_size + framing);
+  // Default-initialised: a page is touched only when ring bytes land on it.
+  std::unique_ptr<std::uint8_t[]> envelope;
+  try {
+    envelope = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+  } catch (const std::bad_alloc&) {
+    return Status(StatusCode::kResourceExhausted,
+                  "ipc frame: cannot allocate " + std::to_string(size) +
+                      " bytes");
+  }
+  std::memcpy(envelope.get(), header.data(), header.size());
+  const Status got_rest =
+      ring.read({envelope.get() + header.size(), size - header.size()}, fd_,
+                deadline.remaining_ms());
+  if (!got_rest.ok()) return got_rest;
   const std::span<const std::uint8_t> arena(
       side_ == Side::kCoordinator ? arena_to_coordinator_ : arena_to_worker_,
       arena_capacity_);
-  if (marker == 0) return read_frame(fd_, timeout_ms, arena);
-  if (marker < kEnvelopeHeaderBytes + kEnvelopeTrailerBytes ||
-      marker > max_ring_frame()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "shm ring: implausible frame marker " +
-                      std::to_string(marker));
-  }
-  std::vector<std::uint8_t> envelope(static_cast<std::size_t>(marker));
-  const Status got_body = ring.read(envelope, fd_, timeout_ms);
-  if (!got_body.ok()) return got_body;
-  return decode_envelope(envelope, arena);
+  return decode_envelope({envelope.get(), size}, arena);
 }
 
 void ShmChannel::close() {
@@ -357,14 +372,11 @@ RingCounters ShmChannel::drain_counters() {
   RingCounters total = ring_total(to_worker_);
   total += ring_total(to_coordinator_);
   total.shm_bytes += meta_->arena_bytes.load(std::memory_order_relaxed);
-  total.fallback_frames =
-      meta_->fallback_frames.load(std::memory_order_relaxed);
 
   RingCounters delta;
   delta.wraps = total.wraps - drained_.wraps;
   delta.full_waits = total.full_waits - drained_.full_waits;
   delta.shm_bytes = total.shm_bytes - drained_.shm_bytes;
-  delta.fallback_frames = total.fallback_frames - drained_.fallback_frames;
   drained_ = total;
   return delta;
 }

@@ -12,13 +12,14 @@
 // spin briefly (kSpinIterations) before parking on the futex in bounded
 // slices; between slices they poll the rank's retained socketpair fd, so
 // a SIGKILLed peer — which can never set the `closed` flag — still
-// surfaces as POLLHUP within one slice. Frames cross the ring as a u64
-// length marker followed by the standard checksummed frames.hpp
-// envelope; a marker of 0 announces that this frame was too large for
-// the ring and travels on the socketpair instead (counted, order
-// preserved). Large blobs ride the per-direction arena by (offset,
-// length) reference — see frames.hpp BlobArena. ProcessPool holds one
-// ShmChannel per worker and ProcBackend talks to workers through it.
+// surfaces as POLLHUP within one slice. That probe is the socketpair's
+// only use: every frame, whatever its size, crosses the ring as the
+// standard checksummed frames.hpp envelope, streamed in chunks while
+// the consumer drains, and the receiver learns its length from the
+// envelope header. Large blobs ride the per-direction arena by
+// (offset, length) reference — see frames.hpp BlobArena. ProcessPool
+// holds one ShmChannel per worker and ProcBackend talks to workers
+// through it.
 #pragma once
 
 #include <atomic>
@@ -41,14 +42,11 @@ struct RingCounters {
   std::uint64_t full_waits = 0;
   /// Bytes moved through rings and arenas (both directions).
   std::uint64_t shm_bytes = 0;
-  /// Frames that exceeded ring capacity and fell back to the socketpair.
-  std::uint64_t fallback_frames = 0;
 
   RingCounters& operator+=(const RingCounters& o) {
     wraps += o.wraps;
     full_waits += o.full_waits;
     shm_bytes += o.shm_bytes;
-    fallback_frames += o.fallback_frames;
     return *this;
   }
 };
@@ -132,7 +130,7 @@ enum class Side : std::uint8_t { kCoordinator = 0, kWorker = 1 };
 /// One coordinator<->worker duplex channel: two rings + two blob arenas
 /// in one ShmRegion, created before fork so both processes inherit the
 /// mapping. bind() fixes which end this process is and attaches the
-/// rank's socketpair fd (fallback path + liveness probe).
+/// rank's socketpair fd, the liveness probe of every wait.
 class ShmChannel {
  public:
   struct Config {
@@ -150,15 +148,17 @@ class ShmChannel {
 
   void bind(Side side, int fd);
 
-  /// Largest encoded frame that fits on the ring (marker excluded).
-  std::size_t max_ring_frame() const;
-
-  /// Sends one encoded frame: ring when it fits, socketpair (announced
-  /// by a 0 marker, so per-channel frame order is preserved) when not.
+  /// Writes one encoded frame to the send ring. A frame larger than the
+  /// ring streams through it as the peer drains. Codes as ShmRing::write.
   Status send_frame(const mpc::Buffer& encoded, int timeout_ms = -1);
 
-  /// Receives and decodes one frame, resolving arena blob references
-  /// against the peer's send arena. Codes as read_frame.
+  /// Reads one frame off the receive ring and decodes it, resolving arena
+  /// blob references against the peer's send arena. `timeout_ms` bounds
+  /// the whole frame; < 0 blocks indefinitely. kDeadlineExceeded past the
+  /// budget, kUnavailable once the ring closed or the peer died,
+  /// kInvalidArgument for bytes that are not a well-formed frame
+  /// (including a header claiming more bytes than this host's memory),
+  /// kResourceExhausted when the frame's buffer cannot be allocated.
   Result<Frame> recv_frame(int timeout_ms);
 
   /// The arena frames we *send* may reference. Resets it — callers
@@ -170,8 +170,8 @@ class ShmChannel {
   void close();
 
   /// Counter deltas since the last drain. Sums both rings plus the
-  /// channel-level arena/fallback counters; call from one side only
-  /// (the coordinator) for coherent totals.
+  /// channel-level arena counter; call from one side only (the
+  /// coordinator) for coherent totals.
   RingCounters drain_counters();
 
   /// Test hooks: the raw rings in each direction for this side.

@@ -2,8 +2,6 @@
 
 #include <atomic>
 
-#include "common/net.hpp"
-
 namespace mpte::mpc {
 
 namespace {
@@ -19,16 +17,6 @@ Buffer::Buffer(std::vector<std::uint8_t> bytes) {
 Buffer Buffer::copy_of(std::span<const std::uint8_t> bytes) {
   return Buffer(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
 }
-
-Result<Buffer> Buffer::from_fd(int fd, std::size_t size, int timeout_ms) {
-  if (size == 0) return Buffer();
-  std::vector<std::uint8_t> bytes(size);
-  const Status received = net::recv_exact(fd, bytes, timeout_ms);
-  if (!received.ok()) return received;
-  return Buffer(std::move(bytes));
-}
-
-Status Buffer::write_fd(int fd) const { return net::send_all(fd, span()); }
 
 std::uint64_t Buffer::slabs_created() {
   return slabs_created_.load(std::memory_order_relaxed);

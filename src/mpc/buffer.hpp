@@ -40,17 +40,6 @@ class Buffer {
   /// Materializes a new slab holding a copy of `bytes`.
   static Buffer copy_of(std::span<const std::uint8_t> bytes);
 
-  /// Receives exactly `size` bytes from a socket into one freshly
-  /// materialized slab — the single allocation the wire path needs; the
-  /// returned Buffer then shares that slab through stores/inboxes like
-  /// any other. `timeout_ms` bounds the whole fill (net::recv_exact
-  /// semantics): kDeadlineExceeded past the budget, kUnavailable on EOF.
-  static Result<Buffer> from_fd(int fd, std::size_t size,
-                                int timeout_ms = -1);
-
-  /// Sends the slab's bytes to a socket (EINTR-safe, no SIGPIPE).
-  Status write_fd(int fd) const;
-
   const std::uint8_t* data() const {
     return slab_ ? slab_->data() : nullptr;
   }

@@ -114,9 +114,8 @@ enum class Backend : std::uint8_t { kInProcess = 0, kMultiProcess = 1 };
 /// Knobs for the multi-process backend; ignored under kInProcess.
 struct IpcOptions {
   /// Per-direction ring data capacity (rounded up to a power of two) and
-  /// per-direction blob arena capacity, per worker. Frames that exceed
-  /// the ring fall back to the rank's socketpair (counted in
-  /// mpte_ipc_fallback_frames_total, never truncated) — see
+  /// per-direction blob arena capacity, per worker. A frame larger than
+  /// the ring streams through it in chunks while the peer drains — see
   /// docs/ipc-transport.md.
   std::size_t shm_ring_bytes = 1u << 20;
   std::size_t shm_arena_bytes = 4u << 20;

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <future>
 #include <utility>
@@ -15,8 +16,7 @@
 namespace mpte::serve {
 
 // Blocking I/O (EINTR-safe send/recv, interrupted-connect completion)
-// lives in common/net so the ipc frame transport shares the exact same
-// helpers; this file keeps only the line protocol.
+// lives in common/net; this file keeps only the line protocol.
 using net::socket_error;
 
 SocketServer::SocketServer(EmbeddingService& service, ServerOptions options)
@@ -69,13 +69,27 @@ void SocketServer::accept_loop(int listen_fd) {
       if (errno == EINTR) continue;
       break;  // listener closed by stop(), or fatal error
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> exited;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_.load(std::memory_order_acquire)) {
+        ::close(fd);
+        break;
+      }
+      // Connections that have ended leave with this accept, so the server
+      // holds threads (and their stacks) only for live connections.
+      for (const std::thread::id id : exited_) {
+        const auto it = std::find_if(
+            connections_.begin(), connections_.end(),
+            [id](const std::thread& c) { return c.get_id() == id; });
+        exited.push_back(std::move(*it));
+        connections_.erase(it);
+      }
+      exited_.clear();
+      connection_fds_.push_back(fd);
+      connections_.emplace_back([this, fd] { handle_connection(fd); });
     }
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
+    for (std::thread& connection : exited) connection.join();
   }
 }
 
@@ -156,9 +170,11 @@ void SocketServer::handle_connection(int fd) {
   }
   {
     // Forgotten before close, so stop() never shuts down a descriptor
-    // number the process has handed to another socket since.
+    // number the process has handed to another socket since. The accept
+    // thread joins this thread when it takes the next connection.
     std::lock_guard<std::mutex> lock(mutex_);
     std::erase(connection_fds_, fd);
+    exited_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
   if (want_shutdown) {
@@ -228,6 +244,7 @@ void SocketServer::stop() {
     for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
     connection_fds_.clear();
     connections.swap(connections_);
+    exited_.clear();
   }
   for (std::thread& connection : connections) connection.join();
 }

@@ -76,6 +76,8 @@ class SocketServer {
   std::mutex mutex_;  // guards connection bookkeeping + shutdown flag
   std::condition_variable shutdown_cv_;
   std::vector<std::thread> connections_;
+  /// Connection threads that have finished and wait to be joined.
+  std::vector<std::thread::id> exited_;
   std::vector<int> connection_fds_;
   bool shutdown_requested_ = false;
   std::atomic<bool> stopping_{false};

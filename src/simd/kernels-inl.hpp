@@ -363,10 +363,11 @@ void ball_first_cover_batch_impl(const double* points, std::size_t stride,
   }
 }
 
-/// Backend V's kernel table. With kBallScans = false the two ball entries
-/// stay null and V's ball scans are never instantiated: a backend whose
-/// scans lose to scalar fills them from scalar_ops() instead.
-template <class V, bool kBallScans = true>
+/// Backend V's kernel table. With kRounding = false the entries built on
+/// floor and round (lattice_floor and the two ball scans) stay null and
+/// V's versions are never instantiated: a backend without packed
+/// rounding, whose versions lose to scalar, fills them from scalar_ops().
+template <class V, bool kRounding = true>
 constexpr Ops make_ops(const char* name) {
   Ops ops{
       name,
@@ -377,11 +378,12 @@ constexpr Ops make_ops(const char* name) {
       &dot_impl<V>,
       &gemv_impl<V>,
       &csr_row_dot_impl<V>,
-      &lattice_floor_impl<V>,
+      nullptr,
       nullptr,
       nullptr,
   };
-  if constexpr (kBallScans) {
+  if constexpr (kRounding) {
+    ops.lattice_floor = &lattice_floor_impl<V>;
     ops.ball_first_cover = &ball_first_cover_impl<V>;
     ops.ball_first_cover_batch = &ball_first_cover_batch_impl<V>;
   }

@@ -1,16 +1,14 @@
 // SSE2 implementation of the VecD contract: four virtual lanes as two
 // 128-bit registers. SSE2 is the x86-64 baseline, so this backend exists
-// on every x86-64 host. SSE2 has no packed floor, so floor falls back to
-// lane-wise libm calls — bit-identical to the scalar backend by
-// definition, and the arithmetic (add/sub/mul) still runs two lanes per
-// instruction. It has no packed round either; the ball scans, the only
-// users of round_even and first_not_above, dispatch to the scalar
-// backend on SSE2 (kernels_sse2.cpp), so this type omits those two ops.
+// on every x86-64 host; the arithmetic (add/sub/mul) runs two lanes per
+// instruction. SSE2 has no packed floor or round, so the kernels built
+// on them — the lattice floor and the ball scans, the only users of
+// floor, round_even and first_not_above — dispatch to the scalar backend
+// on SSE2 (kernels_sse2.cpp), and this type omits those three ops.
 #pragma once
 
 #include <emmintrin.h>
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -86,13 +84,6 @@ struct VecSse2 {
   /// FWHT level half=2: lanes (0,2) and (1,3) pair, i.e. lo with hi.
   static VecSse2 butterfly2(VecSse2 a) {
     return VecSse2{_mm_add_pd(a.lo, a.hi), _mm_sub_pd(a.lo, a.hi)};
-  }
-
-  static VecSse2 floor(VecSse2 a) {
-    double tmp[kLanes];
-    a.store(tmp);
-    for (double& x : tmp) x = std::floor(x);
-    return load(tmp);
   }
 };
 

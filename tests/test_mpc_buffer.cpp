@@ -1,8 +1,6 @@
 #include "mpc/buffer.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "mpc/machine.hpp"
 #include "mpc/primitives.hpp"
@@ -157,44 +155,6 @@ TEST(BroadcastZeroCopy, OneSlabServesEveryMachine) {
                 cluster.store(0).blob("blob").data());
     }
   }
-}
-
-TEST(WireRoundTrip, ReceiveMaterializesExactlyOneSharedSlab) {
-  // The wire path's zero-copy contract: from_fd receives straight into one
-  // freshly materialized slab, and everything downstream — store, copies —
-  // refcounts that same slab. A reader that buffered and re-copied would
-  // materialize two.
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::vector<std::uint8_t> payload(4096);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::uint8_t>(i * 31);
-  }
-  const Buffer sent((std::vector<std::uint8_t>(payload)));
-  ASSERT_TRUE(sent.write_fd(sv[0]).ok());
-
-  Buffer::reset_counters();
-  auto received = Buffer::from_fd(sv[1], payload.size(), 1000);
-  ASSERT_TRUE(received.ok()) << received.status().to_string();
-  EXPECT_EQ(Buffer::slabs_created(), 1u);
-  EXPECT_TRUE(*received == payload);
-
-  // Persisting and copying the received Buffer share the wire slab.
-  LocalStore store;
-  store.set_blob("wire", *received);
-  EXPECT_EQ(Buffer::slabs_created(), 1u);
-  EXPECT_EQ(store.blob("wire").data(), received->data());
-
-  // Empty receive allocates nothing; EOF surfaces as kUnavailable.
-  auto empty = Buffer::from_fd(sv[1], 0, 1000);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  EXPECT_EQ(Buffer::slabs_created(), 1u);
-  ::close(sv[0]);
-  auto eof = Buffer::from_fd(sv[1], 16, 1000);
-  ASSERT_FALSE(eof.ok());
-  EXPECT_EQ(eof.status().code(), StatusCode::kUnavailable);
-  ::close(sv[1]);
 }
 
 TEST(BroadcastZeroCopy, SelfSendSharesTheSlab) {

@@ -15,6 +15,7 @@
 
 #include "core/embedder.hpp"
 #include "core/ensemble.hpp"
+#include "dyn/dynamic_ensemble.hpp"
 #include "geometry/generators.hpp"
 #include "golden.hpp"
 #include "obs/metrics.hpp"
@@ -476,6 +477,29 @@ TEST(ObservationOnly, TracedSequentialEmbedIsByteIdenticalAndSplitsByStage) {
     saw_fjlt |= event.category == "fjlt" && event.name == "fjlt";
   }
   EXPECT_TRUE(saw_fjlt);
+}
+
+TEST(ObservationOnly, DynInsertAndEraseRecordSpans) {
+  dyn::DynamicEnsemble::Options options;
+  options.trees = 2;
+  options.member.seed = 5;
+  auto ensemble = dyn::DynamicEnsemble::create(
+      generate_uniform_cube(40, 3, 20.0, 5), options);
+  ASSERT_TRUE(ensemble.ok()) << ensemble.status().to_string();
+  Tracer::global().enable();
+  const std::vector<double> coords = {1.0, 2.0, 3.0};
+  const auto id = (*ensemble)->insert(coords);
+  const Status erased =
+      id.ok() ? (*ensemble)->erase(*id) : Status(id.status());
+  Tracer::global().disable();
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  ASSERT_TRUE(erased.ok()) << erased.to_string();
+  std::map<std::string, int> spans;
+  for (const SpanEvent& event : Tracer::global().snapshot()) {
+    ++spans[event.category + "/" + event.name];
+  }
+  EXPECT_EQ(spans["dyn/insert"], 1);
+  EXPECT_EQ(spans["dyn/erase"], 1);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -161,32 +163,19 @@ TEST(ShmRing, ReadTimesOutAsDeadlineExceeded) {
 
 TEST(ShmRing, CorruptedEnvelopeOnRingIsRejectedByDecode) {
   auto f = RingFixture::make(1u << 12);
-  // Hand-roll the channel's frame-on-ring protocol: u64 length marker,
-  // then the checksummed envelope bytes.
+  // The channel's frame-on-ring protocol: the checksummed envelope as it
+  // is, its header first.
   ErrorFrame error;
   error.rank = 3;
   error.round = 41;
   error.message = "step failed";
   const mpc::Buffer encoded = encode_error(error);
-  const std::uint64_t marker = encoded.size();
-  ASSERT_TRUE(f.producer
-                  .write({reinterpret_cast<const std::uint8_t*>(&marker),
-                          sizeof(marker)},
-                         -1, 2000)
-                  .ok());
   ASSERT_TRUE(f.producer.write({encoded.data(), encoded.size()}, -1, 2000)
                   .ok());
   // Flip one payload byte *in the shared ring data* — torn/corrupted
   // shared pages must not survive the digest check.
-  f.data[sizeof(marker) + kEnvelopeHeaderBytes] ^= 0x40;
-  std::uint64_t got_marker = 0;
-  ASSERT_TRUE(f.consumer
-                  .read({reinterpret_cast<std::uint8_t*>(&got_marker),
-                         sizeof(got_marker)},
-                        -1, 2000)
-                  .ok());
-  ASSERT_EQ(got_marker, marker);
-  std::vector<std::uint8_t> envelope(got_marker);
+  f.data[kEnvelopeHeaderBytes] ^= 0x40;
+  std::vector<std::uint8_t> envelope(encoded.size());
   ASSERT_TRUE(
       f.consumer.read({envelope.data(), envelope.size()}, -1, 2000).ok());
   const auto decoded = decode_envelope({envelope.data(), envelope.size()});
@@ -248,80 +237,156 @@ TEST(ShmRing, TwoThreadHammer) {
   EXPECT_EQ(f.consumer.readable(), 0u);
 }
 
-TEST(ShmChannel, RoundTripsFramesAndFallsBackWhenOversized) {
-  // Channel-level check over a real pre-"fork" channel driven from two
-  // threads: one bound as coordinator, one as worker, exactly like the
-  // two processes would be. A tiny ring forces the oversized result
-  // frame onto the socketpair fallback path (marker 0), interleaved with
-  // ring-sized frames — order must hold and counters must add up.
-  ShmChannel::Config config;
-  config.ring_bytes = 1u << 10;
-  config.arena_bytes = 1u << 12;
-  auto created = ShmChannel::create(config);
-  ASSERT_TRUE(created.ok()) << created.status().to_string();
-  // In a real spawn the worker's end is the same region seen after fork;
-  // here the "worker" is this thread speaking the raw marker+envelope
-  // protocol directly over the channel's rings (cross-process
-  // equivalence is test_ipc's job).
-  ShmChannel channel = std::move(*created);
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  channel.bind(Side::kCoordinator, sv[0]);
-
-  // Worker-side raw view: the ring the coordinator produces on.
-  ShmRing& to_worker = channel.send_ring();
-
-  // Frame 1: small step frame — fits the ring.
+/// A kStep frame whose envelope is exactly `envelope_bytes` long: the
+/// step name absorbs the difference.
+mpc::Buffer step_of_size(std::size_t envelope_bytes, std::uint64_t round) {
   StepFrame step;
   step.rank = 2;
-  step.round = 5;
-  step.step_name = "test/step";
-  ASSERT_TRUE(channel.send_frame(encode_step(step)).ok());
-  // Frame 2: oversized (payload > ring capacity) — must fall back.
-  ResultFrame result;
-  result.rank = 2;
-  result.round = 5;
-  result.fragments.resize(1);
-  StoreDelta delta;
-  delta.key = "big";
-  delta.present = true;
-  delta.blob = mpc::Buffer::copy_of(pattern(8192, 5));
-  result.store_delta.push_back(std::move(delta));
-  ASSERT_TRUE(channel.send_frame(encode_result(result)).ok());
+  step.round = round;
+  const std::size_t bare = encode_step(step).size();
+  EXPECT_GE(envelope_bytes, bare);
+  step.step_name.assign(envelope_bytes - bare, 'a' + round % 26);
+  mpc::Buffer encoded = encode_step(step);
+  EXPECT_EQ(encoded.size(), envelope_bytes);
+  return encoded;
+}
 
-  // Scripted worker: drain both frames in order through the raw
-  // protocol (marker, then ring bytes or socketpair).
-  auto read_exact = [&](std::span<std::uint8_t> out) {
-    ASSERT_TRUE(to_worker.read(out, -1, 5000).ok());
-  };
-  std::uint64_t marker = 0;
-  read_exact({reinterpret_cast<std::uint8_t*>(&marker), sizeof(marker)});
-  ASSERT_GT(marker, 0u);
-  std::vector<std::uint8_t> envelope(marker);
-  read_exact({envelope.data(), envelope.size()});
-  auto first = decode_envelope({envelope.data(), envelope.size()});
-  ASSERT_TRUE(first.ok()) << first.status().to_string();
-  EXPECT_EQ(first->kind, FrameKind::kStep);
-  EXPECT_EQ(first->step.step_name, "test/step");
+/// A channel over a 1 KiB ring, bound as the coordinator, with the rank's
+/// socketpair as in a real spawn.
+struct ChannelFixture {
+  ShmChannel channel;
+  int sv[2] = {-1, -1};
 
-  read_exact({reinterpret_cast<std::uint8_t*>(&marker), sizeof(marker)});
-  EXPECT_EQ(marker, 0u) << "oversized frame should announce fallback";
-  auto second = read_frame(sv[1], 5000);
-  ASSERT_TRUE(second.ok()) << second.status().to_string();
-  EXPECT_EQ(second->kind, FrameKind::kResult);
-  ASSERT_EQ(second->result.store_delta.size(), 1u);
-  EXPECT_EQ(second->result.store_delta[0].blob.size(), 8192u);
+  ChannelFixture() {
+    ShmChannel::Config config;
+    config.ring_bytes = 1u << 10;
+    config.arena_bytes = 1u << 12;
+    auto created = ShmChannel::create(config);
+    EXPECT_TRUE(created.ok()) << created.status().to_string();
+    channel = std::move(*created);
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    channel.bind(Side::kCoordinator, sv[0]);
+  }
+  ~ChannelFixture() {
+    channel.close();
+    ::close(sv[0]);
+    ::close(sv[1]);
+  }
+};
 
+TEST(ShmChannel, FramesLargerThanTheRingStreamThroughItInOrder) {
+  // A frame that fills the 1 KiB ring exactly, one 8x the ring, and
+  // another that fills it, in that order. The coordinator sends them
+  // with send_frame and reads them back with recv_frame; a second thread,
+  // the worker, echoes every byte from one ring to the other, so both
+  // directions stream the oversized frame in chunks.
+  ChannelFixture f;
+  ShmChannel& channel = f.channel;
+  const std::size_t ring = channel.send_ring().capacity();
+  ASSERT_EQ(ring, 1u << 10);
+  const std::vector<mpc::Buffer> frames = {
+      step_of_size(ring, 1), step_of_size(8 * ring, 2),
+      step_of_size(ring, 3)};
+  std::size_t total = 0;
+  for (const mpc::Buffer& frame : frames) total += frame.size();
+
+  Status echo_status;
+  std::thread worker([&] {
+    std::vector<std::uint8_t> bytes;
+    for (const mpc::Buffer& frame : frames) {
+      bytes.resize(frame.size());
+      echo_status = channel.send_ring().read(bytes, -1, 10000);
+      if (!echo_status.ok()) return;
+      echo_status = channel.recv_ring().write(bytes, -1, 10000);
+      if (!echo_status.ok()) return;
+    }
+  });
+  for (const mpc::Buffer& frame : frames) {
+    EXPECT_TRUE(channel.send_frame(frame, 10000).ok());
+  }
+  for (std::uint64_t round = 1; round <= frames.size(); ++round) {
+    auto got = channel.recv_frame(10000);
+    if (!got.ok()) {
+      ADD_FAILURE() << got.status().to_string();
+      break;
+    }
+    EXPECT_EQ(got->kind, FrameKind::kStep);
+    EXPECT_EQ(got->round, round);
+    EXPECT_EQ(got->wire_bytes, frames[round - 1].size());
+  }
+  worker.join();
+  EXPECT_TRUE(echo_status.ok()) << echo_status.to_string();
+
+  // Every byte crossed each ring once; nothing took another carrier.
+  EXPECT_EQ(channel.send_ring().header()->bytes.load(), total);
+  EXPECT_EQ(channel.recv_ring().header()->bytes.load(), total);
   const RingCounters counters = channel.drain_counters();
-  EXPECT_EQ(counters.fallback_frames, 1u);
-  EXPECT_GT(counters.shm_bytes, 0u);
+  EXPECT_EQ(counters.shm_bytes, 2 * total);
+  EXPECT_GE(counters.full_waits, 1u);
   // A second drain reports only what happened since (nothing).
   const RingCounters again = channel.drain_counters();
-  EXPECT_EQ(again.fallback_frames, 0u);
   EXPECT_EQ(again.shm_bytes, 0u);
-  channel.close();
-  ::close(sv[0]);
-  ::close(sv[1]);
+  EXPECT_EQ(again.full_waits, 0u);
+}
+
+/// The 16-byte envelope header of a frame claiming `payload_size` bytes.
+std::vector<std::uint8_t> header_claiming(std::uint64_t payload_size) {
+  std::vector<std::uint8_t> envelope = wrap_checksummed({});
+  std::memcpy(envelope.data() + 2 * sizeof(std::uint32_t), &payload_size,
+              sizeof(payload_size));
+  envelope.resize(kEnvelopeHeaderBytes);
+  return envelope;
+}
+
+/// This process's resident set (VmRSS), in KiB.
+long rss_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(ShmChannel, HostileFrameHeadersReturnAStatus) {
+  // A header whose envelope size wraps size_t, and one no host's memory
+  // could hold, are refused before anything is allocated.
+  for (const std::uint64_t claim :
+       {~std::uint64_t{0} - 7, std::uint64_t{1} << 62}) {
+    ChannelFixture f;
+    const auto header = header_claiming(claim);
+    ASSERT_TRUE(f.channel.recv_ring().write(header, -1, 2000).ok());
+    const auto got = f.channel.recv_frame(2000);
+    ASSERT_FALSE(got.ok()) << "claim " << claim;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument)
+        << got.status().to_string();
+  }
+
+  // A 4 GiB claim with no bytes behind it runs out of time. Its buffer is
+  // left uninitialised, so while the reader waits for bytes that never
+  // come, no page of it is resident.
+  ChannelFixture f;
+  const auto header = header_claiming(std::uint64_t{1} << 32);
+  ASSERT_TRUE(f.channel.recv_ring().write(header, -1, 2000).ok());
+  const long rss_before = rss_kb();
+  long rss_waiting = 0;
+  std::thread sampler([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    rss_waiting = rss_kb();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const auto got = f.channel.recv_frame(200);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  sampler.join();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
+      << got.status().to_string();
+  EXPECT_GE(waited, std::chrono::milliseconds(190));
+  ASSERT_GT(rss_before, 0);
+#if !defined(__SANITIZE_ADDRESS__)
+  // Under ASan the shadow of a fresh 4 GiB chunk is partly resident
+  // whatever the program touches, so there the resident set shows nothing.
+  EXPECT_LT(rss_waiting - rss_before, 64 * 1024);
+#endif
 }
 
 }  // namespace
