@@ -24,7 +24,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-using mpc::CheckpointPolicy;
 using mpc::Cluster;
 using mpc::ClusterConfig;
 
@@ -62,7 +61,6 @@ void BM_CheckpointOverhead(benchmark::State& state) {
   for (auto _ : state) {
     ClusterConfig config = base_config();
     if (every > 0) {
-      config.checkpoint.mode = CheckpointPolicy::Mode::kEveryK;
       config.checkpoint.directory = dir.string();
       config.checkpoint.every_k = every;
     }
@@ -104,7 +102,6 @@ void BM_RecoveryFromMidRunCrash(benchmark::State& state) {
   std::size_t replayed = 0;
   for (auto _ : state) {
     ClusterConfig config = base_config();
-    config.checkpoint.mode = CheckpointPolicy::Mode::kEveryK;
     config.checkpoint.directory = dir.string();
     config.checkpoint.every_k = 1;
     Cluster cluster(config);

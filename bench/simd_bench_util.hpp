@@ -144,44 +144,63 @@ class SimdBenchRecorder {
   std::vector<SimdKernelRow> rows_;
 };
 
-/// Best-of-`reps` wall-clock milliseconds of fn().
-template <typename Fn>
-double simd_best_ms(Fn&& fn, int reps = 3) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Timer timer;
-    fn();
-    best = std::min(best, timer.milliseconds());
-  }
-  return best;
+/// Rounds of a backend sweep: enough for the per-round win count to decide
+/// a 9-in-10 comparison against scalar.
+inline constexpr std::size_t kSweepRounds = 10;
+
+/// Median of `values` (non-empty).
+inline double simd_median_ms(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : 0.5 * (values[mid - 1] + values[mid]);
 }
 
-/// Times `fn` once per available backend (forcing each via set_backend,
-/// then restoring the dispatch default), records counters
-/// "<backend>_ms" / "<backend>_gbps" / "<backend>_speedup" on `state`,
-/// and appends the rows to the BENCH_simd artifacts. `bytes_per_call` is
-/// the number of bytes one fn() invocation streams (for GB/s).
+/// Times `fn` on every available backend (forcing each via set_backend,
+/// then restoring the dispatch default) over kSweepRounds rounds. Each
+/// round runs every backend once, starting one backend later than the
+/// previous round, so none always runs first on a host whose speed
+/// drifts. Records counters "<backend>_ms" (the median),
+/// "<backend>_gbps", "<backend>_speedup" (scalar median / median) and
+/// "<backend>_wins" (rounds in which it beat scalar) on `state`, and
+/// appends the rows to the BENCH_simd artifacts. `bytes_per_call` is the
+/// number of bytes one fn() invocation streams (for GB/s).
 template <typename Fn>
 void simd_backend_sweep(benchmark::State& state, const std::string& kernel,
                         double bytes_per_call, Fn&& fn) {
   const simd::Backend saved = simd::active_backend();
-  double scalar_ms = 0.0;
-  for (const simd::Backend backend : simd::available_backends()) {
-    if (!simd::set_backend(backend)) continue;
-    const double ms = simd_best_ms(fn);
-    if (backend == simd::Backend::kScalar) scalar_ms = ms;
+  const std::vector<simd::Backend> backends = simd::available_backends();
+  fn();  // warm caches and lazy set-up outside the timed rounds
+  // ms[b][round]; available_backends() lists scalar first.
+  std::vector<std::vector<double>> ms(backends.size());
+  for (std::size_t round = 0; round < kSweepRounds; ++round) {
+    for (std::size_t i = 0; i < backends.size(); ++i) {
+      const std::size_t b = (round + i) % backends.size();
+      simd::set_backend(backends[b]);
+      Timer timer;
+      fn();
+      ms[b].push_back(timer.milliseconds());
+    }
+  }
+  simd::set_backend(saved);
+  const double scalar_ms = simd_median_ms(ms[0]);
+  for (std::size_t b = 0; b < backends.size(); ++b) {
+    std::size_t wins = 0;
+    for (std::size_t round = 0; round < kSweepRounds; ++round) {
+      wins += ms[b][round] < ms[0][round];
+    }
     SimdKernelRow row;
     row.kernel = kernel;
-    row.backend = simd::backend_name(backend);
-    row.ms = ms;
-    row.gb_per_s = ms > 0.0 ? bytes_per_call / (ms * 1e6) : 0.0;
-    row.speedup_vs_scalar = ms > 0.0 ? scalar_ms / ms : 0.0;
+    row.backend = simd::backend_name(backends[b]);
+    row.ms = simd_median_ms(ms[b]);
+    row.gb_per_s = row.ms > 0.0 ? bytes_per_call / (row.ms * 1e6) : 0.0;
+    row.speedup_vs_scalar = row.ms > 0.0 ? scalar_ms / row.ms : 0.0;
     state.counters[row.backend + "_ms"] = row.ms;
     state.counters[row.backend + "_gbps"] = row.gb_per_s;
     state.counters[row.backend + "_speedup"] = row.speedup_vs_scalar;
+    state.counters[row.backend + "_wins"] = static_cast<double>(wins);
     SimdBenchRecorder::global().add(std::move(row));
   }
-  simd::set_backend(saved);
   SimdBenchRecorder::global().write_artifacts();
 }
 

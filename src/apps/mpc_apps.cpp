@@ -216,8 +216,7 @@ const RegisterStep kRegMstEmitEdges{"mst/emit-edges", make_mst_emit_edges};
 void scatter_point_values(Cluster& cluster, const Key<std::int64_t>& key,
                           const std::vector<std::int64_t>& values) {
   // Host-side write: suppressed while fast-forwarding a restored run, like
-  // every other scatter (the apps recover by restart, so this only matters
-  // if a caller resumes a cluster mid-pipeline by hand).
+  // every other scatter — the restored stores already hold the values.
   if (cluster.fast_forwarding()) return;
   const mpc::PointBlocks blocks(values.size(), cluster.num_machines());
   for (MachineId id = 0; id < cluster.num_machines(); ++id) {
@@ -244,7 +243,7 @@ MpcEmdResult finish_emd(Cluster& cluster, const detail::MpcRun& run) {
   MpcEmdResult result;
   result.emd = kEmdTotal.get(cluster.store(0)) * run.cell;
   result.retries_used = run.attempt;
-  result.rounds_used = cluster.stats().rounds() - run.rounds_before;
+  result.rounds_used = cluster.logical_rounds() - run.rounds_before;
   detail::erase_run_keys(cluster,
                          {kMass.name, kEmdPartial.name, kEmdTotal.name});
   return result;
@@ -380,7 +379,7 @@ Result<MpcDensestBallResult> mpc_densest_ball(
     result.diameter = root_bound * run->cell;
   }
   result.retries_used = run->attempt;
-  result.rounds_used = cluster.stats().rounds() - run->rounds_before;
+  result.rounds_used = cluster.logical_rounds() - run->rounds_before;
   detail::erase_run_keys(cluster, {kBestKey.name});
   return result;
 }
@@ -419,7 +418,7 @@ Result<MpcMstResult> mpc_tree_mst(Cluster& cluster, const PointSet& points,
     result.total_length += length;
   }
   result.retries_used = run->attempt;
-  result.rounds_used = cluster.stats().rounds() - run->rounds_before;
+  result.rounds_used = cluster.logical_rounds() - run->rounds_before;
   detail::erase_run_keys(cluster, {kMstEdgesDedup.name});
   return result;
 }

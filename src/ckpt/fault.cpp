@@ -2,107 +2,20 @@
 
 #include <algorithm>
 
-#include "common/rng.hpp"
-
 namespace mpte::ckpt {
 
-FaultPlan FaultPlan::generate(std::uint64_t seed, std::size_t num_machines,
-                              const Options& options) {
-  if (num_machines == 0) {
-    throw MpteError("FaultPlan::generate: need at least one machine");
-  }
-  const std::size_t horizon = std::max<std::size_t>(options.round_horizon, 1);
-  Rng rng(hash_combine(mix64(seed), 0x6661756c74ull));  // "fault"
-  FaultPlan plan;
-  for (std::size_t i = 0; i < options.crashes; ++i) {
-    plan.add_crash(rng.uniform_u64(horizon),
-                   static_cast<mpc::MachineId>(rng.uniform_u64(num_machines)));
-  }
-  for (std::size_t i = 0; i < options.drops; ++i) {
-    plan.add_drop(rng.uniform_u64(horizon),
-                  static_cast<mpc::MachineId>(rng.uniform_u64(num_machines)),
-                  static_cast<mpc::MachineId>(rng.uniform_u64(num_machines)));
-  }
-  for (std::size_t i = 0; i < options.duplicates; ++i) {
-    plan.add_duplicate(
-        rng.uniform_u64(horizon),
-        static_cast<mpc::MachineId>(rng.uniform_u64(num_machines)),
-        static_cast<mpc::MachineId>(rng.uniform_u64(num_machines)));
-  }
-  return plan;
-}
-
-void FaultPlan::push(FaultEvent event) {
-  // Keep events ordered by round (stable within a round by insertion) so
-  // events() reads as a timeline and consumption scans stay predictable.
-  const auto pos = std::upper_bound(
-      events_.begin(), events_.end(), event,
-      [](const FaultEvent& a, const FaultEvent& b) { return a.round < b.round; });
-  consumed_.insert(consumed_.begin() + (pos - events_.begin()), 0);
-  events_.insert(pos, event);
-}
-
 void FaultPlan::add_crash(std::size_t round, mpc::MachineId rank) {
-  push(FaultEvent{static_cast<std::uint32_t>(round), FaultKind::kCrash, rank,
-                  0});
-}
-
-void FaultPlan::add_drop(std::size_t round, mpc::MachineId src,
-                         mpc::MachineId dst) {
-  push(FaultEvent{static_cast<std::uint32_t>(round), FaultKind::kDrop, src,
-                  dst});
-}
-
-void FaultPlan::add_duplicate(std::size_t round, mpc::MachineId src,
-                              mpc::MachineId dst) {
-  push(FaultEvent{static_cast<std::uint32_t>(round), FaultKind::kDuplicate,
-                  src, dst});
+  pending_.push_back(Crash{round, rank});
 }
 
 std::optional<mpc::MachineId> FaultPlan::take_crash(std::size_t round) {
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    const FaultEvent& e = events_[i];
-    if (e.round != round || e.kind != FaultKind::kCrash || consumed_[i]) {
-      continue;
-    }
-    consumed_[i] = 1;
-    return e.rank;
-  }
-  return std::nullopt;
-}
-
-mpc::ClusterHooks::DeliveryFaults FaultPlan::take_delivery(
-    std::size_t round, mpc::MachineId src, mpc::MachineId dst) {
-  mpc::ClusterHooks::DeliveryFaults faults;
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    const FaultEvent& e = events_[i];
-    if (e.round != round || e.rank != src || e.peer != dst || consumed_[i]) {
-      continue;
-    }
-    if (e.kind == FaultKind::kDrop) {
-      consumed_[i] = 1;
-      ++faults.dropped;
-    } else if (e.kind == FaultKind::kDuplicate) {
-      consumed_[i] = 1;
-      ++faults.duplicated;
-    }
-  }
-  return faults;
-}
-
-std::size_t FaultPlan::consumed() const {
-  std::size_t n = 0;
-  for (const std::uint8_t c : consumed_) n += c != 0;
-  return n;
-}
-
-void FaultPlan::restore_consumed(const std::vector<std::uint8_t>& flags) {
-  if (flags.size() != events_.size()) {
-    throw MpteError("FaultPlan::restore_consumed: cursor has " +
-                    std::to_string(flags.size()) + " flags, plan has " +
-                    std::to_string(events_.size()) + " events");
-  }
-  consumed_ = flags;
+  const auto it =
+      std::find_if(pending_.begin(), pending_.end(),
+                   [round](const Crash& c) { return c.round == round; });
+  if (it == pending_.end()) return std::nullopt;
+  const mpc::MachineId rank = it->rank;
+  pending_.erase(it);
+  return rank;
 }
 
 }  // namespace mpte::ckpt

@@ -1,20 +1,17 @@
-// Deterministic fault injection for the MPC simulator.
+// Deterministic crash injection for the MPC simulator.
 //
-// A FaultPlan is a schedule of events — rank-crash-at-round, message-drop,
-// message-duplicate — consulted by Cluster::run_round through the
-// ClusterHooks interface (ckpt::Coordinator adapts one to the other). The
-// whole schedule is a pure function of a single seed, so a failing fuzz
-// configuration reproduces from that seed alone, at any cluster thread
-// count.
+// A FaultPlan is a schedule of rank crashes, each at a round, consulted by
+// Cluster::run_round through the ClusterHooks interface (ckpt::Coordinator
+// adapts one to the other). A crash is the one fault the simulator
+// injects: it is what a snapshot exists to survive, and ipc::WorkerLost
+// reaches the same recovery loop as a real one.
 //
-// Crash events are consumed when they fire: a worker that died and was
-// replaced does not die again at the same round, which is what lets crash
-// recovery terminate. Drop/duplicate events are masked by the simulated
-// substrate (retransmit / dedup), so they perturb counters, never bytes.
+// A crash is consumed when it fires: a worker that died and was replaced
+// does not die again at the same round, which is what lets crash recovery
+// terminate.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -22,71 +19,21 @@
 
 namespace mpte::ckpt {
 
-enum class FaultKind : std::uint8_t {
-  kCrash = 0,
-  kDrop = 1,
-  kDuplicate = 2,
-};
-
-struct FaultEvent {
-  std::uint32_t round = 0;
-  FaultKind kind = FaultKind::kCrash;
-  /// Crash victim, or the message's source rank for drop/duplicate.
-  mpc::MachineId rank = 0;
-  /// Message destination rank (drop/duplicate only).
-  mpc::MachineId peer = 0;
-
-  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
-};
-
-/// A seeded, replayable schedule of injected faults.
+/// A replayable schedule of injected rank crashes.
 class FaultPlan {
  public:
-  struct Options {
-    std::size_t crashes = 0;
-    std::size_t drops = 0;
-    std::size_t duplicates = 0;
-    /// Event rounds are drawn uniformly from [0, round_horizon).
-    std::size_t round_horizon = 24;
-  };
-
-  FaultPlan() = default;
-
-  /// Seeded schedule: the same (seed, num_machines, options) produce the
-  /// same event sequence on every host and at every thread count.
-  static FaultPlan generate(std::uint64_t seed, std::size_t num_machines,
-                            const Options& options);
-
   void add_crash(std::size_t round, mpc::MachineId rank);
-  void add_drop(std::size_t round, mpc::MachineId src, mpc::MachineId dst);
-  void add_duplicate(std::size_t round, mpc::MachineId src,
-                     mpc::MachineId dst);
 
-  /// First unconsumed crash scheduled for `round`; marks it consumed.
+  /// First pending crash scheduled for `round`, in the order added; removes
+  /// it from the schedule.
   std::optional<mpc::MachineId> take_crash(std::size_t round);
 
-  /// Unconsumed drop/duplicate events matching (round, src, dst); marks
-  /// them consumed and returns their counts.
-  mpc::ClusterHooks::DeliveryFaults take_delivery(std::size_t round,
-                                                  mpc::MachineId src,
-                                                  mpc::MachineId dst);
-
-  const std::vector<FaultEvent>& events() const { return events_; }
-  bool empty() const { return events_.empty(); }
-  std::size_t consumed() const;
-
-  /// Consumption cursor, one byte per event — the plan's "RNG position".
-  /// Snapshots persist it so a cross-process resume can tell which events
-  /// already fired. In-process recovery deliberately does NOT rewind it
-  /// (a rewound crash would re-fire forever; see Coordinator).
-  std::vector<std::uint8_t> consumed_flags() const { return consumed_; }
-  void restore_consumed(const std::vector<std::uint8_t>& flags);
-
  private:
-  void push(FaultEvent event);
-
-  std::vector<FaultEvent> events_;
-  std::vector<std::uint8_t> consumed_;  // parallel to events_
+  struct Crash {
+    std::size_t round;
+    mpc::MachineId rank;
+  };
+  std::vector<Crash> pending_;
 };
 
 }  // namespace mpte::ckpt

@@ -15,6 +15,9 @@ namespace {
 
 constexpr const char* kPrefix = "ckpt-";
 constexpr const char* kSuffix = ".mpck";
+/// Snapshots kept on disk: the newest, and one to fall back to when the
+/// newest is unreadable.
+constexpr std::size_t kKeep = 2;
 
 std::string snapshot_filename(std::uint64_t rounds) {
   // Zero-padded so lexicographic filename order equals round order.
@@ -26,45 +29,20 @@ std::string snapshot_filename(std::uint64_t rounds) {
 }  // namespace
 
 Coordinator::Coordinator(mpc::CheckpointPolicy policy, FaultPlan plan)
-    : policy_(std::move(policy)), plan_(std::move(plan)) {
-  if (policy_.enabled() && policy_.directory.empty()) {
-    throw MpteError("Coordinator: checkpoint policy enabled without a directory");
-  }
-}
+    : policy_(std::move(policy)), plan_(std::move(plan)) {}
 
 std::optional<mpc::MachineId> Coordinator::crash_rank(std::size_t round) {
   return plan_.take_crash(round);
 }
 
-mpc::ClusterHooks::DeliveryFaults Coordinator::delivery_faults(
-    std::size_t round, mpc::MachineId src, mpc::MachineId dst) {
-  return plan_.take_delivery(round, src, dst);
-}
-
 void Coordinator::round_committed(mpc::Cluster& cluster, std::size_t round) {
-  (void)round;
-  if (!policy_.enabled()) return;
-  ++rounds_since_checkpoint_;
-  const auto& records = cluster.stats().records();
-  if (!records.empty()) {
-    bytes_since_checkpoint_ += records.back().total_message_bytes;
+  // Due on committed-round counts that are multiples of k, so a restored
+  // run snapshots at the same rounds as an uninterrupted one.
+  if (!policy_.enabled() ||
+      (round + 1) % std::max<std::size_t>(policy_.every_k, 1) != 0) {
+    return;
   }
-  bool due = false;
-  switch (policy_.mode) {
-    case mpc::CheckpointPolicy::Mode::kOff:
-      break;
-    case mpc::CheckpointPolicy::Mode::kEveryK:
-      due = rounds_since_checkpoint_ >=
-            std::max<std::size_t>(policy_.every_k, 1);
-      break;
-    case mpc::CheckpointPolicy::Mode::kByteBudget:
-      due = bytes_since_checkpoint_ >= policy_.byte_budget;
-      break;
-  }
-  if (!due) return;
   last_write_status_ = write_snapshot(cluster);
-  rounds_since_checkpoint_ = 0;
-  bytes_since_checkpoint_ = 0;
 }
 
 Status Coordinator::write_snapshot(mpc::Cluster& cluster) {
@@ -77,7 +55,7 @@ Status Coordinator::write_snapshot(mpc::Cluster& cluster) {
     return Status(StatusCode::kUnavailable,
                   "cannot create checkpoint directory " + policy_.directory);
   }
-  const Snapshot snap = Snapshot::capture(cluster, plan_.consumed_flags());
+  const Snapshot snap = Snapshot::capture(cluster);
   const std::vector<std::uint8_t> bytes = snap.to_bytes();
   const fs::path path = fs::path(policy_.directory) /
                         snapshot_filename(snap.rounds);
@@ -89,19 +67,12 @@ Status Coordinator::write_snapshot(mpc::Cluster& cluster) {
   resilience.checkpoint_bytes += bytes.size();
   resilience.checkpoint_seconds += timer.seconds();
 
-  // Prune oldest snapshots beyond the retention count.
-  const auto paths = snapshot_paths();
-  const std::size_t keep = std::max<std::size_t>(policy_.keep, 1);
-  if (paths.size() > keep) {
-    for (std::size_t i = 0; i + keep < paths.size(); ++i) {
-      fs::remove(paths[i], ec);
-    }
+  // Prune all but the newest kKeep snapshots.
+  const auto paths = snapshot_paths(policy_.directory);
+  for (std::size_t i = 0; i + kKeep < paths.size(); ++i) {
+    fs::remove(paths[i], ec);
   }
   return Status::Ok();
-}
-
-std::vector<std::string> Coordinator::snapshot_paths() const {
-  return snapshot_paths(policy_.directory);
 }
 
 std::vector<std::string> Coordinator::snapshot_paths(const std::string& dir) {
@@ -119,7 +90,10 @@ std::vector<std::string> Coordinator::snapshot_paths(const std::string& dir) {
 }
 
 Result<Snapshot> Coordinator::load_latest() const {
-  const auto paths = snapshot_paths();
+  if (!policy_.enabled()) {
+    return Status(StatusCode::kUnavailable, "checkpointing is off");
+  }
+  const auto paths = snapshot_paths(policy_.directory);
   Status last(StatusCode::kUnavailable,
               "no snapshots in " + policy_.directory);
   for (auto it = paths.rbegin(); it != paths.rend(); ++it) {
@@ -137,10 +111,10 @@ void Coordinator::restore_latest(mpc::Cluster& cluster) {
   if (snap.ok()) {
     cluster.resume_from(std::move(snap->state));
   } else {
-    // Nothing usable on disk: recovery degenerates to restart-from-scratch.
+    // Nothing usable (or checkpointing off): re-run from round zero.
     cluster.reset_to_start();
   }
-  // plan_'s consumed events intentionally stay consumed (see header).
+  // Crashes already taken from plan_ stay taken (see header).
   auto& resilience = cluster.stats().resilience();
   resilience.recoveries += 1;
   resilience.recovery_seconds += timer.seconds();

@@ -1,18 +1,19 @@
-// The checkpoint/fault coordinator: the concrete ClusterHooks.
+// The checkpoint/crash coordinator: the concrete ClusterHooks.
 //
-// A Coordinator owns a FaultPlan (what to inject) and interprets the
-// CheckpointPolicy from ClusterConfig (when to snapshot). Attach it with
-// cluster.set_hooks(&coordinator); it then
+// A Coordinator owns a FaultPlan (which rank crashes at which round) and
+// the CheckpointPolicy from ClusterConfig (where to snapshot, and how
+// often). Attach it with cluster.set_hooks(&coordinator); it then
 //   - throws RankCrashed at scheduled crash rounds,
-//   - counts scheduled drop/duplicate events at delivery (masked faults),
-//   - snapshots the cluster at policy-selected round boundaries, atomically,
-//     pruning old files down to policy.keep.
+//   - with a policy directory set, snapshots the cluster after every
+//     every_k-th committed round, atomically, keeping the newest two
+//     files (one to restore, one to fall back to if the newest is
+//     unreadable).
 //
-// Recovery: restore_latest() loads the newest readable snapshot from the
-// policy directory into the cluster (corrupted files are skipped), or
-// resets the cluster to the start when none is usable. The fault plan's
-// consumed events stay consumed across an in-process restore — a crash
-// that already fired must not re-fire, or recovery would loop forever.
+// Recovery: restore_latest() loads the newest readable snapshot into the
+// cluster (corrupted files are skipped), or resets the cluster to the
+// start when none is usable or checkpointing is off. A crash that already
+// fired stays consumed across the restore — it must not re-fire, or
+// recovery would loop forever.
 #pragma once
 
 #include <cstddef>
@@ -37,26 +38,20 @@ class Coordinator : public mpc::ClusterHooks {
 
   // ClusterHooks:
   std::optional<mpc::MachineId> crash_rank(std::size_t round) override;
-  DeliveryFaults delivery_faults(std::size_t round, mpc::MachineId src,
-                                 mpc::MachineId dst) override;
   void round_committed(mpc::Cluster& cluster, std::size_t round) override;
 
   /// Restores the newest readable snapshot into `cluster`, or resets it to
-  /// the start when the directory holds none. Updates the cluster's
-  /// resilience counters (recoveries, recovery_seconds).
+  /// the start when there is none. Updates the cluster's resilience
+  /// counters (recoveries, recovery_seconds).
   void restore_latest(mpc::Cluster& cluster);
 
-  /// Newest readable snapshot in the policy directory; kUnavailable if the
-  /// directory holds none, the last decode Status if all are corrupt.
+  /// Newest readable snapshot in the policy directory; kUnavailable if
+  /// checkpointing is off or the directory holds none, the last decode
+  /// Status if all are corrupt.
   Result<Snapshot> load_latest() const;
 
-  /// Snapshot files currently on disk, oldest first.
-  std::vector<std::string> snapshot_paths() const;
+  /// Snapshot files in `dir`, oldest first.
   static std::vector<std::string> snapshot_paths(const std::string& dir);
-
-  const mpc::CheckpointPolicy& policy() const { return policy_; }
-  FaultPlan& plan() { return plan_; }
-  const FaultPlan& plan() const { return plan_; }
 
   /// Status of the most recent snapshot write (ok until one fails; a
   /// failed write never aborts the run, it only surfaces here).
@@ -67,8 +62,6 @@ class Coordinator : public mpc::ClusterHooks {
 
   mpc::CheckpointPolicy policy_;
   FaultPlan plan_;
-  std::size_t rounds_since_checkpoint_ = 0;
-  std::size_t bytes_since_checkpoint_ = 0;
   Status last_write_status_;
 };
 

@@ -1,14 +1,16 @@
-// Crash-recovery driver loop.
+// Crash-recovery driver loop — the one recovery path.
 //
-// run_with_recovery re-runs a pipeline until it finishes without an
-// injected crash. On RankCrashed it restores the newest snapshot through
-// the Coordinator (or resets the cluster when none exists) and calls the
+// run_with_recovery re-runs a pipeline until it finishes without a crash.
+// On RankCrashed (an injected crash, or an ipc::WorkerLost) it restores the
+// newest snapshot through the Coordinator — which resets the cluster to
+// the start when there is none or checkpointing is off — and calls the
 // body again; the restored cluster fast-forwards the already-committed
 // rounds, so the re-driven pipeline produces state — and output — byte-
 // identical to a fault-free run. The body must therefore be *re-enterable*:
 // calling it again after resume_from must issue the same run_round
-// sequence (every pipeline in this library is, because round structure is
-// a pure function of config).
+// sequence, and host-side code between rounds must honor
+// fast_forwarding(). mpc_embed and the four MPC applications share such a
+// driver (core/mpc_stages.hpp).
 //
 // When the restore budget runs out the Status code is kAborted — terminal,
 // unlike the retryable kUnavailable.
@@ -24,30 +26,13 @@
 
 namespace mpte::ckpt {
 
-struct RecoveryOptions {
-  enum class Mode {
-    /// Restore the newest snapshot and fast-forward to it. Requires a
-    /// resume-aware pipeline (mpc_embed; anything whose host-side code
-    /// honors fast_forwarding()).
-    kResume,
-    /// Reset the cluster to the start and re-run from round 0. Always
-    /// sound — the choice for pipelines with host-side decision reads
-    /// between rounds (the mpc_apps algorithms).
-    kRestart,
-  };
-  Mode mode = Mode::kResume;
-  /// Restores attempted before giving up with kAborted. Bounds the
-  /// pathological case of a fault plan that crashes faster than the
-  /// checkpoint policy makes progress.
-  int max_recoveries = 8;
-};
-
 /// Runs `body` (any callable returning Status or Result<T>, constructible
 /// from a Status) under crash recovery. Returns the body's result, or a
-/// kAborted Status/Result when max_recoveries restores were not enough.
+/// kAborted Status/Result after `max_recoveries` restores — the bound on a
+/// schedule that crashes faster than the checkpoints make progress.
 template <typename Fn>
 auto run_with_recovery(mpc::Cluster& cluster, Coordinator& coordinator,
-                       Fn&& body, RecoveryOptions options = {})
+                       Fn&& body, int max_recoveries = 8)
     -> std::invoke_result_t<Fn&> {
   using R = std::invoke_result_t<Fn&>;
   int recoveries = 0;
@@ -55,7 +40,7 @@ auto run_with_recovery(mpc::Cluster& cluster, Coordinator& coordinator,
     try {
       return body();
     } catch (const mpc::RankCrashed& crash) {
-      if (recoveries >= options.max_recoveries) {
+      if (recoveries >= max_recoveries) {
         return R(Status(
             StatusCode::kAborted,
             std::string("crash recovery exhausted after ") +
@@ -63,13 +48,7 @@ auto run_with_recovery(mpc::Cluster& cluster, Coordinator& coordinator,
                 crash.what() + ")"));
       }
       ++recoveries;
-      if (options.mode == RecoveryOptions::Mode::kResume) {
-        coordinator.restore_latest(cluster);
-      } else {
-        cluster.reset_to_start();
-        auto& resilience = cluster.stats().resilience();
-        resilience.recoveries += 1;
-      }
+      coordinator.restore_latest(cluster);
     }
   }
 }

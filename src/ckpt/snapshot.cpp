@@ -74,7 +74,7 @@ Snapshot decode_payload(std::span<const std::uint8_t> payload,
     }
   }
 
-  snap.fault_cursor = d.read_vector<std::uint8_t>();
+  (void)d.read_vector<std::uint8_t>();  // the unused cursor slot
   snap.state.driver_note = read_buffer(d);
   if (!d.exhausted()) {
     throw MpteError(context + ": trailing bytes after snapshot payload");
@@ -84,12 +84,10 @@ Snapshot decode_payload(std::span<const std::uint8_t> payload,
 
 }  // namespace
 
-Snapshot Snapshot::capture(const mpc::Cluster& cluster,
-                           std::vector<std::uint8_t> fault_cursor) {
+Snapshot Snapshot::capture(const mpc::Cluster& cluster) {
   Snapshot snap;
   snap.state = cluster.capture_state();
   snap.rounds = snap.state.records.size();
-  snap.fault_cursor = std::move(fault_cursor);
   return snap;
 }
 
@@ -127,7 +125,7 @@ std::vector<std::uint8_t> Snapshot::to_bytes() const {
       s.write(static_cast<std::uint64_t>(bytes));
     }
   }
-  s.write_vector(fault_cursor);
+  s.write_vector(std::vector<std::uint8_t>{});  // the unused cursor slot
   write_buffer(s, state.driver_note);
   return wrap_checksummed(s.bytes());
 }

@@ -3,11 +3,15 @@
 // A snapshot captures everything needed to re-enter a run at a round
 // boundary: every machine's LocalStore and inbox (Buffer slabs shared with
 // the live cluster at capture — serialization is the only copy), the full
-// RoundRecord history (doubling as the round counter), the driver note
-// (host-side decisions like the chosen delta), and the fault plan's
-// consumption cursor. The encoding reuses Serializer and is wrapped in the
-// common checksummed file envelope, so truncated or bit-flipped snapshot
-// files are rejected with a Status instead of resurrecting garbage state.
+// RoundRecord history (doubling as the round counter), and the driver note
+// (host-side decisions like the chosen delta). The encoding reuses
+// Serializer and is wrapped in the common checksummed file envelope, so
+// truncated or bit-flipped snapshot files are rejected with a Status
+// instead of resurrecting garbage state.
+//
+// Version 1 still has a byte-vector slot before the driver note that
+// earlier builds filled with a fault-schedule cursor. It is written empty
+// and skipped on read, so their checkpoint directories still resume.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +31,9 @@ struct Snapshot {
   /// resume_from skips exactly this many run_round calls).
   std::uint64_t rounds = 0;
   mpc::ClusterState state;
-  std::vector<std::uint8_t> fault_cursor;
 
-  /// Captures the cluster's restorable state plus the fault plan cursor.
-  static Snapshot capture(const mpc::Cluster& cluster,
-                          std::vector<std::uint8_t> fault_cursor = {});
+  /// Captures the cluster's restorable state.
+  static Snapshot capture(const mpc::Cluster& cluster);
 
   /// Serialized payload wrapped in the checksummed envelope.
   std::vector<std::uint8_t> to_bytes() const;

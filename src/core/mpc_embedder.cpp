@@ -62,7 +62,7 @@ Result<MpcEmbedding> mpc_embed(Cluster& cluster, const PointSet& points,
           run->attempt,
           /*point_ids=*/{},
       },
-      cluster.stats().rounds() - run->rounds_before,
+      cluster.logical_rounds() - run->rounds_before,
   };
   return embedding;
 }

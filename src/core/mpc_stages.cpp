@@ -323,7 +323,7 @@ Result<MpcRun> run_mpc_pipeline(Cluster& cluster, const PointSet& points,
     return retries;
   }
   MpcRun run;
-  run.rounds_before = cluster.stats().rounds();
+  run.rounds_before = cluster.logical_rounds();
   const std::size_t n = points.size();
 
   // When the cluster was just restored from a snapshot it is

@@ -110,6 +110,7 @@ struct MpcRun {
   PartitionPlan plan;
   int attempt = 0;  // the successful attempt and its stage-3 description
   PartitionParams params;
+  /// Cluster::logical_rounds() at entry: the baseline of rounds_used.
   std::size_t rounds_before = 0;
 };
 

@@ -7,7 +7,6 @@
 
 #include "common/parallel.hpp"
 #include "obs/trace.hpp"
-#include "simd/arena.hpp"
 
 namespace mpte::mpc {
 
@@ -141,13 +140,10 @@ void Cluster::run_round(const StepSpec& spec, std::string label) {
   // step touches only its own Machine and outbox row, so chunking the
   // rank range over threads is race-free. An exception from a step
   // (lowest rank wins, as in serial order) propagates after all steps
-  // finish; the audit below never runs on a failed round. Each step runs
-  // under a ScratchScope so kernel temporaries it bumped off the worker's
-  // scratch arena are reclaimed before the next machine's step reuses the
-  // thread. Multi-process: the executor runs the named step in one worker
-  // process per rank and leaves machines_/outboxes_ in the identical
-  // post-step state, so everything below this block is
-  // backend-independent.
+  // finish; the audit below never runs on a failed round. Multi-process:
+  // the executor runs the named step in one worker process per rank and
+  // leaves machines_/outboxes_ in the identical post-step state, so
+  // everything below this block is backend-independent.
   auto& outboxes = outboxes_;
   if (config_.backend == Backend::kMultiProcess) {
     if (!executor_) executor_ = make_multiprocess_executor();
@@ -166,10 +162,6 @@ void Cluster::run_round(const StepSpec& spec, std::string label) {
         config_.num_threads);
   }
   if (profiling) t_stepped = ProfileClock::now();
-  // Round boundary: coalesce any spill the coordinator thread's arena
-  // accumulated (steps may have run inline here when the round was
-  // executed serially), so steady-state rounds bump within one block.
-  simd::scratch().reset();
 
   RoundRecord record;
   record.label = std::move(label);
@@ -228,14 +220,6 @@ void Cluster::run_round(const StepSpec& spec, std::string label) {
     for (MachineId src = 0; src < m; ++src) {
       auto& fragments = outboxes[src].fragments[dst];
       if (!fragments.empty()) {
-        if (hooks_ != nullptr) {
-          // Injected transport faults are masked (drop -> retransmit,
-          // duplicate -> dedup), so delivery is byte-identical either way;
-          // only the resilience counters observe them.
-          const auto faults = hooks_->delivery_faults(round, src, dst);
-          stats_.resilience().drops_retransmitted += faults.dropped;
-          stats_.resilience().duplicates_suppressed += faults.duplicated;
-        }
         inbox.push_back(Message{src, coalesce(fragments)});
       }
     }

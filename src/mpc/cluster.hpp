@@ -78,27 +78,17 @@ class RankCrashed : public MpteError {
   std::size_t round_;
 };
 
-/// When (if ever) the attached checkpoint coordinator snapshots cluster
-/// state. Plain data hung off ClusterConfig; the mpc layer itself never
-/// touches disk — src/ckpt/ interprets the policy (see ckpt/manager.hpp).
+/// When the attached checkpoint coordinator snapshots cluster state: with
+/// `directory` set, after every `every_k`-th committed round; with it
+/// empty, never. Plain data hung off ClusterConfig; the mpc layer itself
+/// never touches disk — src/ckpt/ interprets the policy (see
+/// ckpt/manager.hpp).
 struct CheckpointPolicy {
-  enum class Mode : std::uint8_t {
-    kOff = 0,
-    /// Snapshot after every k-th committed round.
-    kEveryK = 1,
-    /// Snapshot once >= `byte_budget` message bytes have been exchanged
-    /// since the last snapshot.
-    kByteBudget = 2,
-  };
-  Mode mode = Mode::kOff;
   /// Directory snapshots are written into (created on demand).
   std::string directory;
   std::size_t every_k = 1;
-  std::size_t byte_budget = 0;
-  /// Snapshots retained on disk; older files are pruned after each write.
-  std::size_t keep = 2;
 
-  bool enabled() const { return mode != Mode::kOff; }
+  bool enabled() const { return !directory.empty(); }
 };
 
 /// Which substrate executes machine steps. kInProcess simulates every
@@ -256,10 +246,10 @@ class RoundExecutor {
 /// this factory, mpte_ipc needs the cluster machinery).
 std::unique_ptr<RoundExecutor> make_multiprocess_executor();
 
-/// Fault-injection + checkpointing interface consulted by run_round on
+/// Crash-injection + checkpointing interface consulted by run_round on
 /// live (non-fast-forwarded) rounds only. The mpc layer defines the
-/// interface; src/ckpt/ provides the concrete Coordinator (seeded
-/// FaultPlan + snapshot writer). All calls happen on the driver thread.
+/// interface; src/ckpt/ provides the concrete Coordinator (a crash
+/// schedule + snapshot writer). All calls happen on the driver thread.
 class ClusterHooks {
  public:
   virtual ~ClusterHooks() = default;
@@ -269,22 +259,6 @@ class ClusterHooks {
   /// consume the event (fire it once) so recovery can progress past it.
   virtual std::optional<MachineId> crash_rank(std::size_t) {
     return std::nullopt;
-  }
-
-  struct DeliveryFaults {
-    std::uint32_t dropped = 0;
-    std::uint32_t duplicated = 0;
-  };
-
-  /// Consulted once per (src, dst) pair that delivers a message this
-  /// round. Injected faults are *masked* by the simulated substrate — a
-  /// dropped message is retransmitted, a duplicate suppressed — so the
-  /// delivered bytes never change and runs stay bit-reproducible; the
-  /// counts surface in ResilienceCounters.
-  virtual DeliveryFaults delivery_faults(std::size_t /*round*/,
-                                         MachineId /*src*/,
-                                         MachineId /*dst*/) {
-    return {};
   }
 
   /// Wall-clock attribution of one committed round to the runtime's three
@@ -382,6 +356,13 @@ class Cluster {
 
   /// True while resume_from's skip budget is unconsumed.
   bool fast_forwarding() const { return skip_rounds_ > 0; }
+
+  /// The driver's position in its round sequence: committed rounds minus
+  /// the rounds resume_from still has to skip. Equal to stats().rounds()
+  /// on a live run; on a resumed one it counts the fast-forwarded rounds
+  /// as issued, so a round count taken against it matches the fault-free
+  /// run's.
+  std::size_t logical_rounds() const { return stats_.rounds() - skip_rounds_; }
 
   /// Driver-owned annotation included in every snapshot: pipelines record
   /// host-side decisions (chosen delta, retry attempt) here so a resumed

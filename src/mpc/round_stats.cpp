@@ -107,14 +107,6 @@ void RoundStats::export_metrics(obs::Registry* registry) const {
   registry
       ->counter("mpte_ckpt_crashes_injected_total", "Injected rank crashes.")
       .set(resilience_.crashes_injected);
-  registry
-      ->counter("mpte_ckpt_drops_retransmitted_total",
-                "Injected message drops masked by retransmission.")
-      .set(resilience_.drops_retransmitted);
-  registry
-      ->counter("mpte_ckpt_duplicates_suppressed_total",
-                "Injected duplicate deliveries suppressed.")
-      .set(resilience_.duplicates_suppressed);
 }
 
 std::string RoundStats::summary() const {
@@ -178,10 +170,6 @@ std::string RoundStats::summary() const {
         << registry.counter_value("mpte_ckpt_rounds_replayed_total")
         << " crashes="
         << registry.counter_value("mpte_ckpt_crashes_injected_total")
-        << " drops="
-        << registry.counter_value("mpte_ckpt_drops_retransmitted_total")
-        << " dups="
-        << registry.counter_value("mpte_ckpt_duplicates_suppressed_total")
         << "\n";
   }
   return out.str();

@@ -55,7 +55,7 @@ struct RoundRecord {
 
 /// Fault-tolerance cost accounting (see src/ckpt/). Kept separate from the
 /// per-round records because these events — checkpoint writes, injected
-/// faults, recoveries — happen *around* rounds, not inside them, and must
+/// crashes, recoveries — happen *around* rounds, not inside them, and must
 /// survive a stats rollback (a restored run still remembers what recovery
 /// cost it).
 struct ResilienceCounters {
@@ -69,16 +69,12 @@ struct ResilienceCounters {
   double recovery_seconds = 0.0;
   /// Rounds fast-forwarded after a restore instead of re-executed.
   std::size_t rounds_replayed = 0;
-  /// Injected faults observed: rank crashes thrown, dropped messages that
-  /// the simulated substrate retransmitted, duplicate deliveries it
-  /// suppressed.
+  /// Injected rank crashes thrown.
   std::size_t crashes_injected = 0;
-  std::size_t drops_retransmitted = 0;
-  std::size_t duplicates_suppressed = 0;
 
   bool any() const {
     return checkpoints_written || recoveries || rounds_replayed ||
-           crashes_injected || drops_retransmitted || duplicates_suppressed;
+           crashes_injected;
   }
 };
 
@@ -110,7 +106,7 @@ class RoundStats {
   /// bytes (ties broken by name) — ready for "top K channels" reports.
   std::vector<std::pair<std::string, std::size_t>> channel_totals() const;
 
-  /// Fault-tolerance counters (checkpoints, recoveries, injected faults).
+  /// Fault-tolerance counters (checkpoints, recoveries, injected crashes).
   ResilienceCounters& resilience() { return resilience_; }
   const ResilienceCounters& resilience() const { return resilience_; }
 

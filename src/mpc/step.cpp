@@ -6,7 +6,6 @@
 
 #include "common/status.hpp"
 #include "mpc/cluster.hpp"
-#include "simd/arena.hpp"
 
 namespace mpte::mpc {
 
@@ -79,9 +78,6 @@ Step resolve_step(const StepSpec& spec) {
 
 void execute_rank_step(MachineId rank, std::size_t num_machines,
                        Machine& machine, Outbox& outbox, const Step& step) {
-  // ScratchScope reclaims kernel temporaries the step bumped off the
-  // executing thread's arena before the next rank's step reuses it.
-  simd::ScratchScope scratch_scope;
   MachineContext ctx(rank, num_machines, machine, outbox);
   step(ctx);
 }

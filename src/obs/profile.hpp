@@ -28,12 +28,6 @@ class ProfilingHooks : public mpc::ClusterHooks {
     return inner_ != nullptr ? inner_->crash_rank(round) : std::nullopt;
   }
 
-  DeliveryFaults delivery_faults(std::size_t round, mpc::MachineId src,
-                                 mpc::MachineId dst) override {
-    return inner_ != nullptr ? inner_->delivery_faults(round, src, dst)
-                             : DeliveryFaults{};
-  }
-
   void round_profile(std::size_t round, const RoundProfile& profile) override {
     ++totals_.rounds;
     totals_.compute_seconds += profile.compute_seconds;

@@ -6,7 +6,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
-#include "simd/arena.hpp"
 #include "simd/dispatch.hpp"
 
 namespace mpte {
@@ -34,10 +33,10 @@ std::uint64_t ShiftedGrid::cell_id(std::span<const double> p) const {
   if (p.size() != dim_) {
     throw MpteError("ShiftedGrid::cell_id: dimension mismatch");
   }
-  // Vectorized lattice coordinates into thread-local scratch, then the
+  // Vectorized lattice coordinates into a per-thread row, then the
   // sequential hash chain over them.
-  simd::ScratchScope scope;
-  auto z = simd::scratch().alloc<double>(dim_);
+  thread_local std::vector<double> z;
+  z.resize(dim_);
   simd::ops().lattice_floor(p.data(), shifts_.data(), dim_, inv_cell_,
                             z.data());
   std::uint64_t id = mix64(seed_ ^ 0xce11ull);

@@ -523,7 +523,7 @@ MpcFjltReport mpc_fjlt(mpc::Cluster& cluster, const PointSet& points,
   if (points.dim() != config.input_dim) {
     throw MpteError("mpc_fjlt: point dimension does not match config");
   }
-  const std::size_t rounds_before = cluster.stats().rounds();
+  const std::size_t rounds_before = cluster.logical_rounds();
   const obs::Span span("fjlt", "mpc_fjlt", "points", points.size());
   const std::size_t budget = cluster.config().local_memory_bytes;
   const std::size_t m = cluster.num_machines();
@@ -572,7 +572,7 @@ MpcFjltReport mpc_fjlt(mpc::Cluster& cluster, const PointSet& points,
                           &report.kronecker_levels);
     }
   }
-  report.rounds = cluster.stats().rounds() - rounds_before;
+  report.rounds = cluster.logical_rounds() - rounds_before;
   return report;
 }
 

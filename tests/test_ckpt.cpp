@@ -1,10 +1,11 @@
-// mpte::ckpt — snapshots, deterministic fault injection, crash recovery.
+// mpte::ckpt — snapshots, deterministic crash injection, crash recovery.
 //
 // The load-bearing test is the crash sweep: inject a crash at EVERY round
 // of the golden-seed mpc_embed configuration (golden.hpp),
 // recover from the newest checkpoint, and require the recovered embedding
-// to match the golden fingerprint byte for byte — at 1 and 8 cluster
-// threads.
+// to match the golden fingerprint byte for byte, and its rounds_used the
+// fault-free count — at 1 and 8 cluster threads. test_mpc_apps sweeps the
+// four applications the same way.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,6 +23,7 @@
 #include "common/serialize.hpp"
 #include "golden.hpp"
 #include "mpc/primitives.hpp"
+#include "obs/metrics.hpp"
 
 namespace mpte::ckpt {
 namespace {
@@ -66,14 +68,13 @@ TEST(Snapshot, RoundTripRestoresEveryRankByteIdentically) {
   Cluster original(ClusterConfig{4, 1 << 20, true});
   run_sample_workload(original);
 
-  const Snapshot snapshot = Snapshot::capture(original, {0, 1, 0});
+  const Snapshot snapshot = Snapshot::capture(original);
   EXPECT_EQ(snapshot.rounds, original.stats().rounds());
 
   const auto bytes = snapshot.to_bytes();
   const auto decoded = Snapshot::from_bytes(bytes, "test");
   ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
   EXPECT_EQ(decoded->rounds, snapshot.rounds);
-  EXPECT_EQ(decoded->fault_cursor, snapshot.fault_cursor);
 
   Cluster restored(ClusterConfig{4, 1 << 20, true});
   restored.resume_from(std::move(const_cast<Snapshot&>(*decoded).state));
@@ -123,6 +124,43 @@ TEST(Snapshot, FileRoundTripAndCorruptionRejection) {
   EXPECT_EQ(trunc.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(Snapshot, CursorSlotWrittenByEarlierBuildsIsSkipped) {
+  // Earlier builds wrote a fault-schedule cursor (one byte per event) in
+  // the slot before the driver note; a snapshot carrying one must still
+  // decode and restore, so their checkpoint directories still resume.
+  Cluster original(ClusterConfig{4, 1 << 20, true});
+  run_sample_workload(original);
+  const Snapshot snapshot = Snapshot::capture(original);
+  auto payload = unwrap_checksummed(snapshot.to_bytes(),
+                                    /*allow_legacy=*/false, "test");
+  ASSERT_TRUE(payload.ok()) << payload.status().to_string();
+  // The payload ends with the empty cursor slot (a zero length) and the
+  // length-prefixed driver note.
+  const std::size_t note_bytes =
+      sizeof(std::uint64_t) + original.driver_note().size();
+  const std::size_t slot = payload->size() - note_bytes - sizeof(std::uint64_t);
+  Serializer cursor;
+  cursor.write_vector(std::vector<std::uint8_t>{0, 1, 0});
+  std::vector<std::uint8_t> legacy(payload->begin(), payload->begin() + slot);
+  legacy.insert(legacy.end(), cursor.bytes().begin(), cursor.bytes().end());
+  legacy.insert(legacy.end(), payload->begin() + slot + sizeof(std::uint64_t),
+                payload->end());
+
+  auto decoded = Snapshot::from_bytes(wrap_checksummed(legacy), "legacy");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded->rounds, snapshot.rounds);
+  Cluster restored(ClusterConfig{4, 1 << 20, true});
+  restored.resume_from(std::move(decoded->state));
+  EXPECT_EQ(restored.stats().rounds(), original.stats().rounds());
+  const auto note = restored.driver_note().span();
+  ASSERT_EQ(note.size(), 3u);
+  EXPECT_EQ(note[2], 3u);
+  for (mpc::MachineId id = 0; id < original.num_machines(); ++id) {
+    EXPECT_EQ(restored.store(id).entries().size(),
+              original.store(id).entries().size());
+  }
+}
+
 TEST(Snapshot, HostileCountsBehindAValidEnvelopeAreAStatus) {
   // A checksum-valid payload whose counts are hostile: a machine count of
   // 2^61 + 1, then a blob key and a blob length of 2^64 - 1 (which wrap
@@ -154,17 +192,15 @@ TEST(Snapshot, HostileCountsBehindAValidEnvelopeAreAStatus) {
 TEST(Coordinator, CorruptNewestSnapshotFallsBackToOlderOne) {
   const fs::path dir = scratch_dir("fallback");
   CheckpointPolicy policy;
-  policy.mode = CheckpointPolicy::Mode::kEveryK;
   policy.directory = dir.string();
-  policy.every_k = 1;
-  policy.keep = 8;
 
   Cluster cluster(ClusterConfig{3, 1 << 20, true});
   Coordinator coordinator(policy);
   cluster.set_hooks(&coordinator);
   run_sample_workload(cluster);
+  // The newest two snapshots are kept.
   const auto paths = Coordinator::snapshot_paths(dir.string());
-  ASSERT_GE(paths.size(), 2u);
+  ASSERT_EQ(paths.size(), 2u);
 
   // Corrupt the newest file; load_latest must fall back to the previous.
   {
@@ -189,74 +225,6 @@ TEST(Coordinator, CorruptNewestSnapshotFallsBackToOlderOne) {
   EXPECT_EQ(cluster.stats().resilience().recoveries, 1u);
 }
 
-TEST(FaultPlan, SameSeedSameSchedule) {
-  FaultPlan::Options options;
-  options.crashes = 3;
-  options.drops = 5;
-  options.duplicates = 4;
-  options.round_horizon = 16;
-  const FaultPlan a = FaultPlan::generate(42, 6, options);
-  const FaultPlan b = FaultPlan::generate(42, 6, options);
-  ASSERT_EQ(a.events().size(), 12u);
-  EXPECT_EQ(a.events(), b.events());
-  const FaultPlan c = FaultPlan::generate(43, 6, options);
-  EXPECT_NE(a.events(), c.events());
-}
-
-TEST(FaultPlan, ScheduleIsIndependentOfClusterThreadCount) {
-  // The same seeded plan drives clusters at 1 and 8 threads; the events
-  // that actually fire (the consumption cursor) must match exactly.
-  std::vector<std::vector<std::uint8_t>> cursors;
-  for (const std::size_t threads : {1u, 8u}) {
-    FaultPlan::Options options;
-    options.drops = 6;
-    options.duplicates = 6;
-    options.round_horizon = 8;
-    FaultPlan plan = FaultPlan::generate(7, 4, options);
-    ClusterConfig config{4, 1 << 20, true};
-    config.num_threads = threads;
-    Cluster cluster(config);
-    Coordinator coordinator(CheckpointPolicy{}, std::move(plan));
-    cluster.set_hooks(&coordinator);
-    run_sample_workload(cluster);
-    cursors.push_back(coordinator.plan().consumed_flags());
-  }
-  EXPECT_EQ(cursors[0], cursors[1]);
-}
-
-TEST(FaultPlan, DropsAndDuplicatesPerturbCountersNotBytes) {
-  // Masked faults: delivered bytes (and therefore results) are identical
-  // with and without them; only the resilience counters move.
-  auto run = [](FaultPlan plan, std::uint64_t* out_sum) {
-    Cluster cluster(ClusterConfig{4, 1 << 20, true});
-    Coordinator coordinator(CheckpointPolicy{}, std::move(plan));
-    cluster.set_hooks(&coordinator);
-    std::vector<KV> records;
-    for (std::uint64_t i = 0; i < 64; ++i) records.push_back(KV{i % 4, i});
-    mpc::scatter_vector(cluster, "in", records);
-    mpc::reduce_kv_sum(cluster, "in", "sums");
-    std::uint64_t sum = 0;
-    for (const KV& kv : mpc::gather_vector<KV>(cluster, "sums")) {
-      sum += kv.key ^ kv.value;
-    }
-    *out_sum = sum;
-    return cluster.stats().resilience();
-  };
-
-  std::uint64_t clean_sum = 0, faulty_sum = 0;
-  const auto clean = run(FaultPlan{}, &clean_sum);
-  EXPECT_EQ(clean.drops_retransmitted, 0u);
-
-  FaultPlan::Options options;
-  options.drops = 4;
-  options.duplicates = 4;
-  options.round_horizon = 2;
-  const auto faulty =
-      run(FaultPlan::generate(3, 4, options), &faulty_sum);
-  EXPECT_EQ(clean_sum, faulty_sum);
-  EXPECT_GT(faulty.drops_retransmitted + faulty.duplicates_suppressed, 0u);
-}
-
 /// Fault-free golden run: returns the fingerprint (asserting it matches
 /// the pinned hash) and the total committed round count.
 std::pair<std::uint64_t, std::size_t> golden_run(std::size_t threads) {
@@ -279,9 +247,7 @@ TEST(Recovery, CrashAtEveryRoundRecoversGoldenFingerprint) {
           "sweep_t" + std::to_string(threads) + "_r" +
           std::to_string(crash_round));
       ClusterConfig config = golden_config(threads);
-      config.checkpoint.mode = CheckpointPolicy::Mode::kEveryK;
       config.checkpoint.directory = dir.string();
-      config.checkpoint.every_k = 1;
       Cluster cluster(config);
 
       FaultPlan plan;
@@ -298,6 +264,8 @@ TEST(Recovery, CrashAtEveryRoundRecoversGoldenFingerprint) {
           << "threads=" << threads << " crash_round=" << crash_round << ": "
           << result.status().to_string();
       EXPECT_EQ(fingerprint(*result), kGoldenHash)
+          << "threads=" << threads << " crash_round=" << crash_round;
+      EXPECT_EQ(result->rounds_used, total_rounds)
           << "threads=" << threads << " crash_round=" << crash_round;
 
       const auto& resilience = cluster.stats().resilience();
@@ -334,9 +302,7 @@ TEST(Recovery, CrashAtEveryRoundRecoversFjltDerivedDelta) {
           "fjlt_t" + std::to_string(threads) + "_r" +
           std::to_string(crash_round));
       ClusterConfig config = golden_config(threads);
-      config.checkpoint.mode = CheckpointPolicy::Mode::kEveryK;
       config.checkpoint.directory = dir.string();
-      config.checkpoint.every_k = 1;
       Cluster cluster(config);
       FaultPlan plan;
       plan.add_crash(crash_round, crash_round % config.num_machines);
@@ -353,6 +319,7 @@ TEST(Recovery, CrashAtEveryRoundRecoversFjltDerivedDelta) {
                 std::bit_cast<std::uint64_t>(golden::kFjltScaleToInput));
       EXPECT_EQ(result->delta_used, golden::kFjltDelta);
       EXPECT_EQ(result->retries_used, golden::kFjltRetries);
+      EXPECT_EQ(result->rounds_used, clean->rounds_used);
       EXPECT_EQ(cluster.stats().resilience().recoveries, 1u);
       EXPECT_EQ(cluster.stats().resilience().rounds_replayed, crash_round);
       fs::remove_all(dir);
@@ -393,9 +360,7 @@ TEST(Recovery, CrashAtEveryRoundRecoversShardedFjlt) {
           scratch_dir("sharded_m" + std::to_string(c.config.num_machines) +
                       "_r" + std::to_string(crash_round));
       ClusterConfig config = c.config;
-      config.checkpoint.mode = CheckpointPolicy::Mode::kEveryK;
       config.checkpoint.directory = dir.string();
-      config.checkpoint.every_k = 1;
       Cluster cluster(config);
       FaultPlan plan;
       plan.add_crash(crash_round, crash_round % config.num_machines);
@@ -409,54 +374,31 @@ TEST(Recovery, CrashAtEveryRoundRecoversShardedFjlt) {
       EXPECT_EQ(fingerprint(*result), fingerprint(*clean));
       EXPECT_EQ(result->scale_to_input, clean->scale_to_input);
       EXPECT_EQ(result->delta_used, clean->delta_used);
+      EXPECT_EQ(result->rounds_used, clean->rounds_used);
       fs::remove_all(dir);
     }
   }
 }
 
-TEST(Recovery, ByteBudgetPolicyCheckpointsAndRecovers) {
-  const fs::path dir = scratch_dir("byte_budget");
+TEST(Recovery, RecoversWithoutAnySnapshots) {
+  // Checkpointing off: the one recovery loop resets the cluster and
+  // re-runs from round zero.
   const PointSet points = golden_points();
-  ClusterConfig config = golden_config(1);
-  config.checkpoint.mode = CheckpointPolicy::Mode::kByteBudget;
-  config.checkpoint.directory = dir.string();
-  config.checkpoint.byte_budget = 4096;
-  Cluster cluster(config);
-
-  FaultPlan plan;
-  plan.add_crash(11, 2);
-  Coordinator coordinator = Coordinator::for_cluster(cluster,
-                                                     std::move(plan));
-  cluster.set_hooks(&coordinator);
-  const auto result = run_with_recovery(cluster, coordinator, [&] {
-    return mpc_embed(cluster, points, golden_options());
-  });
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(fingerprint(*result), kGoldenHash);
-  EXPECT_GT(cluster.stats().resilience().checkpoints_written, 0u);
-  // Byte-budget snapshots are sparser than every-round ones, so recovery
-  // typically replays a non-checkpointed suffix; either way, counters add
-  // up in the summary.
-  EXPECT_NE(cluster.stats().summary().find("ckpt:"), std::string::npos);
-}
-
-TEST(Recovery, RestartModeRecoversWithoutAnySnapshots) {
-  // Policy off: the recovery loop's restart mode re-runs from round zero.
-  const PointSet points = golden_points();
+  const auto [golden, total_rounds] = golden_run(1);
   Cluster cluster(golden_config(1));
   FaultPlan plan;
   plan.add_crash(7, 3);
   Coordinator coordinator(CheckpointPolicy{}, std::move(plan));
   cluster.set_hooks(&coordinator);
 
-  RecoveryOptions options;
-  options.mode = RecoveryOptions::Mode::kRestart;
-  const auto result = run_with_recovery(
-      cluster, coordinator,
-      [&] { return mpc_embed(cluster, points, golden_options()); }, options);
+  const auto result = run_with_recovery(cluster, coordinator, [&] {
+    return mpc_embed(cluster, points, golden_options());
+  });
   ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(fingerprint(*result), kGoldenHash);
+  EXPECT_EQ(fingerprint(*result), golden);
+  EXPECT_EQ(result->rounds_used, total_rounds);
   EXPECT_EQ(cluster.stats().resilience().recoveries, 1u);
+  EXPECT_EQ(cluster.stats().resilience().rounds_replayed, 0u);
 }
 
 TEST(Recovery, ExhaustedRestoreBudgetIsAborted) {
@@ -468,12 +410,10 @@ TEST(Recovery, ExhaustedRestoreBudgetIsAborted) {
   Coordinator coordinator(CheckpointPolicy{}, std::move(plan));
   cluster.set_hooks(&coordinator);
 
-  RecoveryOptions options;
-  options.mode = RecoveryOptions::Mode::kRestart;
-  options.max_recoveries = 2;
   const auto result = run_with_recovery(
       cluster, coordinator,
-      [&] { return mpc_embed(cluster, points, golden_options()); }, options);
+      [&] { return mpc_embed(cluster, points, golden_options()); },
+      /*max_recoveries=*/2);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kAborted);
 }
@@ -481,7 +421,6 @@ TEST(Recovery, ExhaustedRestoreBudgetIsAborted) {
 TEST(RoundStats, ResilienceCountersSurviveRollbackAndPrintInSummary) {
   const fs::path dir = scratch_dir("summary");
   ClusterConfig config{4, 1 << 20, true};
-  config.checkpoint.mode = CheckpointPolicy::Mode::kEveryK;
   config.checkpoint.directory = dir.string();
   Cluster cluster(config);
   Coordinator coordinator = Coordinator::for_cluster(cluster);
@@ -495,6 +434,21 @@ TEST(RoundStats, ResilienceCountersSurviveRollbackAndPrintInSummary) {
   const std::string summary = cluster.stats().summary();
   EXPECT_NE(summary.find("ckpt:"), std::string::npos);
   EXPECT_NE(summary.find("recoveries=1"), std::string::npos);
+}
+
+TEST(RoundStats, ExportsNoDropOrDuplicateSeries) {
+  // A crash is the only injected fault: no message drop or duplicate
+  // series is exported.
+  Cluster cluster(ClusterConfig{4, 1 << 20, true});
+  run_sample_workload(cluster);
+  obs::Registry registry;
+  cluster.stats().export_metrics(&registry);
+  ASSERT_FALSE(registry.samples().empty());
+  for (const auto& sample : registry.samples()) {
+    for (const char* deleted : {"mpte_ckpt_drops_", "mpte_ckpt_duplicates_"}) {
+      EXPECT_FALSE(sample.name.starts_with(deleted)) << sample.name;
+    }
+  }
 }
 
 }  // namespace

@@ -359,7 +359,6 @@ TEST(PersistentWorkers, CheckpointRecoveryIsByteIdentical) {
   config.num_machines = 4;
   config.local_memory_bytes = 1 << 20;
   config.backend = mpc::Backend::kMultiProcess;
-  config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
   config.checkpoint.directory = dir;
   config.checkpoint.every_k = 1;
   config.ipc.kill_at_round = 2;
@@ -404,7 +403,6 @@ TEST(PersistentWorkers, GoldenEmbedRecoversFromKilledWorker) {
   std::filesystem::remove_all(dir);
 
   mpc::ClusterConfig config = golden_config(8, mpc::Backend::kMultiProcess);
-  config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
   config.checkpoint.directory = dir;
   config.checkpoint.every_k = 2;
   config.ipc.kill_at_round = 5;

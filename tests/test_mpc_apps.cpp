@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
+#include <filesystem>
 #include <span>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "apps/emd.hpp"
 #include "apps/mst.hpp"
 #include "apps/union_find.hpp"
+#include "ckpt/recovery.hpp"
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "geometry/generators.hpp"
@@ -303,10 +305,19 @@ TEST(MpcApps, InfeasibleGridCountIsAStatus) {
   EXPECT_NE(result.status().message().find("k = 16"), std::string::npos);
 }
 
-/// Runs the four applications on `points` (EMD sides: the two halves) and
-/// expects every reported field to equal `pins` bit for bit.
+/// Runs an application call on a fresh golden_config(threads) cluster and
+/// returns its result.
+constexpr auto run_directly = [](std::size_t threads, auto&& app) {
+  Cluster cluster(golden::golden_config(threads));
+  return app(cluster);
+};
+
+/// Runs the four applications on `points` (EMD sides: the two halves), each
+/// through `run` — directly by default — and expects every reported field
+/// to equal `pins` bit for bit.
+template <typename Run = decltype(run_directly)>
 void expect_app_pins(const PointSet& points, const MpcEmbedOptions& options,
-                     const golden::AppPins& pins) {
+                     const golden::AppPins& pins, Run run = run_directly) {
   const std::size_t half = points.size() / 2;
   PointSet a, b;
   std::vector<std::int64_t> mass_a, mass_b;
@@ -319,26 +330,27 @@ void expect_app_pins(const PointSet& points, const MpcEmbedOptions& options,
   for (const std::size_t threads : {1u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     {
-      Cluster cluster(golden::golden_config(threads));
-      const auto emd = mpc_tree_emd(cluster, a, b, options);
+      const auto emd = run(threads, [&](Cluster& cluster) {
+        return mpc_tree_emd(cluster, a, b, options);
+      });
       ASSERT_TRUE(emd.ok()) << emd.status().to_string();
       EXPECT_EQ(emd->emd, pins.emd);
       EXPECT_EQ(emd->retries_used, pins.retries);
       EXPECT_EQ(emd->rounds_used, pins.emd_rounds);
     }
     {
-      Cluster cluster(golden::golden_config(threads));
-      const auto emd =
-          mpc_tree_emd_weighted(cluster, a, b, mass_a, mass_b, options);
+      const auto emd = run(threads, [&](Cluster& cluster) {
+        return mpc_tree_emd_weighted(cluster, a, b, mass_a, mass_b, options);
+      });
       ASSERT_TRUE(emd.ok()) << emd.status().to_string();
       EXPECT_EQ(emd->emd, pins.weighted_emd);
       EXPECT_EQ(emd->retries_used, pins.retries);
       EXPECT_EQ(emd->rounds_used, pins.emd_rounds);
     }
     {
-      Cluster cluster(golden::golden_config(threads));
-      const auto ball =
-          mpc_densest_ball(cluster, points, pins.max_diameter, options);
+      const auto ball = run(threads, [&](Cluster& cluster) {
+        return mpc_densest_ball(cluster, points, pins.max_diameter, options);
+      });
       ASSERT_TRUE(ball.ok()) << ball.status().to_string();
       EXPECT_EQ(ball->count, pins.ball_count);
       EXPECT_EQ(ball->diameter, pins.ball_diameter);
@@ -346,8 +358,9 @@ void expect_app_pins(const PointSet& points, const MpcEmbedOptions& options,
       EXPECT_EQ(ball->rounds_used, pins.ball_rounds);
     }
     {
-      Cluster cluster(golden::golden_config(threads));
-      const auto mst = mpc_tree_mst(cluster, points, options);
+      const auto mst = run(threads, [&](Cluster& cluster) {
+        return mpc_tree_mst(cluster, points, options);
+      });
       ASSERT_TRUE(mst.ok()) << mst.status().to_string();
       std::uint64_t edges = kFnv1aOffsetBasis;
       for (const MstEdge& e : mst->edges) {
@@ -372,6 +385,44 @@ TEST(MpcApps, GoldenConfigPinnedBitForBit) {
 TEST(MpcApps, FjltDerivedDeltaConfigPinnedBitForBit) {
   expect_app_pins(golden::fjlt_points(), golden::fjlt_options(),
                   golden::kFjltAppPins);
+}
+
+TEST(Recovery, CrashAtEveryRoundRecoversEveryApplication) {
+  // The applications share mpc_embed's resume-aware driver, so one
+  // recovery path serves them all: a crash at any round, restored from
+  // the previous round's snapshot and fast-forwarded, must report every
+  // pinned field — rounds_used included — as the fault-free run does.
+  const golden::AppPins& pins = golden::kGoldenAppPins;
+  const std::size_t max_rounds =
+      std::max({pins.emd_rounds, pins.ball_rounds, pins.mst_rounds});
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "mpte_apps_recovery";
+  for (std::size_t crash_round = 0; crash_round < max_rounds;
+       ++crash_round) {
+    SCOPED_TRACE("crash_round=" + std::to_string(crash_round));
+    const auto run_recovered = [&](std::size_t threads, auto&& app) {
+      std::filesystem::remove_all(dir);
+      ClusterConfig config = golden::golden_config(threads);
+      config.checkpoint.directory = dir.string();
+      Cluster cluster(config);
+      ckpt::FaultPlan plan;
+      plan.add_crash(crash_round, crash_round % config.num_machines);
+      ckpt::Coordinator coordinator =
+          ckpt::Coordinator::for_cluster(cluster, std::move(plan));
+      cluster.set_hooks(&coordinator);
+      auto result = ckpt::run_with_recovery(cluster, coordinator,
+                                            [&] { return app(cluster); });
+      // An application shorter than crash_round never reaches the crash.
+      const bool crashed = crash_round < cluster.stats().rounds();
+      const auto& resilience = cluster.stats().resilience();
+      EXPECT_EQ(resilience.recoveries, crashed ? 1u : 0u);
+      EXPECT_EQ(resilience.rounds_replayed, crashed ? crash_round : 0u);
+      return result;
+    };
+    expect_app_pins(golden::golden_points(), golden::golden_options(), pins,
+                    run_recovered);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 /// The status each of the four applications returns for `options`.

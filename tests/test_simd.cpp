@@ -20,7 +20,6 @@
 #include "common/rng.hpp"
 #include "geometry/point_set.hpp"
 #include "golden.hpp"
-#include "simd/arena.hpp"
 #include "simd/dispatch.hpp"
 
 namespace mpte::simd {
@@ -301,61 +300,6 @@ TEST(KernelEquality, SignedZeroTailPaddingDoesNotLeakIntoSums) {
     const double d = ops().dot(nz.data(), nz.data(), nz.size());
     EXPECT_EQ(bits(d), bits(0.0)) << backend_name(backend);
   }
-}
-
-TEST(Arena, AllocationsAreAlignedAndBump) {
-  Arena arena;
-  const auto a = arena.alloc<double>(3);
-  const auto b = arena.alloc<std::uint64_t>(5);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a.data()) % Arena::kAlignment,
-            0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % Arena::kAlignment,
-            0u);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(b.size(), 5u);
-  EXPECT_GT(arena.used(), 0u);
-  EXPECT_TRUE(arena.alloc<double>(0).empty());
-}
-
-TEST(Arena, MarkReleaseRewindsAndReusesMemory) {
-  Arena arena;
-  (void)arena.alloc<double>(8);
-  const auto mark = arena.mark();
-  const auto first = arena.alloc<double>(16);
-  const double* first_ptr = first.data();
-  arena.release(mark);
-  const auto second = arena.alloc<double>(16);
-  // Same watermark -> same storage.
-  EXPECT_EQ(first_ptr, second.data());
-}
-
-TEST(Arena, ResetCoalescesSpillToHighWater) {
-  Arena arena;
-  // Force a spill past the initial block.
-  (void)arena.alloc<double>(16 * 1024);
-  (void)arena.alloc<double>(16 * 1024);
-  const std::size_t hw = arena.high_water();
-  EXPECT_GE(hw, 2 * 16 * 1024 * sizeof(double));
-  arena.reset();
-  EXPECT_EQ(arena.used(), 0u);
-  EXPECT_GE(arena.capacity(), hw);
-  // Steady state: the same footprint now fits one block, so consecutive
-  // allocations are contiguous.
-  const auto a = arena.alloc<double>(16 * 1024);
-  const auto b = arena.alloc<double>(16 * 1024);
-  EXPECT_EQ(a.data() + a.size(), b.data());
-}
-
-TEST(Arena, ScratchScopeReleasesOnExit) {
-  Arena& arena = scratch();
-  arena.reset();
-  const std::size_t before = arena.used();
-  {
-    ScratchScope scope;
-    (void)scope.arena().alloc<double>(100);
-    EXPECT_GT(arena.used(), before);
-  }
-  EXPECT_EQ(arena.used(), before);
 }
 
 // The end-to-end contract: the golden embedding fingerprint (golden.hpp,

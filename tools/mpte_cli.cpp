@@ -411,7 +411,6 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
       points.size() * std::max<std::size_t>(points.dim(), 1) * sizeof(double);
   mpc::ClusterConfig config = mpc_cli_config(input_bytes, backend, ranks);
   if (!checkpoint_dir.empty()) {
-    config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
     config.checkpoint.directory = checkpoint_dir;
     config.checkpoint.every_k = every;
   }
@@ -506,7 +505,6 @@ int cmd_resume(int argc, char** argv) {
       points.size() * std::max<std::size_t>(points.dim(), 1) * sizeof(double);
   mpc::ClusterConfig config =
       mpc_cli_config(input_bytes, manifest->backend, manifest->ranks);
-  config.checkpoint.mode = mpc::CheckpointPolicy::Mode::kEveryK;
   config.checkpoint.directory = dir;
   config.checkpoint.every_k = manifest->every;
   mpc::Cluster cluster(config);
