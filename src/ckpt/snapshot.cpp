@@ -132,8 +132,7 @@ std::vector<std::uint8_t> Snapshot::to_bytes() const {
 
 Result<Snapshot> Snapshot::from_bytes(std::vector<std::uint8_t> file_bytes,
                                       const std::string& context) {
-  auto payload = unwrap_checksummed(std::move(file_bytes),
-                                    /*allow_legacy=*/false, context);
+  auto payload = unwrap_checksummed(std::move(file_bytes), context);
   if (!payload.ok()) return payload.status();
   try {
     return decode_payload(*payload, context);

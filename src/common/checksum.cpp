@@ -10,10 +10,9 @@ namespace mpte {
 
 namespace {
 
-// "FVMP" on disk (written little-endian); distinct from the payload magics
-// of hst_io ("ETPM") and embedding_io ("BEPM") so legacy files — whose
-// first four bytes are those payload magics — are never mistaken for an
-// envelope.
+// "FVMP" on disk (written little-endian); distinct from every payload
+// magic (hst_io "ETPM", embedding_io "BEPM", ckpt "MPCK"), so a raw
+// payload is never mistaken for an envelope.
 constexpr std::uint32_t kEnvelopeMagic = 0x504d5646;
 constexpr std::uint32_t kEnvelopeVersion = 1;
 // magic + version + payload_size up front, digest behind the payload.
@@ -66,45 +65,22 @@ Result<std::uint64_t> envelope_payload_size(
   return d.read<std::uint64_t>();
 }
 
-bool looks_checksummed(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < sizeof(std::uint32_t)) return false;
-  std::uint32_t magic;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  return magic == kEnvelopeMagic;
-}
-
 Result<std::vector<std::uint8_t>> unwrap_checksummed(
-    std::vector<std::uint8_t> file_bytes, bool allow_legacy,
-    const std::string& context) {
-  if (!looks_checksummed(file_bytes)) {
-    if (allow_legacy) return file_bytes;  // pre-envelope file: raw payload
-    return Status(StatusCode::kInvalidArgument,
-                  context + ": not a checksummed file (bad magic)");
-  }
-  if (file_bytes.size() < kHeaderBytes + kTrailerBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  context + ": truncated (file shorter than envelope)");
-  }
-  Deserializer d(file_bytes);
-  (void)d.read<std::uint32_t>();  // magic, already matched
-  const auto version = d.read<std::uint32_t>();
-  if (version != kEnvelopeVersion) {
-    return Status(StatusCode::kInvalidArgument,
-                  context + ": unsupported envelope version " +
-                      std::to_string(version));
-  }
-  const auto payload_size = d.read<std::uint64_t>();
-  if (file_bytes.size() != kHeaderBytes + payload_size + kTrailerBytes) {
+    std::vector<std::uint8_t> file_bytes, const std::string& context) {
+  const auto payload_size = envelope_payload_size(file_bytes, context);
+  if (!payload_size.ok()) return payload_size.status();
+  const std::size_t size = file_bytes.size();
+  if (size < kHeaderBytes + kTrailerBytes ||
+      *payload_size != size - kHeaderBytes - kTrailerBytes) {
     return Status(StatusCode::kInvalidArgument,
                   context + ": truncated (payload declares " +
-                      std::to_string(payload_size) + "B, file holds " +
-                      std::to_string(file_bytes.size()) + "B)");
+                      std::to_string(*payload_size) + "B, file holds " +
+                      std::to_string(size) + "B)");
   }
   const std::span<const std::uint8_t> payload(
-      file_bytes.data() + kHeaderBytes, payload_size);
+      file_bytes.data() + kHeaderBytes, size - kHeaderBytes - kTrailerBytes);
   std::uint64_t stored;
-  std::memcpy(&stored, file_bytes.data() + kHeaderBytes + payload_size,
-              sizeof(stored));
+  std::memcpy(&stored, payload.data() + payload.size(), sizeof(stored));
   const std::uint64_t computed = fnv1a64(payload);
   if (stored != computed) {
     return Status(StatusCode::kInvalidArgument,

@@ -1,12 +1,14 @@
-// Integrity primitives shared by every on-disk artifact.
+// Integrity primitives shared by every on-disk artifact and ipc frame.
 //
-// Trees (hst_io), embeddings (embedding_io), and cluster snapshots
-// (ckpt/snapshot) all persist Serializer-encoded payloads. This header
-// gives them one checksum (FNV-1a 64) and one file envelope — a small
-// header plus trailing digest — so a truncated or bit-flipped file is
-// rejected with a Status instead of being deserialized into garbage.
-// The envelope wraps the payload without altering it: in-memory byte
-// formats (and the golden fingerprints hashed over them) stay stable.
+// Embedding files (core/embedding_io, the one on-disk tree format) and
+// cluster snapshots (ckpt/snapshot) persist Serializer-encoded payloads,
+// and the ipc transport (ipc/frames) sends them. This header gives them
+// one checksum (FNV-1a 64) and one envelope — a small header plus
+// trailing digest — so a truncated or bit-flipped file is rejected with a
+// Status instead of being deserialized into garbage. Every reader
+// requires the envelope. It wraps the payload without altering it:
+// in-memory byte formats (and the golden fingerprints hashed over them)
+// stay stable.
 #pragma once
 
 #include <cstddef>
@@ -44,17 +46,12 @@ inline constexpr std::size_t kEnvelopeTrailerBytes = sizeof(std::uint64_t);
 Result<std::uint64_t> envelope_payload_size(
     std::span<const std::uint8_t> header, const std::string& context);
 
-/// True if `bytes` begin with the envelope magic.
-bool looks_checksummed(std::span<const std::uint8_t> bytes);
-
-/// Validates the envelope and returns the payload. Files that do not start
-/// with the envelope magic are returned whole when `allow_legacy` is set
-/// (pre-envelope files had no integrity header) and rejected otherwise.
-/// Truncation, size mismatch, and checksum mismatch all yield
-/// kInvalidArgument mentioning `context` (typically the file path).
+/// Validates the envelope and returns the payload. A missing envelope
+/// (bad magic), an unknown envelope version, truncation, size mismatch
+/// and checksum mismatch all yield kInvalidArgument mentioning `context`
+/// (typically the file path).
 Result<std::vector<std::uint8_t>> unwrap_checksummed(
-    std::vector<std::uint8_t> file_bytes, bool allow_legacy,
-    const std::string& context);
+    std::vector<std::uint8_t> file_bytes, const std::string& context);
 
 /// Writes `bytes` to `path` via a same-directory temp file + rename, so a
 /// crash mid-write never leaves a partially written file at `path`.

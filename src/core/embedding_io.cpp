@@ -9,12 +9,8 @@ namespace mpte {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4d504542;  // "MPEB"
-/// Version 1: config + optional points + tree. Version 2 adds the stable
-/// point-id vector (empty = identity 0..n-1) right after the retries
-/// field, so a dynamically built embedding (dyn/) keeps its external ids
-/// across a save/load round trip. The writer always emits version 2;
-/// version-1 files still load with empty (identity) ids.
-constexpr std::uint32_t kVersionLegacy = 1;
+/// Config, the stable point-id vector (empty = identity 0..n-1),
+/// optional points, then the tree.
 constexpr std::uint32_t kVersion = 2;
 
 }  // namespace
@@ -51,8 +47,7 @@ Embedding deserialize_embedding(Deserializer& in) {
   if (in.read<std::uint32_t>() != kMagic) {
     throw MpteError("deserialize_embedding: bad magic");
   }
-  const auto version = in.read<std::uint32_t>();
-  if (version != kVersionLegacy && version != kVersion) {
+  if (in.read<std::uint32_t>() != kVersion) {
     throw MpteError("deserialize_embedding: unsupported version");
   }
   const auto scale = in.read<double>();
@@ -62,10 +57,7 @@ Embedding deserialize_embedding(Deserializer& in) {
   const auto dim_used = in.read<std::uint64_t>();
   const auto fjlt = in.read<std::uint8_t>();
   const auto retries = in.read<std::int32_t>();
-  std::vector<std::uint64_t> point_ids;
-  if (version >= kVersion) {
-    point_ids = in.read_vector<std::uint64_t>();
-  }
+  auto point_ids = in.read_vector<std::uint64_t>();
   const auto has_points = in.read<std::uint8_t>();
   PointSet points;
   if (has_points != 0) {
@@ -117,15 +109,18 @@ Embedding load_embedding(const std::string& path) {
 Result<Embedding> try_load_embedding(const std::string& path) {
   auto file_bytes = read_file_bytes(path);
   if (!file_bytes.ok()) return file_bytes.status();
-  // Pre-envelope files carried the raw payload; still accepted.
-  auto payload = unwrap_checksummed(std::move(*file_bytes),
-                                    /*allow_legacy=*/true, path);
+  return embedding_from_file_bytes(std::move(*file_bytes), path);
+}
+
+Result<Embedding> embedding_from_file_bytes(
+    std::vector<std::uint8_t> file_bytes, const std::string& context) {
+  auto payload = unwrap_checksummed(std::move(file_bytes), context);
   if (!payload.ok()) return payload.status();
   try {
     return embedding_from_bytes(*payload);
   } catch (const MpteError& error) {
     return Status(StatusCode::kInvalidArgument,
-                  path + ": " + error.what());
+                  context + ": " + error.what());
   }
 }
 

@@ -16,7 +16,11 @@ PointSet::PointSet(std::size_t n, std::size_t dim)
 
 PointSet::PointSet(std::size_t n, std::size_t dim, std::vector<double> data)
     : n_(n), dim_(dim), data_(std::move(data)) {
-  if (data_.size() != n_ * dim_) {
+  // Divide rather than multiply: a hostile n * dim may wrap to data.size().
+  const bool fits = dim_ == 0 ? data_.empty()
+                              : data_.size() % dim_ == 0 &&
+                                    data_.size() / dim_ == n_;
+  if (!fits) {
     throw MpteError("PointSet: buffer size does not match n * dim");
   }
 }

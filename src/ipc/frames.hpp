@@ -16,7 +16,10 @@
 // Blobs (store deltas/patches, outbox fragments, inbox payloads) are
 // tagged: inline (length + bytes) or an (offset, length) reference into
 // a shared-memory BlobArena when the frame travels next to one — see
-// docs/ipc-transport.md for the full grammar.
+// docs/ipc-transport.md for the full grammar. The digest covers the
+// payload only: an inline blob's bytes are under it, but for a
+// reference it covers the (offset, length) pair and not the arena bytes
+// it names.
 //
 // Protocol: the coordinator sends one kStep per round (the named
 // StepSpec, a store patch, and the rank's delivered inbox); the worker

@@ -103,8 +103,8 @@ struct RegisterStep {
 /// registry instantiation.
 Step resolve_step(const StepSpec& spec);
 
-/// Runs one rank's step and captures its sends: scratch-arena scope,
-/// MachineContext construction, step call. The single definition shared
+/// Runs one rank's step and captures its sends: MachineContext
+/// construction, step call. The single definition shared
 /// by the in-process round path and the ipc workers, so the two backends
 /// cannot drift in how a step observes its machine.
 void execute_rank_step(MachineId rank, std::size_t num_machines,

@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "partition/ball_partition.hpp"
 #include "partition/grid_partition.hpp"
-#include "partition/plan.hpp"
 
 namespace mpte {
 namespace {
@@ -139,33 +138,6 @@ PathIdsReport hybrid_path_ids(const HybridChain& chain,
   return report;
 }
 
-Result<Hierarchy> build_hybrid_hierarchy(const PointSet& points,
-                                         const HybridOptions& options) {
-  if (points.empty()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "build_hybrid_hierarchy: empty point set");
-  }
-  if (options.delta < 1) {
-    return Status(StatusCode::kInvalidArgument,
-                  "build_hybrid_hierarchy: delta must be >= 1");
-  }
-  // The caller names r explicitly, so an r past the dimension is an error
-  // here rather than the plan's clamp.
-  if (options.num_buckets < 1 || options.num_buckets > points.dim()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "build_hybrid_hierarchy: need 1 <= num_buckets <= dim");
-  }
-  PartitionOptions partition;
-  partition.num_buckets = options.num_buckets;
-  partition.num_grids = options.num_grids;
-  partition.fail_prob = options.fail_prob;
-  partition.uncovered = options.uncovered;
-  auto plan = plan_partition(PartitionMethod::kHybrid, points.size(),
-                             points.dim(), options.delta, partition);
-  if (!plan.ok()) return plan.status();
-  return build_hierarchy(points, *plan, options.seed);
-}
-
 Result<Hierarchy> build_grid_hierarchy(const PointSet& points,
                                        std::uint64_t delta,
                                        std::uint64_t seed) {
@@ -198,12 +170,6 @@ Result<Hierarchy> build_grid_hierarchy(const PointSet& points,
   }
 
   return h;
-}
-
-Result<Hierarchy> build_ball_hierarchy(const PointSet& points,
-                                       HybridOptions options) {
-  options.num_buckets = 1;
-  return build_hybrid_hierarchy(points, options);
 }
 
 }  // namespace mpte

@@ -43,23 +43,6 @@ enum class UncoveredPolicy {
   kSingleton,
 };
 
-/// Options for the hybrid hierarchy (and the special cases r=1, grid).
-struct HybridOptions {
-  /// Number of dimension buckets r in [1, d]. Dimensions are zero-padded
-  /// internally so r divides the effective dimension (footnote 3).
-  std::uint32_t num_buckets = 1;
-  /// Coordinate bound: points must lie in [1, delta]^d (see
-  /// geometry/quantize.hpp). Fixes the scale ladder and level count.
-  std::uint64_t delta = 0;
-  /// Root randomness; every level/bucket derives its own stream.
-  std::uint64_t seed = 0;
-  /// Grids per (level, bucket); 0 = auto from recommended_num_grids.
-  std::size_t num_grids = 0;
-  /// Target failure probability delta for auto num_grids.
-  double fail_prob = 1e-6;
-  UncoveredPolicy uncovered = UncoveredPolicy::kFail;
-};
-
 /// Per-level cluster assignments of a hierarchical partitioning — the
 /// input to tree/embedding_builder. Level 0 is the root (all points share
 /// one id); cluster ids are hash-chain values over the full path, so
@@ -153,7 +136,8 @@ using PathLevelSink =
                        std::span<const std::uint64_t> child)>;
 
 /// The hybrid id chain of Algorithm 1 for a block of points — the one copy
-/// behind build_hybrid_hierarchy, the MPC path stage and mpte::dyn. Point
+/// behind build_hierarchy (partition/plan.hpp), the MPC path stage and
+/// mpte::dyn. Point
 /// i's `dim` coordinates are rows[i * dim, (i + 1) * dim). Level by level
 /// and bucket by bucket, one grid set assigns the whole block (read in
 /// place with stride dim; only a zero-padded bucket is copied), and each
@@ -173,21 +157,11 @@ PathIdsReport hybrid_path_ids(const HybridChain& chain,
                               std::span<const std::uint64_t> salts,
                               const PathLevelSink& sink);
 
-/// Builds the hybrid hierarchy of Algorithm 1 over integer points in
-/// [1, delta]^d. Fails with kCoverageFailure under UncoveredPolicy::kFail
-/// if any level/bucket leaves a point uncovered.
-Result<Hierarchy> build_hybrid_hierarchy(const PointSet& points,
-                                         const HybridOptions& options);
-
 /// Builds Arora's random-shifted-grid hierarchy (the baseline): one grid
 /// per level, cell width halving from delta, edge weight sqrt(d)*w.
 /// Never fails (grids always cover).
 Result<Hierarchy> build_grid_hierarchy(const PointSet& points,
                                        std::uint64_t delta,
                                        std::uint64_t seed);
-
-/// Convenience: ball partitioning hierarchy = hybrid with r = 1.
-Result<Hierarchy> build_ball_hierarchy(const PointSet& points,
-                                       HybridOptions options);
 
 }  // namespace mpte

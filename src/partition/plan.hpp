@@ -1,8 +1,8 @@
 // The partition plan: what a hierarchical partitioning fixes before it
 // draws a seed — the method, bucket count r, per-bucket dimension k, grid
 // count U and scale ladder. plan_partition is the one place they are
-// resolved; embed(), the MPC driver, build_hybrid_hierarchy and mpte::dyn
-// all call it. The r rule: 1 for ball, the dimension for grid, and for
+// resolved; embed(), the MPC driver and mpte::dyn all call it, and
+// build_hierarchy draws one hierarchy from a plan. The r rule: 1 for ball, the dimension for grid, and for
 // hybrid the caller's r clamped to the dimension, or auto_num_buckets when
 // the caller leaves it at 0.
 #pragma once

@@ -26,6 +26,8 @@ Status malformed(const std::string& why) {
 }
 
 bool parse_size(const std::string& token, std::size_t* out) {
+  // strtoull would accept a sign and wrap "-1" to 2^64 - 1.
+  if (token.empty() || token[0] < '0' || token[0] > '9') return false;
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
@@ -56,7 +58,8 @@ Status parse_suffix(const std::vector<std::string>& tokens, std::size_t from,
   }
   if (at < tokens.size()) {
     std::size_t deadline_ms = 0;
-    if (!parse_size(tokens[at], &deadline_ms)) {
+    if (!parse_size(tokens[at], &deadline_ms) ||
+        deadline_ms > kMaxDeadlineMs) {
       return malformed("bad deadline '" + tokens[at] + "'");
     }
     request->deadline = std::chrono::milliseconds(deadline_ms);

@@ -32,6 +32,7 @@
 // the connection without a reply.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "common/status.hpp"
@@ -51,7 +52,12 @@ enum class ControlCommand {
 
 ControlCommand parse_control(const std::string& line);
 
-/// Parses a query line; kInvalidArgument on malformed input.
+/// The largest deadline_ms a line may carry (one day); a larger one is
+/// malformed, so a queued request's deadline never overflows the clock.
+inline constexpr std::size_t kMaxDeadlineMs = 24 * 60 * 60 * 1000;
+
+/// Parses a query line; kInvalidArgument on malformed input. Indexes,
+/// counts, ids and deadlines are unsigned decimal integers.
 Result<Request> parse_request(const std::string& line);
 
 /// Formats one response line (no trailing newline). Errors become

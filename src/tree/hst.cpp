@@ -1,6 +1,7 @@
 #include "tree/hst.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace mpte {
 
@@ -98,8 +99,9 @@ Status Hst::validate() const {
         return Status(StatusCode::kInternal,
                       "levels must strictly increase along edges");
       }
-      if (node.edge_weight < 0.0) {
-        return Status(StatusCode::kInternal, "negative edge weight");
+      if (!std::isfinite(node.edge_weight) || node.edge_weight < 0.0) {
+        return Status(StatusCode::kInternal,
+                      "edge weight must be finite and >= 0");
       }
       computed_size[parent] += computed_size[i];
     }

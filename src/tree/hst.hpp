@@ -65,8 +65,8 @@ class Hst {
   std::size_t depth() const;
 
   /// Structural invariants: topological parent order, root at 0, levels
-  /// strictly increase along edges, non-root weights >= 0, exactly one
-  /// leaf per point, subtree sizes consistent.
+  /// strictly increase along edges, non-root weights finite and >= 0,
+  /// exactly one leaf per point, subtree sizes consistent.
   Status validate() const;
 
  private:

@@ -2,19 +2,11 @@
 
 #include <utility>
 
-#include "common/checksum.hpp"
-
 namespace mpte {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4d505445;  // "MPTE"
-/// Version 1: nodes + leaves. Version 2 appends a stable-id vector
-/// alongside the leaves (dyn/dynamic_embedder.hpp), so erase(id) survives
-/// a save/load round trip. The id-less writer still emits version 1 —
-/// hst_to_bytes(tree) stays byte-stable (the cross-backend golden
-/// fingerprints hash it).
-constexpr std::uint32_t kVersionLegacy = 1;
-constexpr std::uint32_t kVersionIds = 2;
+constexpr std::uint32_t kVersion = 1;
 
 /// Flat, trivially copyable on-disk form of HstNode.
 struct WireNode {
@@ -31,7 +23,7 @@ struct WireNode {
 
 void serialize_hst(const Hst& tree, Serializer& out) {
   out.write(kMagic);
-  out.write(kVersionLegacy);
+  out.write(kVersion);
   std::vector<WireNode> nodes;
   nodes.reserve(tree.num_nodes());
   for (std::size_t i = 0; i < tree.num_nodes(); ++i) {
@@ -48,42 +40,17 @@ void serialize_hst(const Hst& tree, Serializer& out) {
   out.write_vector(leaves);
 }
 
-void serialize_hst(const Hst& tree, std::span<const std::uint64_t> ids,
-                   Serializer& out) {
-  if (!ids.empty() && ids.size() != tree.num_points()) {
-    throw MpteError("serialize_hst: ids/points size mismatch");
-  }
-  Serializer legacy;
-  serialize_hst(tree, legacy);
-  const auto body = legacy.take();
-  // Version 2 = version-1 body with the version stamp bumped, followed by
-  // the stable-id vector (dense 0..n-1 when the caller passed none).
-  out.write(kMagic);
-  out.write(kVersionIds);
-  out.write_raw(std::span<const std::uint8_t>(
-      body.data() + 2 * sizeof(std::uint32_t),
-      body.size() - 2 * sizeof(std::uint32_t)));
-  std::vector<std::uint64_t> dense;
-  if (ids.empty()) {
-    dense.resize(tree.num_points());
-    for (std::size_t p = 0; p < tree.num_points(); ++p) dense[p] = p;
-    ids = dense;
-  }
-  out.write_vector(std::vector<std::uint64_t>(ids.begin(), ids.end()));
-}
-
 std::vector<std::uint8_t> hst_to_bytes(const Hst& tree) {
   Serializer s;
   serialize_hst(tree, s);
   return s.take();
 }
 
-Hst deserialize_hst(Deserializer& in, std::vector<std::uint64_t>* ids) {
+Hst deserialize_hst(Deserializer& in) {
   if (in.read<std::uint32_t>() != kMagic) {
     throw MpteError("deserialize_hst: bad magic");
   }
-  const auto version = in.read<std::uint32_t>();
-  if (version != kVersionLegacy && version != kVersionIds) {
+  if (in.read<std::uint32_t>() != kVersion) {
     throw MpteError("deserialize_hst: unsupported version");
   }
   const auto wire = in.read_vector<WireNode>();
@@ -100,66 +67,17 @@ Hst deserialize_hst(Deserializer& in, std::vector<std::uint64_t>* ids) {
     nodes.push_back(node);
   }
   auto leaves = in.read_vector<std::uint32_t>();
-  std::vector<std::uint64_t> loaded_ids;
-  if (version == kVersionIds) {
-    loaded_ids = in.read_vector<std::uint64_t>();
-    if (loaded_ids.size() != leaves.size()) {
-      throw MpteError("deserialize_hst: ids/leaves size mismatch");
-    }
-  } else {
-    // Legacy files predate stable ids: synthesize the dense identity.
-    loaded_ids.resize(leaves.size());
-    for (std::size_t p = 0; p < loaded_ids.size(); ++p) loaded_ids[p] = p;
-  }
   Hst tree(std::move(nodes), std::move(leaves));
   const Status valid = tree.validate();
   if (!valid.ok()) {
     throw MpteError("deserialize_hst: invalid tree: " + valid.to_string());
   }
-  if (ids != nullptr) *ids = std::move(loaded_ids);
   return tree;
 }
 
-Hst hst_from_bytes(const std::vector<std::uint8_t>& bytes,
-                   std::vector<std::uint64_t>* ids) {
+Hst hst_from_bytes(const std::vector<std::uint8_t>& bytes) {
   Deserializer d(bytes);
-  return deserialize_hst(d, ids);
-}
-
-void save_hst(const Hst& tree, const std::string& path) {
-  const auto enveloped = wrap_checksummed(hst_to_bytes(tree));
-  const Status status = write_file_atomic(path, enveloped);
-  if (!status.ok()) throw MpteError("save_hst: " + status.to_string());
-}
-
-void save_hst(const Hst& tree, std::span<const std::uint64_t> ids,
-              const std::string& path) {
-  Serializer s;
-  serialize_hst(tree, ids, s);
-  const auto enveloped = wrap_checksummed(s.take());
-  const Status status = write_file_atomic(path, enveloped);
-  if (!status.ok()) throw MpteError("save_hst: " + status.to_string());
-}
-
-Hst load_hst(const std::string& path) {
-  auto tree = try_load_hst(path);
-  if (!tree.ok()) throw MpteError("load_hst: " + tree.status().to_string());
-  return std::move(*tree);
-}
-
-Result<Hst> try_load_hst(const std::string& path) {
-  auto file_bytes = read_file_bytes(path);
-  if (!file_bytes.ok()) return file_bytes.status();
-  // Pre-envelope files carried the raw payload; still accepted.
-  auto payload = unwrap_checksummed(std::move(*file_bytes),
-                                    /*allow_legacy=*/true, path);
-  if (!payload.ok()) return payload.status();
-  try {
-    return hst_from_bytes(*payload);
-  } catch (const MpteError& error) {
-    return Status(StatusCode::kInvalidArgument,
-                  path + ": " + error.what());
-  }
+  return deserialize_hst(d);
 }
 
 }  // namespace mpte

@@ -1,78 +1,38 @@
-// HST (de)serialization.
+// The HST payload codec.
 //
 // One of the motivations the paper gives for tree embeddings is that the
 // O(n)-size tree is a *compact, storable* sketch of the metric: embed
 // once, persist, answer distance/cluster queries later without the
-// original O(nd) data. These helpers give the byte format (versioned,
-// length-prefixed, using the common Serializer wire encoding) and
-// file-level convenience wrappers.
-// On disk the payload travels inside the checksummed file envelope
-// (common/checksum.hpp), so truncated or corrupted files are rejected
-// with a clear error instead of deserializing into garbage; files written
-// before the envelope existed (raw payload) still load. The in-memory
-// byte format (hst_to_bytes) is unchanged.
+// original O(nd) data. This header gives the tree's byte format
+// (versioned, length-prefixed, using the common Serializer wire
+// encoding): magic, version 1, the nodes, then the leaf index. Its bytes
+// are frozen: the cross-backend golden fingerprints hash
+// hst_to_bytes(tree), and every embedding file embeds them.
 //
-// Two payload versions exist. Version 1 (the id-less writers below) is
-// nodes + leaves, and its bytes are frozen: the cross-backend golden
-// fingerprints hash hst_to_bytes(tree). Version 2 (the `ids` overloads)
-// appends a stable point-id vector after the leaves, so a dynamic tree
-// (dyn/dynamic_embedder.hpp) survives a save/load round trip with its
-// external ids intact. Readers accept both; loading a version-1 file
-// synthesizes the dense identity ids 0..n-1.
+// It is a payload, not a file format. A tree reaches disk only inside an
+// embedding file (core/embedding_io.hpp), which also holds the tree's
+// stable point ids.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "common/serialize.hpp"
-#include "common/status.hpp"
 #include "tree/hst.hpp"
 
 namespace mpte {
 
-/// Serializes the full tree (nodes + leaf index) into `out`. Version-1
-/// payload; byte-stable across releases (golden fingerprints hash it).
+/// Serializes the full tree (nodes + leaf index) into `out`.
 void serialize_hst(const Hst& tree, Serializer& out);
 
-/// Serializes the tree plus the stable external id of each point (dense
-/// index -> id) as a version-2 payload. An empty `ids` span writes the
-/// dense identity 0..n-1; a non-empty span must have exactly
-/// tree.num_points() entries (throws MpteError otherwise).
-void serialize_hst(const Hst& tree, std::span<const std::uint64_t> ids,
-                   Serializer& out);
-
-/// Convenience: serialized bytes of the tree (version-1 payload).
+/// Convenience: serialized bytes of the tree.
 std::vector<std::uint8_t> hst_to_bytes(const Hst& tree);
 
-/// Reconstructs a tree; throws MpteError on malformed or
-/// version-incompatible input. Accepts version-1 and version-2 payloads.
-/// When `ids` is non-null it receives the stable point ids — the stored
-/// vector for version 2, the dense identity 0..n-1 for version 1.
-Hst deserialize_hst(Deserializer& in,
-                    std::vector<std::uint64_t>* ids = nullptr);
+/// Reconstructs a tree; throws MpteError on malformed input, on any
+/// version but 1, or when the decoded tree fails Hst::validate.
+Hst deserialize_hst(Deserializer& in);
 
 /// Convenience over a byte buffer.
-Hst hst_from_bytes(const std::vector<std::uint8_t>& bytes,
-                   std::vector<std::uint64_t>* ids = nullptr);
-
-/// Writes the tree to a file (version-1 payload); throws MpteError on
-/// I/O failure.
-void save_hst(const Hst& tree, const std::string& path);
-
-/// Writes the tree and its stable point ids to a file (version-2
-/// payload); throws MpteError on I/O failure or an ids/points size
-/// mismatch.
-void save_hst(const Hst& tree, std::span<const std::uint64_t> ids,
-              const std::string& path);
-
-/// Reads a tree written by save_hst.
-Hst load_hst(const std::string& path);
-
-/// Like load_hst but reports failure as a Status instead of throwing:
-/// kUnavailable when the file cannot be opened, kInvalidArgument when it
-/// is truncated, fails its checksum, or decodes to an invalid tree.
-Result<Hst> try_load_hst(const std::string& path);
+Hst hst_from_bytes(const std::vector<std::uint8_t>& bytes);
 
 }  // namespace mpte

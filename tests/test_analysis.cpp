@@ -6,6 +6,7 @@
 
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
+#include "plan_hierarchy.hpp"
 
 namespace mpte {
 namespace {
@@ -13,11 +14,10 @@ namespace {
 Hierarchy sample_hierarchy(std::size_t n, std::uint64_t seed) {
   const PointSet raw = generate_uniform_cube(n, 3, 50.0, seed);
   const Quantized q = quantize_to_grid(raw, 256);
-  HybridOptions options;
-  options.delta = 256;
+  PartitionOptions options;
   options.num_buckets = 3;
-  options.seed = seed;
-  auto result = build_hybrid_hierarchy(q.points, options);
+  auto result =
+      plan_and_build(q.points, PartitionMethod::kHybrid, 256, seed, options);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
 }
@@ -60,11 +60,10 @@ TEST(Analysis, ShatterLevelDetectsDuplicates) {
   // Duplicates never separate: full shatter never happens.
   PointSet raw(4, 2, {1, 1, 1, 1, 200, 200, 220, 230});
   const Quantized q = quantize_to_grid(raw, 128);
-  HybridOptions options;
-  options.delta = 128;
+  PartitionOptions options;
   options.num_buckets = 1;
-  options.seed = 7;
-  const auto h = build_hybrid_hierarchy(q.points, options);
+  const auto h =
+      plan_and_build(q.points, PartitionMethod::kHybrid, 128, 7, options);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(full_shatter_level(*h), h->levels());
 }

@@ -131,8 +131,7 @@ TEST(Snapshot, CursorSlotWrittenByEarlierBuildsIsSkipped) {
   Cluster original(ClusterConfig{4, 1 << 20, true});
   run_sample_workload(original);
   const Snapshot snapshot = Snapshot::capture(original);
-  auto payload = unwrap_checksummed(snapshot.to_bytes(),
-                                    /*allow_legacy=*/false, "test");
+  auto payload = unwrap_checksummed(snapshot.to_bytes(), "test");
   ASSERT_TRUE(payload.ok()) << payload.status().to_string();
   // The payload ends with the empty cursor slot (a zero length) and the
   // length-prefixed driver note.

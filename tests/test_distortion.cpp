@@ -6,7 +6,7 @@
 
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
-#include "partition/hybrid_partition.hpp"
+#include "plan_hierarchy.hpp"
 #include "tree/embedding_builder.hpp"
 
 namespace mpte {
@@ -47,11 +47,10 @@ class DistortionFixture : public ::testing::Test {
   }
 
   Hst make_tree(std::uint64_t seed) const {
-    HybridOptions options;
-    options.delta = 256;
+    PartitionOptions options;
     options.num_buckets = 2;
-    options.seed = seed;
-    const auto h = build_hybrid_hierarchy(points_, options);
+    const auto h =
+        plan_and_build(points_, PartitionMethod::kHybrid, 256, seed, options);
     EXPECT_TRUE(h.ok());
     return build_hst(*h);
   }
@@ -104,11 +103,10 @@ TEST(Distortion, SkipsZeroDistancePairs) {
   // Two identical points plus one distinct.
   PointSet points(3, 2, {5, 5, 5, 5, 40, 40});
   const Quantized q = quantize_to_grid(points, 64);
-  HybridOptions options;
-  options.delta = 64;
+  PartitionOptions options;
   options.num_buckets = 1;
-  options.seed = 3;
-  const auto h = build_hybrid_hierarchy(q.points, options);
+  const auto h =
+      plan_and_build(q.points, PartitionMethod::kHybrid, 64, 3, options);
   ASSERT_TRUE(h.ok());
   const Hst tree = build_hst(*h);
   const auto stats = measure_distortion(tree, q.points, 100, 1);

@@ -12,6 +12,7 @@
 #include "dyn/dynamic_ensemble.hpp"
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <string>
@@ -509,18 +510,16 @@ TEST(DynamicPersistence, HstFileRoundTripKeepsStableIds) {
   auto materialized = dynamic->materialize();
   ASSERT_TRUE(materialized.ok());
 
+  // The embedding file is the one on-disk tree format; it carries the
+  // stable ids.
   const std::string path =
       testing::TempDir() + "/dyn_tree_with_ids.mpte";
-  save_hst(materialized->tree, materialized->point_ids, path);
-  auto file_bytes = read_file_bytes(path);
-  ASSERT_TRUE(file_bytes.ok());
-  auto payload = unwrap_checksummed(std::move(*file_bytes),
-                                    /*allow_legacy=*/true, path);
-  ASSERT_TRUE(payload.ok());
-  std::vector<std::uint64_t> ids;
-  const Hst tree = hst_from_bytes(*payload, &ids);
-  EXPECT_EQ(ids, materialized->point_ids);
-  EXPECT_EQ(hst_to_bytes(tree), hst_to_bytes(materialized->tree));
+  save_embedding(*materialized, path);
+  auto loaded = try_load_embedding(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded->point_ids, materialized->point_ids);
+  EXPECT_EQ(hst_to_bytes(loaded->tree), hst_to_bytes(materialized->tree));
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
+#include "plan_hierarchy.hpp"
 #include "tree/hst_io.hpp"
 #include "tree/lca_index.hpp"
 
@@ -120,11 +121,10 @@ TEST(HstShape, CountsMatch) {
 TEST(BuildHst, LargeRandomHierarchyValidates) {
   const PointSet raw = generate_uniform_cube(200, 4, 50.0, 7);
   const Quantized q = quantize_to_grid(raw, 256);
-  HybridOptions options;
-  options.delta = 256;
+  PartitionOptions options;
   options.num_buckets = 2;
-  options.seed = 11;
-  const auto hierarchy = build_hybrid_hierarchy(q.points, options);
+  const auto hierarchy =
+      plan_and_build(q.points, PartitionMethod::kHybrid, 256, 11, options);
   ASSERT_TRUE(hierarchy.ok());
   const Hst tree = build_hst(*hierarchy);
   EXPECT_TRUE(tree.validate().ok());
@@ -526,15 +526,14 @@ TEST(HashMapOracle, GridBallAndHybridHierarchies) {
   ASSERT_TRUE(grid.ok());
   expect_same_metric_as_hash_map(*grid);
 
-  HybridOptions options;
-  options.delta = 128;
-  options.seed = 6;
-  const auto ball = build_ball_hierarchy(points, options);
+  const auto ball = plan_and_build(points, PartitionMethod::kBall, 128, 6);
   ASSERT_TRUE(ball.ok());
   expect_same_metric_as_hash_map(*ball);
 
+  PartitionOptions options;
   options.num_buckets = 3;
-  const auto hybrid = build_hybrid_hierarchy(points, options);
+  const auto hybrid =
+      plan_and_build(points, PartitionMethod::kHybrid, 128, 6, options);
   ASSERT_TRUE(hybrid.ok());
   expect_same_metric_as_hash_map(*hybrid);
 }
@@ -543,12 +542,11 @@ TEST(HashMapOracle, SingletonFallbackIds) {
   // Two grids per set leave many points uncovered: their private
   // kSingleton ids run through the hierarchy.
   const PointSet points = points_with_duplicates(100, 4, 23);
-  HybridOptions options;
-  options.delta = 128;
-  options.seed = 8;
+  PartitionOptions options;
   options.num_grids = 2;
   options.uncovered = UncoveredPolicy::kSingleton;
-  const auto ball = build_ball_hierarchy(points, options);
+  const auto ball =
+      plan_and_build(points, PartitionMethod::kBall, 128, 8, options);
   ASSERT_TRUE(ball.ok());
   ASSERT_GT(ball->uncovered_events, 0u);
   expect_same_metric_as_hash_map(*ball);

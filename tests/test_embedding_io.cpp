@@ -4,22 +4,56 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "common/checksum.hpp"
 #include "geometry/generators.hpp"
+#include "tree/hst_io.hpp"
 
 namespace mpte {
 namespace {
 
-Embedding sample_embedding(std::uint64_t seed = 3) {
-  const PointSet points = generate_uniform_cube(50, 4, 30.0, seed);
+Embedding sample_embedding(std::uint64_t seed = 3, std::size_t n = 50) {
+  const PointSet points = generate_uniform_cube(n, 4, 30.0, seed);
   EmbedOptions options;
   options.use_fjlt = false;
   options.seed = seed;
   auto result = embed(points, options);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
+}
+
+// Payload offsets of a static embedding (empty point ids): the 49-byte
+// header (magic, version, scale, delta, buckets, grids, dim, fjlt,
+// retries), the id count, the has_points byte, then the points or the
+// tree.
+constexpr std::size_t kIdCountAt = 49;
+constexpr std::size_t kHasPointsAt = kIdCountAt + 8;
+constexpr std::size_t kBodyAt = kHasPointsAt + 1;
+
+void put_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+/// Writes `payload` behind a valid envelope (or raw) and loads it back.
+Result<Embedding> load_payload(const std::vector<std::uint8_t>& payload,
+                               const std::string& name,
+                               bool enveloped = true) {
+  const std::string path = ::testing::TempDir() + name;
+  EXPECT_TRUE(
+      write_file_atomic(path, enveloped ? wrap_checksummed(payload) : payload)
+          .ok());
+  auto result = try_load_embedding(path);
+  std::remove(path.c_str());
+  return result;
+}
+
+void expect_invalid(const Result<Embedding>& result) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+      << result.status().to_string();
 }
 
 TEST(EmbeddingIo, RoundTripWithPoints) {
@@ -92,6 +126,11 @@ TEST(EmbeddingIo, RejectsOnDiskCorruption) {
   EXPECT_NE(result.status().to_string().find("checksum"),
             std::string::npos);
   EXPECT_THROW((void)load_embedding(path), MpteError);
+
+  // Truncate the file below its declared payload size.
+  save_embedding(original, path);
+  std::filesystem::resize_file(path, 24);
+  expect_invalid(try_load_embedding(path));
   std::remove(path.c_str());
 }
 
@@ -101,7 +140,6 @@ TEST(EmbeddingIo, HostileIdCountBehindAValidEnvelopeIsAStatus) {
   // bytes wrap to 8 bytes; the checksum is recomputed, so only the
   // decoder stands between the count and the allocator.
   auto payload = embedding_to_bytes(sample_embedding(15));
-  constexpr std::size_t kIdCountAt = 49;
   std::uint64_t count = 0;
   std::memcpy(&count, payload.data() + kIdCountAt, sizeof(count));
   ASSERT_EQ(count, 0u);  // a static embedding stores no ids
@@ -115,6 +153,59 @@ TEST(EmbeddingIo, HostileIdCountBehindAValidEnvelopeIsAStatus) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+TEST(EmbeddingIo, HostileNodeCountBehindAValidEnvelopeIsAStatus) {
+  // The tree's node count is 2^61 + 1: its 40-byte records wrap to 40
+  // bytes, and 40 bytes follow. The decoder must refuse the count before
+  // it allocates.
+  auto payload = embedding_to_bytes(sample_embedding(25), false);
+  const std::size_t node_count_at = kBodyAt + 8;  // after magic, version
+  payload.resize(node_count_at + 8 + 40, 0);
+  put_u64(payload, node_count_at, (std::uint64_t{1} << 61) + 1);
+  expect_invalid(load_payload(payload, "mpte_embedding_io_nodes.bin"));
+}
+
+TEST(EmbeddingIo, HostilePointDimensionBehindAValidEnvelopeIsAStatus) {
+  // 60 points of dimension 2^62 and no coordinates: 60 * 2^62 wraps to 0,
+  // the coordinate count, so only an overflow-free size check refuses it.
+  Embedding embedding = sample_embedding(27, 60);
+  embedding.embedded_points = PointSet();
+  auto payload = embedding_to_bytes(embedding, true);
+  ASSERT_EQ(payload[kHasPointsAt], 1);
+  put_u64(payload, kBodyAt, 60);
+  put_u64(payload, kBodyAt + 8, std::uint64_t{1} << 62);
+  expect_invalid(load_payload(payload, "mpte_embedding_io_dim.bin"));
+}
+
+TEST(EmbeddingIo, RawPayloadFileIsRejected) {
+  // Files without the checksummed envelope are not read.
+  const auto payload = embedding_to_bytes(sample_embedding(29));
+  expect_invalid(load_payload(payload, "mpte_embedding_io_raw.bin",
+                              /*enveloped=*/false));
+}
+
+TEST(EmbeddingIo, VersionOnePayloadIsRejected) {
+  // Version 1 had no id vector: the same payload without its id count.
+  auto payload = embedding_to_bytes(sample_embedding(31), false);
+  payload.erase(payload.begin() + kIdCountAt,
+                payload.begin() + kHasPointsAt);
+  payload[4] = 1;  // version field
+  expect_invalid(load_payload(payload, "mpte_embedding_io_v1.bin"));
+}
+
+TEST(EmbeddingIo, HstVersionTwoPayloadIsRejected) {
+  // The retired HST version 2 appended the point ids after the leaves;
+  // ids travel in the embedding's own vector instead.
+  const Embedding embedding = sample_embedding(33);
+  auto payload = embedding_to_bytes(embedding, false);
+  ASSERT_EQ(payload.size(), kBodyAt + hst_to_bytes(embedding.tree).size());
+  payload[kBodyAt + 4] = 2;  // the tree's version field
+  Serializer ids;
+  ids.write_vector(std::vector<std::uint64_t>(embedding.tree.num_points()));
+  const auto id_bytes = ids.take();
+  payload.insert(payload.end(), id_bytes.begin(), id_bytes.end());
+  expect_invalid(load_payload(payload, "mpte_embedding_io_hst_v2.bin"));
 }
 
 TEST(EmbeddingIo, TryLoadReportsMissingFileAsUnavailable) {

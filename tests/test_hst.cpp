@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mpte {
 namespace {
 
@@ -108,6 +110,18 @@ TEST(Hst, ValidateCatchesLevelInversion) {
   nodes[1] = HstNode{2, 0, 5, 1.0, 0, 1};  // same level as parent
   const Hst tree(std::move(nodes), {1});
   EXPECT_FALSE(tree.validate().ok());
+}
+
+TEST(Hst, ValidateCatchesNonFiniteWeight) {
+  // A NaN weight slips past "weight < 0" and makes every distance through
+  // it NaN.
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), -1.0}) {
+    auto nodes = std::vector<HstNode>(2);
+    nodes[0] = HstNode{1, -1, 0, 0.0, -1, 1};
+    nodes[1] = HstNode{2, 0, 1, weight, 0, 1};
+    EXPECT_FALSE(Hst(std::move(nodes), {1}).validate().ok()) << weight;
+  }
 }
 
 TEST(Hst, ValidateCatchesMissingLeaf) {

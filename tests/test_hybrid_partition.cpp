@@ -8,6 +8,7 @@
 
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
+#include "plan_hierarchy.hpp"
 #include <string>
 
 namespace mpte {
@@ -41,26 +42,12 @@ TEST(ScaleLadder, LevelCountLogarithmicInDelta) {
   EXPECT_EQ(l2 - l1, 8u);
 }
 
-TEST(HybridHierarchy, ValidatesArguments) {
-  const PointSet points = quantized_cube(10, 4, 64, 1);
-  HybridOptions options;
-  options.delta = 0;
-  options.num_buckets = 1;
-  EXPECT_FALSE(build_hybrid_hierarchy(points, options).ok());
-  options.delta = 64;
-  options.num_buckets = 5;  // > dim
-  EXPECT_FALSE(build_hybrid_hierarchy(points, options).ok());
-  options.num_buckets = 1;
-  EXPECT_FALSE(build_hybrid_hierarchy(PointSet{}, options).ok());
-}
-
 TEST(HybridHierarchy, StructureInvariants) {
   const PointSet points = quantized_cube(60, 4, 128, 2);
-  HybridOptions options;
-  options.delta = 128;
+  PartitionOptions options;
   options.num_buckets = 2;
-  options.seed = 3;
-  const auto h = build_hybrid_hierarchy(points, options);
+  const auto h =
+      plan_and_build(points, PartitionMethod::kHybrid, 128, 3, options);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->num_points(), 60u);
   EXPECT_EQ(h->num_buckets, 2u);
@@ -89,11 +76,10 @@ TEST(HybridHierarchy, DiameterBoundHolds) {
   // Lemma 1 second half: same partition at scale w => distance <= 2 sqrt(r) w.
   const PointSet points = quantized_cube(80, 4, 128, 5);
   for (const std::uint32_t r : {1u, 2u, 4u}) {
-    HybridOptions options;
-    options.delta = 128;
+    PartitionOptions options;
     options.num_buckets = r;
-    options.seed = 7 + r;
-    const auto h = build_hybrid_hierarchy(points, options);
+    const auto h =
+        plan_and_build(points, PartitionMethod::kHybrid, 128, 7 + r, options);
     ASSERT_TRUE(h.ok()) << "r=" << r;
     const double bound_factor = 2.0 * std::sqrt(static_cast<double>(r));
     for (std::size_t level = 1; level < h->levels(); ++level) {
@@ -113,11 +99,10 @@ TEST(HybridHierarchy, DiameterBoundHolds) {
 
 TEST(HybridHierarchy, EndsInSingletonsForDistinctPoints) {
   const PointSet points = quantized_cube(50, 3, 64, 11);
-  HybridOptions options;
-  options.delta = 64;
+  PartitionOptions options;
   options.num_buckets = 3;
-  options.seed = 13;
-  const auto h = build_hybrid_hierarchy(points, options);
+  const auto h =
+      plan_and_build(points, PartitionMethod::kHybrid, 64, 13, options);
   ASSERT_TRUE(h.ok());
   // Points with distinct coordinates end in distinct clusters at the last
   // level (diameter bound < 1 <= min distance).
@@ -137,38 +122,38 @@ TEST(HybridHierarchy, EndsInSingletonsForDistinctPoints) {
 
 TEST(HybridHierarchy, CoverageFailureReported) {
   const PointSet points = quantized_cube(200, 4, 128, 17);
-  HybridOptions options;
-  options.delta = 128;
+  PartitionOptions options;
   options.num_buckets = 1;  // 4-dim buckets, tiny cover probability
   options.num_grids = 1;    // force failure
   options.uncovered = UncoveredPolicy::kFail;
-  const auto h = build_hybrid_hierarchy(points, options);
+  const auto h =
+      plan_and_build(points, PartitionMethod::kHybrid, 128, 0, options);
   ASSERT_FALSE(h.ok());
   EXPECT_EQ(h.status().code(), StatusCode::kCoverageFailure);
 }
 
 TEST(HybridHierarchy, SingletonPolicyKeepsGoing) {
   const PointSet points = quantized_cube(100, 4, 128, 19);
-  HybridOptions options;
-  options.delta = 128;
+  PartitionOptions options;
   options.num_buckets = 1;
   options.num_grids = 2;  // will miss many points
   options.uncovered = UncoveredPolicy::kSingleton;
-  const auto h = build_hybrid_hierarchy(points, options);
+  const auto h =
+      plan_and_build(points, PartitionMethod::kHybrid, 128, 0, options);
   ASSERT_TRUE(h.ok());
   EXPECT_GT(h->uncovered_events, 0u);
 }
 
 TEST(HybridHierarchy, DeterministicBySeed) {
   const PointSet points = quantized_cube(40, 4, 64, 23);
-  HybridOptions options;
-  options.delta = 64;
+  PartitionOptions options;
   options.num_buckets = 2;
-  options.seed = 99;
-  const auto a = build_hybrid_hierarchy(points, options);
-  const auto b = build_hybrid_hierarchy(points, options);
-  options.seed = 100;
-  const auto c = build_hybrid_hierarchy(points, options);
+  const auto a =
+      plan_and_build(points, PartitionMethod::kHybrid, 64, 99, options);
+  const auto b =
+      plan_and_build(points, PartitionMethod::kHybrid, 64, 99, options);
+  const auto c =
+      plan_and_build(points, PartitionMethod::kHybrid, 64, 100, options);
   ASSERT_TRUE(a.ok() && b.ok() && c.ok());
   EXPECT_EQ(a->cluster_of_point, b->cluster_of_point);
   EXPECT_NE(a->cluster_of_point, c->cluster_of_point);
@@ -177,10 +162,10 @@ TEST(HybridHierarchy, DeterministicBySeed) {
 TEST(HybridHierarchy, PadsNonDivisibleDimensions) {
   // dim 5 with r = 2: bucket_dim 3, padded to 6; must still work.
   const PointSet points = quantized_cube(30, 5, 64, 29);
-  HybridOptions options;
-  options.delta = 64;
+  PartitionOptions options;
   options.num_buckets = 2;
-  const auto h = build_hybrid_hierarchy(points, options);
+  const auto h =
+      plan_and_build(points, PartitionMethod::kHybrid, 64, 0, options);
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->num_points(), 30u);
 }
@@ -214,27 +199,23 @@ TEST(GridHierarchy, StructureAndSingletons) {
 
 TEST(BallHierarchy, IsHybridWithOneBucket) {
   const PointSet points = quantized_cube(30, 3, 64, 41);
-  HybridOptions options;
-  options.delta = 64;
-  options.num_buckets = 7;  // overridden by build_ball_hierarchy
-  options.seed = 43;
-  const auto ball = build_ball_hierarchy(points, options);
+  PartitionOptions options;
+  options.num_buckets = 7;  // the ball plan ignores it
+  const auto ball =
+      plan_and_build(points, PartitionMethod::kBall, 64, 43, options);
   options.num_buckets = 1;
-  const auto hybrid = build_hybrid_hierarchy(points, options);
+  const auto hybrid =
+      plan_and_build(points, PartitionMethod::kHybrid, 64, 43, options);
   ASSERT_TRUE(ball.ok() && hybrid.ok());
   EXPECT_EQ(ball->cluster_of_point, hybrid->cluster_of_point);
 }
 
 TEST(HybridHierarchy, InfeasibleGridCountIsAStatus) {
   // Pure ball partitioning at d = 12 and 16 asks for more grids than one
-  // grid set can hold; the build says so before allocating any.
+  // grid set can hold; the plan says so before any grid set is built.
   for (const std::size_t d : {12u, 16u}) {
     const PointSet points = quantized_cube(50, d, 64, 3);
-    HybridOptions options;
-    options.num_buckets = 1;
-    options.delta = 64;
-    options.seed = 5;
-    const auto result = build_ball_hierarchy(points, options);
+    const auto result = plan_and_build(points, PartitionMethod::kBall, 64, 5);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(result.status().message().find("k = " + std::to_string(d)),

@@ -18,6 +18,7 @@
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
 #include "golden.hpp"
+#include "plan_hierarchy.hpp"
 
 namespace mpte {
 namespace {
@@ -43,11 +44,11 @@ MpcEmbedOptions base_options(std::uint64_t seed) {
 Hierarchy reference_hierarchy(const PointSet& points,
                               const MpcEmbedOptions& options) {
   const Quantized q = quantize_to_grid(points, options.delta);
-  HybridOptions hybrid;
-  hybrid.num_buckets = options.num_buckets;
-  hybrid.delta = options.delta;
-  hybrid.seed = hash_combine(mix64(options.seed), 0);  // attempt 0
-  auto result = build_hybrid_hierarchy(q.points, hybrid);
+  PartitionOptions partition;
+  partition.num_buckets = options.num_buckets;
+  const std::uint64_t seed = hash_combine(mix64(options.seed), 0);  // attempt 0
+  auto result = plan_and_build(q.points, PartitionMethod::kHybrid,
+                               options.delta, seed, partition);
   EXPECT_TRUE(result.ok());
   return std::move(result).value();
 }

@@ -14,6 +14,7 @@
 #include "mpc/primitives.hpp"
 #include "partition/ball_partition.hpp"
 #include "partition/coverage.hpp"
+#include "plan_hierarchy.hpp"
 
 namespace mpte::detail {
 namespace {
@@ -107,11 +108,10 @@ TEST(RunPartitionAttempt, EdgesMatchSequentialHierarchy) {
   ASSERT_EQ(failures, 0u);
 
   // Sequential reference ids.
-  HybridOptions options;
+  PartitionOptions options;
   options.num_buckets = 2;
-  options.delta = delta;
-  options.seed = seed;
-  const auto hierarchy = build_hybrid_hierarchy(q.points, options);
+  const auto hierarchy =
+      plan_and_build(q.points, PartitionMethod::kHybrid, delta, seed, options);
   ASSERT_TRUE(hierarchy.ok());
 
   // Every sequential (child, parent) id pair must appear in the gathered

@@ -25,6 +25,8 @@ TEST(PointSet, ConstructionAndAccess) {
 
 TEST(PointSet, AdoptBufferValidatesSize) {
   EXPECT_THROW(PointSet(2, 3, {1.0, 2.0}), MpteError);
+  // 60 * 2^62 wraps to 0, the size of the empty buffer.
+  EXPECT_THROW(PointSet(60, std::size_t{1} << 62, {}), MpteError);
 }
 
 TEST(PointSet, PushBackGrowsAndChecksDim) {

@@ -67,7 +67,8 @@ TEST(Wire, ParsesCombinerAndDeadline) {
 TEST(Wire, RejectsMalformedLines) {
   for (const char* line :
        {"", "dist", "dist 1", "dist 1 x", "knn 1 2 bogus", "range 1 nan2",
-        "frob 1 2", "dist 1 2 min 10 extra"}) {
+        "frob 1 2", "dist 1 2 min 10 extra", "dist -1 2", "knn 1 +3",
+        "remove -1", "dist 1 2 min 86400001"}) {
     EXPECT_FALSE(parse_request(line).ok()) << "line: '" << line << "'";
     const auto status = parse_request(line).status();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);

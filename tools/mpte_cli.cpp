@@ -52,20 +52,24 @@
 //       epochs advance monotonically. --shutdown stops the server
 //       afterwards.
 //
-// Exit codes: 0 success, 1 usage (incl. unknown subcommands), 2 runtime
+// Exit codes: 0 success, 1 usage (incl. unknown subcommands and any flag
+// the subcommand does not take), 2 runtime
 // failure (including the Theorem-1 coverage-failure report and
 // bench-client runs that saw any error response), 3 injected crash
 // (`embed ... --crash-at`), leaving a resumable checkpoint directory.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -128,36 +132,42 @@ int usage() {
   return 1;
 }
 
-/// Parses "--flag value" and "--flag=value" forms after `from`; returns
-/// false (usage error) on an unknown flag or missing value. Positional
-/// arguments (no leading --) are collected into `positional`.
-bool parse_flags(int argc, char** argv, int from,
-                 std::vector<std::string>* positional,
-                 std::vector<std::pair<std::string, std::string>>* flags) {
-  for (int i = from; i < argc; ++i) {
+using Flags = std::vector<std::pair<std::string, std::string>>;
+
+/// Parses the arguments after the subcommand: "--flag value" and
+/// "--flag=value" forms of the flags in `known` go to `flags`, everything
+/// without a leading -- to `positional`. Returns false (usage error) on a
+/// flag the subcommand does not take or a missing value.
+bool parse_flags(int argc, char** argv,
+                 std::initializer_list<std::string_view> known,
+                 std::vector<std::string>* positional, Flags* flags) {
+  for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       positional->push_back(arg);
       continue;
     }
-    if (const std::size_t eq = arg.find('=');
-        eq != std::string::npos && eq > 2) {
-      flags->emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
-      continue;
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::fprintf(stderr, "%s: unknown flag %s\n", argv[1], name.c_str());
+      return false;
     }
-    if (arg == "--shutdown") {  // the only value-less flag
+    if (eq != std::string::npos) {
+      flags->emplace_back(name, arg.substr(eq + 1));
+    } else if (arg == "--shutdown") {  // the only value-less flag
       flags->emplace_back(arg, "1");
-      continue;
+    } else if (i + 1 < argc) {
+      flags->emplace_back(arg, argv[++i]);
+    } else {
+      return false;
     }
-    if (i + 1 >= argc) return false;
-    flags->emplace_back(arg, argv[++i]);
   }
   return true;
 }
 
-std::string flag_value(
-    const std::vector<std::pair<std::string, std::string>>& flags,
-    const std::string& name, const std::string& fallback) {
+std::string flag_value(const Flags& flags, const std::string& name,
+                       const std::string& fallback) {
   for (const auto& [flag, value] : flags) {
     if (flag == name) return value;
   }
@@ -170,8 +180,7 @@ struct ObsOutputs {
   std::string metrics_path;
 };
 
-ObsOutputs obs_outputs(
-    const std::vector<std::pair<std::string, std::string>>& flags) {
+ObsOutputs obs_outputs(const Flags& flags) {
   return {flag_value(flags, "--trace-out", ""),
           flag_value(flags, "--metrics-out", "")};
 }
@@ -221,13 +230,18 @@ int write_obs_artifacts(const ObsOutputs& outputs, Fill&& fill) {
 }
 
 int cmd_generate(int argc, char** argv) {
-  if (argc < 6) return usage();
-  const auto n = static_cast<std::size_t>(std::atoll(argv[2]));
-  const auto dim = static_cast<std::size_t>(std::atoll(argv[3]));
-  const std::string kind = argv[4];
-  const std::string path = argv[5];
+  std::vector<std::string> args;
+  Flags flags;
+  if (!parse_flags(argc, argv, {}, &args, &flags) || args.size() < 4) {
+    return usage();
+  }
+  const auto n = static_cast<std::size_t>(std::atoll(args[0].c_str()));
+  const auto dim = static_cast<std::size_t>(std::atoll(args[1].c_str()));
+  const std::string& kind = args[2];
+  const std::string& path = args[3];
   const std::uint64_t seed =
-      argc > 6 ? static_cast<std::uint64_t>(std::atoll(argv[6])) : 1;
+      args.size() > 4 ? static_cast<std::uint64_t>(std::atoll(args[4].c_str()))
+                      : 1;
 
   PointSet points;
   if (kind == "uniform") {
@@ -489,9 +503,12 @@ int cmd_embed_mpc(const PointSet& points, const std::string& in_path,
 /// output tree is byte-identical to an uninterrupted run's.
 int cmd_resume(int argc, char** argv) {
   std::vector<std::string> positional;
-  std::vector<std::pair<std::string, std::string>> flags;
-  if (!parse_flags(argc, argv, 2, &positional, &flags)) return usage();
-  if (positional.empty()) return usage();
+  Flags flags;
+  if (!parse_flags(argc, argv, {"--trace-out", "--metrics-out"}, &positional,
+                   &flags) ||
+      positional.empty()) {
+    return usage();
+  }
   const ObsOutputs outputs = obs_outputs(flags);
   arm_tracer(outputs);
   const std::string dir = positional[0];
@@ -572,9 +589,14 @@ int cmd_resume(int argc, char** argv) {
 
 int cmd_embed(int argc, char** argv) {
   std::vector<std::string> positional;
-  std::vector<std::pair<std::string, std::string>> flags;
-  if (!parse_flags(argc, argv, 2, &positional, &flags)) return usage();
-  if (positional.size() < 2) return usage();
+  Flags flags;
+  if (!parse_flags(argc, argv,
+                   {"--checkpoint-dir", "--every", "--crash-at", "--backend",
+                    "--ranks", "--trace-out", "--metrics-out"},
+                   &positional, &flags) ||
+      positional.size() < 2) {
+    return usage();
+  }
   const PointSet points = read_csv_points_file(positional[0]);
   const std::uint64_t seed =
       positional.size() > 3
@@ -614,8 +636,11 @@ int cmd_embed(int argc, char** argv) {
       return usage();
     }
   }
-  // The checkpoint flags only mean something for the mpc pipeline.
-  if (!checkpoint_dir.empty()) return usage();
+  // The mpc-only flags mean nothing to the sequential pipelines.
+  for (const char* mpc_only :
+       {"--checkpoint-dir", "--every", "--crash-at", "--backend", "--ranks"}) {
+    if (!flag_value(flags, mpc_only, "").empty()) return usage();
+  }
   options.seed = seed;
 
   arm_tracer(outputs);
@@ -646,8 +671,12 @@ int cmd_embed(int argc, char** argv) {
 }
 
 int cmd_stats(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const Embedding embedding = load_embedding(argv[2]);
+  std::vector<std::string> args;
+  Flags flags;
+  if (!parse_flags(argc, argv, {}, &args, &flags) || args.empty()) {
+    return usage();
+  }
+  const Embedding embedding = load_embedding(args[0]);
   const Hst& tree = embedding.tree;
   const double scale = embedding.scale_to_input;
   const HstShape shape = hst_shape(tree);
@@ -663,12 +692,16 @@ int cmd_stats(int argc, char** argv) {
 }
 
 int cmd_query(int argc, char** argv) {
-  if (argc < 5) return usage();
-  const Embedding embedding = load_embedding(argv[2]);
+  std::vector<std::string> args;
+  Flags flags;
+  if (!parse_flags(argc, argv, {}, &args, &flags) || args.size() < 3) {
+    return usage();
+  }
+  const Embedding embedding = load_embedding(args[0]);
   const Hst& tree = embedding.tree;
   const double scale = embedding.scale_to_input;
-  const auto i = static_cast<std::size_t>(std::atoll(argv[3]));
-  const auto j = static_cast<std::size_t>(std::atoll(argv[4]));
+  const auto i = static_cast<std::size_t>(std::atoll(args[1].c_str()));
+  const auto j = static_cast<std::size_t>(std::atoll(args[2].c_str()));
   if (i >= tree.num_points() || j >= tree.num_points()) {
     std::fprintf(stderr, "point index out of range (n=%zu)\n",
                  tree.num_points());
@@ -680,11 +713,15 @@ int cmd_query(int argc, char** argv) {
 }
 
 int cmd_distortion(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const Embedding embedding = load_embedding(argv[2]);
+  std::vector<std::string> args;
+  Flags flags;
+  if (!parse_flags(argc, argv, {}, &args, &flags) || args.size() < 2) {
+    return usage();
+  }
+  const Embedding embedding = load_embedding(args[0]);
   const Hst& tree = embedding.tree;
   const double scale = embedding.scale_to_input;
-  const PointSet points = read_csv_points_file(argv[3]);
+  const PointSet points = read_csv_points_file(args[1]);
   if (points.size() != tree.num_points()) {
     std::fprintf(stderr, "csv has %zu points but tree embeds %zu\n",
                  points.size(), tree.num_points());
@@ -713,8 +750,7 @@ int cmd_distortion(int argc, char** argv) {
 /// Shared by `serve --dynamic` and `dyncheck`: builds a DynamicEnsemble
 /// over a CSV point set from the --trees/--seed/--method flags.
 Result<std::unique_ptr<dyn::DynamicEnsemble>> build_dynamic_ensemble(
-    const std::string& csv_path,
-    const std::vector<std::pair<std::string, std::string>>& flags) {
+    const std::string& csv_path, const Flags& flags) {
   dyn::DynamicEnsemble::Options options;
   options.trees = std::max<std::size_t>(
       1, static_cast<std::size_t>(
@@ -770,8 +806,14 @@ Result<std::vector<serve::Request>> read_updates_file(
 
 int cmd_serve(int argc, char** argv) {
   std::vector<std::string> trees;
-  std::vector<std::pair<std::string, std::string>> flags;
-  if (!parse_flags(argc, argv, 2, &trees, &flags)) return usage();
+  Flags flags;
+  if (!parse_flags(argc, argv,
+                   {"--dynamic", "--port", "--updates", "--batch", "--wait-us",
+                    "--queue", "--threads", "--trace-out", "--metrics-out",
+                    "--trees", "--seed", "--method"},
+                   &trees, &flags)) {
+    return usage();
+  }
   const std::string dynamic_csv = flag_value(flags, "--dynamic", "");
   if (flag_value(flags, "--port", "").empty()) return usage();
   // Exactly one of: positional tree files (static) or --dynamic (live).
@@ -890,9 +932,12 @@ int cmd_serve(int argc, char** argv) {
 /// over the same final set by comparing per-member tree fingerprints.
 int cmd_dyncheck(int argc, char** argv) {
   std::vector<std::string> positional;
-  std::vector<std::pair<std::string, std::string>> flags;
-  if (!parse_flags(argc, argv, 2, &positional, &flags)) return usage();
-  if (positional.size() != 1) return usage();
+  Flags flags;
+  if (!parse_flags(argc, argv, {"--updates", "--trees", "--seed", "--method"},
+                   &positional, &flags) ||
+      positional.size() != 1) {
+    return usage();
+  }
 
   const PointSet initial = read_csv_points_file(positional[0]);
   auto dynamic = build_dynamic_ensemble(positional[0], flags);
@@ -995,8 +1040,13 @@ int cmd_dyncheck(int argc, char** argv) {
 
 int cmd_bench_client(int argc, char** argv) {
   std::vector<std::string> positional;
-  std::vector<std::pair<std::string, std::string>> flags;
-  if (!parse_flags(argc, argv, 2, &positional, &flags)) return usage();
+  Flags flags;
+  if (!parse_flags(argc, argv,
+                   {"--port", "--host", "--clients", "--queries", "--pipeline",
+                    "--kind", "--updates", "--shutdown"},
+                   &positional, &flags)) {
+    return usage();
+  }
   const std::string port_text = flag_value(flags, "--port", "");
   if (!positional.empty() || port_text.empty()) return usage();
 
