@@ -1,5 +1,7 @@
 #include "core/embedding_io.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/checksum.hpp"
@@ -12,6 +14,18 @@ constexpr std::uint32_t kMagic = 0x4d504542;  // "MPEB"
 /// Config, the stable point-id vector (empty = identity 0..n-1),
 /// optional points, then the tree.
 constexpr std::uint32_t kVersion = 2;
+
+/// Twice the deepest weight depth of `tree`: no dist_T exceeds it.
+double diameter_bound(const Hst& tree) {
+  std::vector<double> depth(tree.num_nodes(), 0.0);
+  double deepest = 0.0;
+  for (std::size_t i = 1; i < tree.num_nodes(); ++i) {
+    const HstNode& node = tree.node(i);
+    depth[i] = depth[static_cast<std::size_t>(node.parent)] + node.edge_weight;
+    deepest = std::max(deepest, depth[i]);
+  }
+  return 2.0 * deepest;
+}
 
 }  // namespace
 
@@ -64,9 +78,21 @@ Embedding deserialize_embedding(Deserializer& in) {
     const auto n = in.read<std::uint64_t>();
     const auto dim = in.read<std::uint64_t>();
     auto raw = in.read_vector<double>();
+    for (const double coordinate : raw) {
+      if (!std::isfinite(coordinate)) {
+        throw MpteError("deserialize_embedding: non-finite coordinate");
+      }
+    }
     points = PointSet(n, dim, std::move(raw));
   }
   Hst tree = deserialize_hst(in);
+  // Every distance served from the file is the scale times a tree
+  // distance. Every pipeline writes a positive, finite lattice cell, so a
+  // scale that is not > 0, or whose products are not finite, is corrupt.
+  if (!(scale > 0.0) || !std::isfinite(scale * diameter_bound(tree))) {
+    throw MpteError("deserialize_embedding: scale must be > 0 and keep "
+                    "every distance finite");
+  }
   if (has_points != 0 && points.size() != tree.num_points()) {
     throw MpteError("deserialize_embedding: point/tree size mismatch");
   }

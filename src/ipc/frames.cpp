@@ -33,8 +33,17 @@ void write_buffer(Serializer& s, const mpc::Buffer& buffer,
   s.write_span(buffer.span());
 }
 
-mpc::Buffer read_buffer(Deserializer& d,
-                        std::span<const std::uint8_t> arena) {
+/// The arena a frame's blob references point into, and how many of its
+/// bytes the frame may still copy out. The encoder writes references at
+/// increasing offsets and never past capacity, so a valid frame copies at
+/// most the arena's size in total; references that repeat or overlap
+/// beyond that are refused before they copy.
+struct ArenaReader {
+  std::span<const std::uint8_t> arena;
+  std::size_t budget;
+};
+
+mpc::Buffer read_buffer(Deserializer& d, ArenaReader& in) {
   const auto tag = d.read<std::uint8_t>();
   if (tag == kBlobInline) return mpc::Buffer(d.read_vector<std::uint8_t>());
   if (tag != kBlobArena) {
@@ -42,12 +51,16 @@ mpc::Buffer read_buffer(Deserializer& d,
   }
   const auto offset = d.read<std::uint64_t>();
   const auto length = d.read<std::uint64_t>();
-  if (offset > arena.size() || length > arena.size() - offset) {
+  if (offset > in.arena.size() || length > in.arena.size() - offset) {
     throw MpteError("ipc frame: arena blob reference out of bounds");
   }
+  if (length > in.budget) {
+    throw MpteError("ipc frame: arena references copy more than the arena");
+  }
+  in.budget -= length;
   // The one worker-side touch: arena bytes are copied out here and
   // nowhere else, so the frame survives the arena's next reset.
-  return mpc::Buffer::copy_of(arena.subspan(offset, length));
+  return mpc::Buffer::copy_of(in.arena.subspan(offset, length));
 }
 
 // The smallest encoding of one record behind each count. decode reads
@@ -69,8 +82,7 @@ void write_deltas(Serializer& s, const std::vector<StoreDelta>& deltas,
   }
 }
 
-std::vector<StoreDelta> read_deltas(Deserializer& d,
-                                    std::span<const std::uint8_t> arena) {
+std::vector<StoreDelta> read_deltas(Deserializer& d, ArenaReader& arena) {
   std::vector<StoreDelta> deltas(d.read_count(kMinDeltaBytes));
   for (StoreDelta& delta : deltas) {
     delta.key = d.read_string();
@@ -81,8 +93,9 @@ std::vector<StoreDelta> read_deltas(Deserializer& d,
 }
 
 Frame decode(std::span<const std::uint8_t> payload,
-             std::span<const std::uint8_t> arena) {
+             std::span<const std::uint8_t> arena_bytes) {
   Deserializer d(payload);
+  ArenaReader arena{arena_bytes, arena_bytes.size()};
   Frame frame;
   frame.kind = static_cast<FrameKind>(d.read<std::uint32_t>());
   switch (frame.kind) {

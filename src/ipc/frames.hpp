@@ -152,7 +152,8 @@ mpc::Buffer encode_shutdown();
 /// when the frame may carry arena references; blob bytes are copied out
 /// (Buffer::copy_of), so the frame outlives the arena's next reset.
 /// kInvalidArgument for a bad header, digest mismatch, malformed
-/// payload, or an arena reference that falls outside `arena`.
+/// payload, an arena reference that falls outside `arena`, or references
+/// that together copy more than `arena.size()` bytes.
 Result<Frame> decode_envelope(std::span<const std::uint8_t> envelope,
                               std::span<const std::uint8_t> arena = {});
 

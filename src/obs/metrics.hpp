@@ -70,11 +70,12 @@ class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
 
-  void observe(std::uint64_t v) {
+  /// Records `times` samples of value v.
+  void observe(std::uint64_t v, std::uint64_t times = 1) {
     const std::size_t b =
         std::min<std::size_t>(std::bit_width(v), kBuckets - 1);
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
+    buckets_[b].fetch_add(times, std::memory_order_relaxed);
+    sum_.fetch_add(v * times, std::memory_order_relaxed);
   }
 
   /// Adds every bucket of `other` into this histogram.

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <future>
 #include <utility>
 
 #include "common/net.hpp"
@@ -97,25 +96,25 @@ void SocketServer::handle_connection(int fd) {
   std::string buffer;
   char chunk[4096];
   bool open = true;
-  // Consecutive query lines from one read are submitted as ONE
-  // submit_batch before any future is awaited — a client that pipelines K
-  // requests per write gets K-deep server-side batching. Parse failures
-  // hold a pre-rendered error line at the same position so responses stay
-  // in request order.
+  // Consecutive request lines from one read are submitted as ONE
+  // submit_batch window, whose reads this thread evaluates before the call
+  // returns — a client that pipelines K requests per write pays one
+  // admission and one stats fold per K. Parse failures hold a pre-rendered
+  // error line at the same position so responses stay in request order.
   std::vector<Request> pending;
   std::vector<std::pair<std::size_t, std::string>> pending_errors;
   const auto flush = [&](std::string* out) {
     if (pending.empty() && pending_errors.empty()) return;
-    auto futures = service_.submit_batch(pending);
+    auto replies = service_.submit_batch(pending);
     std::size_t next_error = 0;
-    std::size_t next_future = 0;
+    std::size_t next_reply = 0;
     const std::size_t total = pending.size() + pending_errors.size();
     for (std::size_t slot = 0; slot < total; ++slot) {
       if (next_error < pending_errors.size() &&
           pending_errors[next_error].first == slot) {
         *out += pending_errors[next_error++].second + "\n";
       } else {
-        *out += format_response(futures[next_future++].get()) + "\n";
+        *out += format_response(replies[next_reply++].get()) + "\n";
       }
     }
     pending.clear();

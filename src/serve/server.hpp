@@ -1,11 +1,14 @@
 // TCP front end for EmbeddingService (loopback, newline protocol).
 //
 // One accept thread plus one thread per connection. A connection reads
-// complete lines of at most kMaxLineBytes, groups consecutive query lines
-// into one submit_batch (so a pipelining client gets server-side batching
-// for free), and writes one response line per request in order. Control
-// lines (stats / info / quit / shutdown) are answered inline; `shutdown`
-// additionally stops the whole server, which unblocks wait().
+// complete lines of at most kMaxLineBytes, groups consecutive request
+// lines from one read into one submit_batch window, and writes one
+// response line per request in order. The connection's own thread
+// evaluates the window's reads, so a read crosses no thread; only a
+// window's upsert/remove lines wait for the service's update batcher.
+// Control lines (stats / info / metrics / quit / shutdown) are answered
+// inline; `shutdown` additionally stops the whole server, which unblocks
+// wait().
 //
 // LineClient is the matching blocking client used by the CLI bench-client
 // and the tests.

@@ -1,9 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <optional>
 
-#include "common/parallel.hpp"
 #include "obs/trace.hpp"
 
 namespace mpte::serve {
@@ -13,8 +11,24 @@ namespace {
 const char* kCombinerNames[] = {"min", "exp"};
 const char* kKindNames[] = {"dist", "knn", "range", "upsert", "remove"};
 
-double to_ms(std::chrono::steady_clock::duration d) {
-  return std::chrono::duration<double, std::milli>(d).count();
+using Clock = std::chrono::steady_clock;
+
+/// Latency histogram sample: whole microseconds, never negative.
+std::uint64_t to_us(Clock::duration d) {
+  return static_cast<std::uint64_t>(std::max<Clock::rep>(
+      0, std::chrono::duration_cast<std::chrono::microseconds>(d).count()));
+}
+
+/// Clock::time_point::max() when the request carries no deadline.
+Clock::time_point deadline_of(const Request& request,
+                              Clock::time_point submitted) {
+  return request.deadline.count() > 0 ? submitted + request.deadline
+                                      : Clock::time_point::max();
+}
+
+Status deadline_exceeded() {
+  return Status(StatusCode::kDeadlineExceeded,
+                "deadline expired before evaluation");
 }
 
 /// Wraps a static-mode ensemble as the one fixed epoch the service serves.
@@ -25,6 +39,12 @@ std::shared_ptr<const dyn::EnsembleEpoch> make_static_epoch(
   epoch->ensemble = std::make_shared<const EmbeddingEnsemble>(
       std::move(ensemble));
   return epoch;
+}
+
+ServiceOptions normalized(ServiceOptions options) {
+  options.max_batch = std::max<std::size_t>(1, options.max_batch);
+  options.max_queue = std::max<std::size_t>(1, options.max_queue);
+  return options;
 }
 
 }  // namespace
@@ -40,80 +60,109 @@ const char* to_string(RequestKind kind) {
 EmbeddingService::EmbeddingService(EmbeddingEnsemble ensemble,
                                    ServiceOptions options)
     : static_epoch_(make_static_epoch(std::move(ensemble))),
-      options_(options),
-      started_(Clock::now()),
-      paused_(options.start_paused) {
-  options_.max_batch = std::max<std::size_t>(1, options_.max_batch);
-  options_.max_queue = std::max<std::size_t>(1, options_.max_queue);
-  batcher_ = std::thread([this] { batcher_loop(); });
-}
+      options_(normalized(options)),
+      started_(Clock::now()) {}
 
 EmbeddingService::EmbeddingService(
     std::unique_ptr<dyn::DynamicEnsemble> dynamic, ServiceOptions options)
     : dynamic_(std::move(dynamic)),
-      options_(options),
+      options_(normalized(options)),
       started_(Clock::now()),
       paused_(options.start_paused) {
-  options_.max_batch = std::max<std::size_t>(1, options_.max_batch);
-  options_.max_queue = std::max<std::size_t>(1, options_.max_queue);
   batcher_ = std::thread([this] { batcher_loop(); });
 }
 
 EmbeddingService::~EmbeddingService() { stop(); }
 
-std::future<Result<Response>> EmbeddingService::submit(
-    const Request& request) {
+Reply EmbeddingService::submit(const Request& request) {
   std::vector<Request> one{request};
   return std::move(submit_batch(one).front());
 }
 
-std::vector<std::future<Result<Response>>> EmbeddingService::submit_batch(
+std::vector<Reply> EmbeddingService::submit_batch(
     const std::vector<Request>& requests) {
-  std::vector<std::future<Result<Response>>> futures;
-  futures.reserve(requests.size());
-  const auto now = Clock::now();
-  std::size_t admitted = 0;
+  const auto submitted = Clock::now();
+  const std::size_t n = requests.size();
+  // Updates go to the batcher; reads are answered below, on this thread.
+  std::vector<std::optional<Status>> refusals(n);
+  std::vector<std::future<Result<Response>>> updates(n);
+  std::vector<std::size_t> reads;
+  reads.reserve(n);
+  std::size_t queued = 0;
   std::size_t rejected_full = 0;
-  std::size_t rejected_down = 0;
+  std::size_t refused = 0;  // after stop(), or an update to a static service
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Request& request : requests) {
-      std::promise<Result<Response>> promise;
-      futures.push_back(promise.get_future());
+    submitted_ += n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Request& request = requests[i];
       if (stopping_) {
-        promise.set_value(Status(StatusCode::kUnavailable,
-                                 "service is shutting down"));
-        ++rejected_down;
-        continue;
-      }
-      if (queue_.size() >= options_.max_queue) {
-        promise.set_value(
-            Status(StatusCode::kResourceExhausted,
-                   "admission queue full (" +
-                       std::to_string(options_.max_queue) +
-                       "); retry with backoff"));
+        refusals[i] =
+            Status(StatusCode::kUnavailable, "service is shutting down");
+        ++refused;
+      } else if (!is_update(request.kind)) {
+        reads.push_back(i);
+      } else if (!dynamic_) {
+        refusals[i] =
+            Status(StatusCode::kInvalidArgument,
+                   "static service: upsert/remove need --dynamic");
+        ++refused;
+      } else if (queue_.size() >= options_.max_queue) {
+        refusals[i] = Status(StatusCode::kResourceExhausted,
+                             "admission queue full (" +
+                                 std::to_string(options_.max_queue) +
+                                 "); retry with backoff");
         ++rejected_full;
-        continue;
+      } else {
+        std::promise<Result<Response>> promise;
+        updates[i] = promise.get_future();
+        queue_.push_back({request, submitted, std::move(promise)});
+        ++queued;
       }
-      Pending pending;
-      pending.request = request;
-      pending.enqueued = now;
-      pending.deadline = request.deadline.count() > 0
-                             ? now + request.deadline
-                             : Clock::time_point::max();
-      pending.promise = std::move(promise);
-      queue_.push_back(std::move(pending));
-      ++admitted;
     }
   }
-  if (admitted > 0) work_cv_.notify_all();
+  if (queued > 0) work_cv_.notify_all();
+  std::vector<Result<Response>> answers;
+  if (!reads.empty()) {
+    // The window's reads see its updates: they wait for the publish.
+    for (const auto& update : updates) {
+      if (update.valid()) update.wait();
+    }
+    const obs::Span span("serve", "batch", "size", reads.size());
+    // One snapshot for the whole window, so its reads agree on an epoch.
+    const auto epoch = epoch_snapshot();
+    answers.reserve(reads.size());
+    for (const std::size_t i : reads) {
+      const Request& request = requests[i];
+      answers.push_back(request.deadline.count() > 0 &&
+                                Clock::now() > deadline_of(request, submitted)
+                            ? Result<Response>(deadline_exceeded())
+                            : evaluate(*epoch, request));
+    }
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    submitted_ += requests.size();
     rejected_queue_full_ += rejected_full;
-    failed_ += rejected_down;
+    failed_ += refused;
+    if (!answers.empty()) {
+      // The window's reads complete together, so they share one latency.
+      latency_us_.observe(to_us(Clock::now() - submitted),
+                          count_batch(answers));
+    }
   }
-  return futures;
+  std::vector<Reply> replies;
+  replies.reserve(n);
+  std::size_t next_answer = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (refusals[i]) {
+      replies.emplace_back(Result<Response>(std::move(*refusals[i])));
+    } else if (updates[i].valid()) {
+      replies.emplace_back(std::move(updates[i]));
+    } else {
+      replies.emplace_back(std::move(answers[next_answer++]));
+    }
+  }
+  return replies;
 }
 
 void EmbeddingService::batcher_loop() {
@@ -148,83 +197,67 @@ void EmbeddingService::batcher_loop() {
 }
 
 void EmbeddingService::run_batch(std::vector<Pending>& batch) {
-  const std::size_t n = batch.size();
-  const obs::Span span("serve", "batch", "size", n);
-  // Updates first, serially, in submission order — then ONE publish for
-  // the whole batch, so the batch's queries (and every later reader) see
-  // all of its updates at once. Queries evaluate concurrently afterwards.
-  std::vector<std::optional<Result<Response>>> results(n);
-  std::vector<double> latency_ms(n, 0.0);
-  std::vector<std::size_t> applied;  // update slots awaiting epoch stamps
-  for (std::size_t i = 0; i < n; ++i) {
-    Pending& item = batch[i];
-    if (!is_update(item.request.kind)) continue;
-    if (Clock::now() > item.deadline) {
-      results[i] = Status(StatusCode::kDeadlineExceeded,
-                          "deadline expired before evaluation");
-    } else {
-      results[i] = apply_update(item.request);
-      if (results[i]->ok()) applied.push_back(i);
-    }
-    latency_ms[i] = to_ms(Clock::now() - item.enqueued);
+  const obs::Span span("serve", "batch", "size", batch.size());
+  // Serially, in submission order — then ONE publish for the whole batch,
+  // so every later reader sees all of its updates at once.
+  std::vector<Result<Response>> results;
+  results.reserve(batch.size());
+  bool applied = false;
+  for (const Pending& item : batch) {
+    results.push_back(Clock::now() > deadline_of(item.request, item.enqueued)
+                          ? Result<Response>(deadline_exceeded())
+                          : apply_update(item.request));
+    applied = applied || results.back().ok();
   }
-  if (!applied.empty()) {
-    auto published = dynamic_->publish();
-    for (const std::size_t i : applied) {
+  if (applied) {
+    const auto published = dynamic_->publish();
+    for (Result<Response>& result : results) {
+      if (!result.ok()) continue;
       if (published.ok()) {
-        (*results[i])->epoch = (*published)->version;
+        result->epoch = (*published)->version;
       } else {
         // The column changes are in but unpublished; surface the failure
         // rather than acknowledging an update no reader can see.
-        results[i] = Status(StatusCode::kInternal,
-                            "epoch publish failed: " +
-                                published.status().to_string());
+        result = Status(StatusCode::kInternal,
+                        "epoch publish failed: " +
+                            published.status().to_string());
       }
     }
   }
-  par::parallel_for(
-      0, n,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          Pending& item = batch[i];
-          if (is_update(item.request.kind)) continue;  // already applied
-          results[i] = [&]() -> Result<Response> {
-            if (Clock::now() > item.deadline) {
-              return Status(StatusCode::kDeadlineExceeded,
-                            "deadline expired before evaluation");
-            }
-            return evaluate(item.request);
-          }();
-          latency_ms[i] = to_ms(Clock::now() - item.enqueued);
-        }
-      },
-      options_.eval_threads);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++batches_;
-    max_batch_observed_ = std::max(max_batch_observed_, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (results[i]->ok()) {
-        ++completed_;
-        record_latency(latency_ms[i]);
-      } else if (results[i]->status().code() ==
-                 StatusCode::kDeadlineExceeded) {
-        ++rejected_deadline_;
-      } else {
-        ++failed_;
+    count_batch(results);
+    const auto done = Clock::now();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (results[i].ok()) {
+        latency_us_.observe(to_us(done - batch[i].enqueued));
       }
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    batch[i].promise.set_value(std::move(*results[i]));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].promise.set_value(std::move(results[i]));
   }
 }
 
-Result<Response> EmbeddingService::apply_update(const Request& request) {
-  if (!dynamic_) {
-    return Status(StatusCode::kInvalidArgument,
-                  "static service: upsert/remove need --dynamic");
+std::uint64_t EmbeddingService::count_batch(
+    const std::vector<Result<Response>>& results) {
+  ++batches_;
+  max_batch_observed_ = std::max(max_batch_observed_, results.size());
+  std::uint64_t ok = 0;
+  for (const Result<Response>& result : results) {
+    if (result.ok()) {
+      ++ok;
+    } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
+      ++rejected_deadline_;
+    } else {
+      ++failed_;
+    }
   }
+  completed_ += ok;
+  return ok;
+}
+
+Result<Response> EmbeddingService::apply_update(const Request& request) {
   Response response;
   response.kind = request.kind;
   if (request.kind == RequestKind::kUpsert) {
@@ -240,15 +273,15 @@ Result<Response> EmbeddingService::apply_update(const Request& request) {
   return response;  // epoch stamped by run_batch after the batch publish
 }
 
-Result<Response> EmbeddingService::evaluate(const Request& request) const {
+Result<Response> EmbeddingService::evaluate(const dyn::EnsembleEpoch& epoch,
+                                            const Request& request) {
   if (is_update(request.kind)) {
     return Status(StatusCode::kInvalidArgument,
                   "updates mutate state and must go through submit()");
   }
-  // One snapshot per evaluation: the epoch shared_ptr keeps the ensemble
+  // The caller holds the epoch's shared_ptr, which keeps the ensemble
   // alive even if a publish swaps the current epoch mid-query.
-  const auto snapshot = epoch_snapshot();
-  const EmbeddingEnsemble& ensemble = *snapshot->ensemble;
+  const EmbeddingEnsemble& ensemble = *epoch.ensemble;
   const std::size_t n = ensemble.num_points();
   const auto combined = [&ensemble, &request](std::size_t a, std::size_t b) {
     return request.combiner == Combiner::kMin
@@ -265,7 +298,7 @@ Result<Response> EmbeddingService::evaluate(const Request& request) const {
       Response response;
       response.kind = request.kind;
       response.value = combined(request.p, request.q);
-      response.epoch = snapshot->version;
+      response.epoch = epoch.version;
       return response;
     }
     case RequestKind::kKnn: {
@@ -314,7 +347,7 @@ Result<Response> EmbeddingService::evaluate(const Request& request) const {
       response.kind = request.kind;
       response.value = static_cast<double>(neighbors.size());
       response.neighbors = std::move(neighbors);
-      response.epoch = snapshot->version;
+      response.epoch = epoch.version;
       return response;
     }
     case RequestKind::kRangeCount: {
@@ -336,7 +369,7 @@ Result<Response> EmbeddingService::evaluate(const Request& request) const {
       Response response;
       response.kind = request.kind;
       response.value = static_cast<double>(count);
-      response.epoch = snapshot->version;
+      response.epoch = epoch.version;
       return response;
     }
     case RequestKind::kUpsert:
@@ -346,34 +379,33 @@ Result<Response> EmbeddingService::evaluate(const Request& request) const {
   return Status(StatusCode::kInternal, "unknown request kind");
 }
 
-void EmbeddingService::record_latency(double ms) {
-  const auto us = static_cast<std::uint64_t>(std::max(0.0, ms * 1000.0));
-  latency_us_.observe(us);
-}
-
 ServiceStats EmbeddingService::stats() const {
   ServiceStats out;
   {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    out.completed = completed_;
+    out.rejected_queue_full = rejected_queue_full_;
+    out.rejected_deadline = rejected_deadline_;
+    out.failed = failed_;
+    out.batches = batches_;
+    out.max_batch_observed = max_batch_observed_;
+    // Percentiles from the log2 histogram: report the upper edge of the
+    // bucket holding the quantile (conservative, resolution one octave).
+    out.p50_ms = latency_us_.quantile(0.50) / 1000.0;  // us -> ms
+    out.p99_ms = latency_us_.quantile(0.99) / 1000.0;
+  }
+  {
+    // Read after the outcomes: every request counted above was admitted
+    // before it completed, so submitted never reads below completed.
     std::lock_guard<std::mutex> lock(mutex_);
     out.queue_depth = queue_.size();
+    out.submitted = submitted_;
   }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  out.submitted = submitted_;
-  out.completed = completed_;
-  out.rejected_queue_full = rejected_queue_full_;
-  out.rejected_deadline = rejected_deadline_;
-  out.failed = failed_;
-  out.batches = batches_;
-  out.max_batch_observed = max_batch_observed_;
   out.uptime_seconds =
       std::chrono::duration<double>(Clock::now() - started_).count();
   if (out.uptime_seconds > 0.0) {
-    out.qps = static_cast<double>(completed_) / out.uptime_seconds;
+    out.qps = static_cast<double>(out.completed) / out.uptime_seconds;
   }
-  // Percentiles from the log2 histogram: report the upper edge of the
-  // bucket holding the quantile (conservative, resolution one octave).
-  out.p50_ms = latency_us_.quantile(0.50) / 1000.0;  // us -> ms
-  out.p99_ms = latency_us_.quantile(0.99) / 1000.0;
   return out;
 }
 
@@ -392,18 +424,19 @@ void export_service_stats(const ServiceStats& stats,
   count("mpte_serve_completed_total", "Requests answered successfully.",
         stats.completed);
   count("mpte_serve_rejected_queue_full_total",
-        "Requests rejected by admission control (queue full).",
+        "Updates rejected by admission control (queue full).",
         stats.rejected_queue_full);
   count("mpte_serve_rejected_deadline_total",
-        "Requests expired in queue past their deadline.",
+        "Requests whose deadline passed before evaluation.",
         stats.rejected_deadline);
   count("mpte_serve_failed_total", "Requests that evaluated to an error.",
         stats.failed);
-  count("mpte_serve_batches_total", "Batcher wakeups that drained work.",
+  count("mpte_serve_batches_total",
+        "Read windows evaluated plus update batches drained.",
         stats.batches);
-  gauge("mpte_serve_queue_depth", "Requests currently queued.",
+  gauge("mpte_serve_queue_depth", "Updates currently queued.",
         static_cast<double>(stats.queue_depth));
-  gauge("mpte_serve_max_batch", "Largest batch drained so far.",
+  gauge("mpte_serve_max_batch", "Largest read window or update batch.",
         static_cast<double>(stats.max_batch_observed));
   gauge("mpte_serve_qps", "Completed requests per second of uptime.",
         stats.qps);

@@ -135,21 +135,22 @@ struct Response {
 
 /// Point-in-time service counters; see docs/serving.md for field
 /// semantics. Latency percentiles cover completed requests only
-/// (submit-to-completion, including queue wait).
+/// (submit-to-completion; for an update, including its queue wait).
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
-  /// Admission-control rejections: queue at capacity at submit time.
+  /// Admission-control rejections: update queue at capacity at submit.
   std::uint64_t rejected_queue_full = 0;
-  /// Deadline expired while the request waited in the queue.
+  /// Deadline passed before the request was evaluated.
   std::uint64_t rejected_deadline = 0;
-  /// Evaluated but answered with a non-OK status (e.g. bad point index).
+  /// Answered with a non-OK status (e.g. bad point index, or submitted
+  /// after stop()).
   std::uint64_t failed = 0;
-  /// Batches drained by the batcher thread.
+  /// Read windows evaluated plus update batches drained.
   std::uint64_t batches = 0;
-  /// Requests waiting right now.
+  /// Updates waiting right now.
   std::size_t queue_depth = 0;
-  /// Largest batch the batcher has drained.
+  /// Largest read window or update batch so far.
   std::size_t max_batch_observed = 0;
   /// completed / uptime.
   double qps = 0.0;

@@ -121,9 +121,15 @@ void check_embedding(const Bytes& file) {
   for (std::size_t p = 0; p < tree.num_points(); ++p) {
     const double d = tree.distance(0, p);
     ASSERT_TRUE(std::isfinite(d) && d >= 0.0) << "point " << p;
+    // In input units: what every served answer is made of.
+    const double scaled = loaded->distance(0, p);
+    ASSERT_TRUE(std::isfinite(scaled) && scaled >= 0.0) << "point " << p;
   }
   // Point storage checked without overflow: size() rows of dim() each.
   const PointSet& points = loaded->embedded_points;
+  for (const double coordinate : points.raw()) {
+    ASSERT_TRUE(std::isfinite(coordinate));
+  }
   if (points.dim() == 0) {
     ASSERT_TRUE(points.raw().empty());
   } else {
@@ -249,18 +255,18 @@ void check_frame(const Bytes& envelope, const Bytes& arena) {
     return;
   }
   ASSERT_EQ(frame->wire_bytes, envelope.size());
-  // Every blob is read inline or from the arena, never beyond either.
-  const std::size_t bound = std::max(envelope.size(), arena.size());
-  const auto check_blob = [&](const mpc::Buffer& b) {
-    ASSERT_LE(b.size(), bound);
-  };
-  for (const auto& delta : frame->result.store_delta) check_blob(delta.blob);
+  // Every blob is read inline or from the arena, and all of them together
+  // copy no more than the frame and the arena hold.
+  std::size_t total = 0;
+  const auto add = [&](const mpc::Buffer& b) { total += b.size(); };
+  for (const auto& delta : frame->result.store_delta) add(delta.blob);
   for (const auto& cell : frame->result.fragments) {
-    for (const auto& fragment : cell) check_blob(fragment);
+    for (const auto& fragment : cell) add(fragment);
   }
-  check_blob(frame->step.step_params);
-  for (const auto& delta : frame->step.store_patch) check_blob(delta.blob);
-  for (const auto& message : frame->step.inbox) check_blob(message.payload);
+  add(frame->step.step_params);
+  for (const auto& delta : frame->step.store_patch) add(delta.blob);
+  for (const auto& message : frame->step.inbox) add(message.payload);
+  ASSERT_LE(total, envelope.size() + arena.size());
 }
 
 void check_frame_mutations(const EncodedFrame& valid, std::uint64_t seed) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "common/checksum.hpp"
 #include "geometry/generators.hpp"
@@ -176,6 +177,32 @@ TEST(EmbeddingIo, HostilePointDimensionBehindAValidEnvelopeIsAStatus) {
   put_u64(payload, kBodyAt, 60);
   put_u64(payload, kBodyAt + 8, std::uint64_t{1} << 62);
   expect_invalid(load_payload(payload, "mpte_embedding_io_dim.bin"));
+}
+
+TEST(EmbeddingIo, NonFiniteScaleOrCoordinateIsRejected) {
+  // Every distance a file serves is multiplied by its scale, so a NaN,
+  // infinite, zero or negative scale, or one that overflows the tree's
+  // distances, would make answers NaN, infinite or meaningless; a
+  // non-finite coordinate is refused too.
+  const auto payload = embedding_to_bytes(sample_embedding(35), true);
+  ASSERT_TRUE(load_payload(payload, "mpte_embedding_io_valid.bin").ok());
+  constexpr std::size_t kScaleAt = 8;  // after magic and version
+  constexpr std::size_t kFirstCoordinateAt = kBodyAt + 24;  // n, dim, count
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double scale :
+       {nan, inf, -inf, 0.0, -1.5, std::numeric_limits<double>::max()}) {
+    auto mutated = payload;
+    std::memcpy(mutated.data() + kScaleAt, &scale, sizeof(scale));
+    expect_invalid(load_payload(mutated, "mpte_embedding_io_scale.bin"));
+  }
+  ASSERT_EQ(payload[kHasPointsAt], 1);
+  for (const double coordinate : {nan, inf, -inf}) {
+    auto mutated = payload;
+    std::memcpy(mutated.data() + kFirstCoordinateAt, &coordinate,
+                sizeof(coordinate));
+    expect_invalid(load_payload(mutated, "mpte_embedding_io_coord.bin"));
+  }
 }
 
 TEST(EmbeddingIo, RawPayloadFileIsRejected) {

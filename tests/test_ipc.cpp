@@ -587,6 +587,45 @@ TEST(Frames, InflatedCountsBehindAValidChecksumAreRefusedUpFront) {
   }
 }
 
+TEST(Frames, ArenaReferencesMayNotCopyMoreThanTheArena) {
+  // A kStep whose 64 inbox messages each reference the whole arena: 64 *
+  // 17 frame bytes that would copy 64 arenas. The encoder never writes
+  // overlapping references, so the decoder refuses the frame.
+  const std::vector<std::uint8_t> arena(4096, 0xab);
+  const auto step = [&](std::size_t references) {
+    Serializer s;
+    s.write(static_cast<std::uint32_t>(ipc::FrameKind::kStep));
+    s.write(mpc::MachineId{1});
+    s.write(std::uint64_t{7});
+    s.write_string("test/ring");
+    s.write(std::uint8_t{0});  // inline step_params blob
+    s.write_span(std::span<const std::uint8_t>());
+    s.write(std::uint8_t{0});  // reset_store
+    s.write(std::uint8_t{0});  // inject_kill
+    s.write(std::uint64_t{0});  // no store patch
+    s.write(static_cast<std::uint64_t>(references));
+    for (std::size_t i = 0; i < references; ++i) {
+      s.write(mpc::MachineId{0});
+      s.write(std::uint8_t{1});  // arena reference
+      s.write(std::uint64_t{0});
+      s.write(static_cast<std::uint64_t>(arena.size()));
+    }
+    return mpc::Buffer(wrap_checksummed(s.bytes()));
+  };
+  // One reference to the whole arena is what a valid frame may hold.
+  const auto one = ipc::decode_envelope(step(1).span(), arena);
+  ASSERT_TRUE(one.ok()) << one.status().to_string();
+  ASSERT_EQ(one->step.inbox.size(), 1u);
+  EXPECT_EQ(one->step.inbox[0].payload.size(), arena.size());
+
+  const auto many = ipc::decode_envelope(step(64).span(), arena);
+  ASSERT_FALSE(many.ok());
+  EXPECT_EQ(many.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(many.status().message().find("copy more than the arena"),
+            std::string::npos)
+      << many.status().message();
+}
+
 TEST(WorkerLoss, DeadlineMissSurfacesAsWorkerLost) {
   mpc::ClusterConfig config;
   config.num_machines = 2;

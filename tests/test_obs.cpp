@@ -206,6 +206,12 @@ TEST(Histogram, BucketMathFollowsBitWidth) {
   // A huge sample clamps into the last bucket instead of overflowing.
   h.observe(~0ull);
   EXPECT_EQ(h.bucket_count(Histogram::kBuckets - 1), 1u);
+  // observe(v, k) records k samples of v at once.
+  Histogram repeated;
+  repeated.observe(5, 10);
+  EXPECT_EQ(repeated.bucket_count(3), 10u);
+  EXPECT_EQ(repeated.count(), 10u);
+  EXPECT_EQ(repeated.sum(), 50u);
 }
 
 TEST(Histogram, QuantileMatchesLegacyServeMath) {

@@ -1,6 +1,7 @@
-// mpte::serve — batcher correctness vs direct queries, admission control
-// (backpressure + deadlines), the wire protocol, the socket server, and a
-// multi-threaded hammer suitable for the TSan job.
+// mpte::serve — served answers vs direct queries, reads answered on the
+// submitting thread, admission control on the update queue (backpressure +
+// deadlines), the wire protocol, the socket server, and multi-threaded
+// hammers suitable for the TSan job.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -35,6 +36,17 @@ EmbeddingEnsemble test_ensemble(std::size_t n = 60, std::size_t trees = 3,
   options.use_fjlt = false;
   options.seed = seed;
   auto result = EmbeddingEnsemble::build(points, options, trees);
+  EXPECT_TRUE(result.ok()) << result.status().to_string();
+  return std::move(result).value();
+}
+
+std::unique_ptr<dyn::DynamicEnsemble> test_dynamic_ensemble(
+    std::size_t n = 40, std::size_t trees = 2, std::uint64_t seed = 5) {
+  const PointSet points = generate_uniform_cube(n, 3, 20.0, seed);
+  dyn::DynamicEnsemble::Options options;
+  options.trees = trees;
+  options.member.seed = seed;
+  auto result = dyn::DynamicEnsemble::create(points, options);
   EXPECT_TRUE(result.ok()) << result.status().to_string();
   return std::move(result).value();
 }
@@ -118,9 +130,9 @@ TEST(Service, BatchedAnswersMatchDirectQueries) {
       requests.push_back(Request::Distance(p, q, Combiner::kExpected));
     }
   }
-  auto futures = service.submit_batch(requests);
+  auto replies = service.submit_batch(requests);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto result = futures[i].get();
+    auto result = replies[i].get();
     ASSERT_TRUE(result.ok());
     const Request& request = requests[i];
     const double direct =
@@ -219,19 +231,42 @@ TEST(Service, InvalidRequestsGetTypedStatuses) {
   EXPECT_EQ(service.stats().failed, 3u);
 }
 
+TEST(Service, PausedServiceStillAnswersReadsAtOnce) {
+  // Reads never wait for the batcher: submit() evaluates them on the
+  // calling thread, so the reply is ready when it returns.
+  ServiceOptions options;
+  options.start_paused = true;
+  EmbeddingService service(test_ensemble(30, 1, 7), options);
+  for (const Request& request :
+       {Request::Distance(0, 1), Request::Knn(2, 3),
+        Request::RangeCount(4, 10.0, Combiner::kExpected)}) {
+    Reply reply = service.submit(request);
+    ASSERT_TRUE(reply.ready());
+    EXPECT_EQ(format_response(reply.get()),
+              format_response(service.evaluate(request)));
+  }
+  EXPECT_EQ(service.stats().completed, 3u);
+}
+
+// The update queue, exercised on a paused dynamic service: reads never
+// queue, so only upsert/remove meet backpressure, deadlines and stop().
+
 TEST(Service, BackpressureRejectsBeyondQueueBound) {
   ServiceOptions options;
   options.max_queue = 2;
   options.start_paused = true;
-  EmbeddingService service(test_ensemble(30, 1, 7), options);
-  auto a = service.submit(Request::Distance(0, 1));
-  auto b = service.submit(Request::Distance(0, 2));
-  auto c = service.submit(Request::Distance(0, 3));  // over capacity
+  EmbeddingService service(test_dynamic_ensemble(), options);
+  auto a = service.submit(Request::Upsert({1.0, 2.0, 3.0}));
+  auto b = service.submit(Request::Upsert({4.0, 5.0, 6.0}));
+  auto c = service.submit(Request::Upsert({7.0, 8.0, 9.0}));  // over capacity
   const auto rejected = c.get();  // resolved immediately, while paused
   EXPECT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(service.stats().rejected_queue_full, 1u);
   EXPECT_EQ(service.stats().queue_depth, 2u);
+  EXPECT_FALSE(a.ready());  // queued until resume()
+  // A full update queue does not hold up reads.
+  EXPECT_TRUE(service.submit(Request::Distance(0, 1)).get().ok());
   service.resume();
   EXPECT_TRUE(a.get().ok());
   EXPECT_TRUE(b.get().ok());
@@ -240,33 +275,47 @@ TEST(Service, BackpressureRejectsBeyondQueueBound) {
 TEST(Service, ExpiredDeadlineIsRejectedNotEvaluatedLate) {
   ServiceOptions options;
   options.start_paused = true;
-  EmbeddingService service(test_ensemble(30, 1, 7), options);
-  Request hurried = Request::Distance(0, 1);
+  EmbeddingService service(test_dynamic_ensemble(), options);
+  const std::size_t points = service.num_points();
+  Request hurried = Request::Upsert({1.0, 2.0, 3.0});
   hurried.deadline = std::chrono::microseconds(1000);  // 1ms
-  Request patient = Request::Distance(0, 2);           // no deadline
-  auto hurried_future = service.submit(hurried);
-  auto patient_future = service.submit(patient);
+  Request patient = Request::Upsert({4.0, 5.0, 6.0});  // no deadline
+  // A read waits for its window's updates to publish, so its deadline can
+  // pass before its turn too.
+  Request hurried_read = Request::Distance(0, 1);
+  hurried_read.deadline = std::chrono::microseconds(1000);
+  Reply hurried_reply = service.submit(hurried);
+  std::vector<Reply> window;
+  std::thread submitter(
+      [&] { window = service.submit_batch({patient, hurried_read}); });
+  while (service.stats().queue_depth < 2) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   service.resume();
-  const auto late = hurried_future.get();
-  EXPECT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(patient_future.get().ok());
-  EXPECT_EQ(service.stats().rejected_deadline, 1u);
+  submitter.join();
+  for (Result<Response> late : {hurried_reply.get(), window[1].get()}) {
+    EXPECT_FALSE(late.ok());
+    EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_TRUE(window[0].get().ok());
+  EXPECT_EQ(service.stats().rejected_deadline, 2u);
+  EXPECT_EQ(service.num_points(), points + 1);  // the late one never applied
 }
 
 TEST(Service, StopRejectsQueuedAndSubsequentRequests) {
   ServiceOptions options;
   options.start_paused = true;
-  EmbeddingService service(test_ensemble(30, 1, 7), options);
-  auto queued = service.submit(Request::Distance(0, 1));
+  EmbeddingService service(test_dynamic_ensemble(), options);
+  auto queued = service.submit(Request::Upsert({1.0, 2.0, 3.0}));
   service.stop();
   const auto abandoned = queued.get();
   EXPECT_FALSE(abandoned.ok());
   EXPECT_EQ(abandoned.status().code(), StatusCode::kUnavailable);
-  const auto refused = service.submit(Request::Distance(0, 2)).get();
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  for (const Request& request :
+       {Request::Upsert({4.0, 5.0, 6.0}), Request::Distance(0, 2)}) {
+    const auto refused = service.submit(request).get();
+    EXPECT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  }
 }
 
 TEST(Service, HammerManyClientThreadsMatchSerialAnswers) {
@@ -477,17 +526,6 @@ TEST(Server, EndedConnectionsLeaveNoThreadStacksMapped) {
 
 // -------------------------------------------------------- dynamic serving
 
-std::unique_ptr<dyn::DynamicEnsemble> test_dynamic_ensemble(
-    std::size_t n = 40, std::size_t trees = 2, std::uint64_t seed = 5) {
-  const PointSet points = generate_uniform_cube(n, 3, 20.0, seed);
-  dyn::DynamicEnsemble::Options options;
-  options.trees = trees;
-  options.member.seed = seed;
-  auto result = dyn::DynamicEnsemble::create(points, options);
-  EXPECT_TRUE(result.ok()) << result.status().to_string();
-  return std::move(result).value();
-}
-
 TEST(WireProtocol, ParsesUpdateVerbs) {
   const auto upsert = parse_request("upsert 1.5 -2 3e1");
   ASSERT_TRUE(upsert.ok()) << upsert.status().to_string();
@@ -596,6 +634,95 @@ TEST(DynamicService, QueryAfterAnUpsertAnswersFromTheNewEpoch) {
                  .get();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->value, static_cast<double>(n));  // every other point
+}
+
+TEST(DynamicService, WindowReadsAreStampedWithTheWindowsUpdateEpoch) {
+  // The window's update is published before any of its reads is
+  // evaluated, whatever their order in the window.
+  EmbeddingService service(test_dynamic_ensemble());
+  const std::uint64_t before = service.epoch();
+  auto replies = service.submit_batch({Request::Distance(1, 2),
+                                       Request::Upsert({2.0, 3.0, 4.0}),
+                                       Request::Distance(3, 4)});
+  const auto first = replies[0].get();
+  const auto upsert = replies[1].get();
+  const auto second = replies[2].get();
+  ASSERT_TRUE(first.ok() && upsert.ok() && second.ok());
+  EXPECT_GT(upsert->epoch, before);
+  EXPECT_EQ(first->epoch, upsert->epoch);
+  EXPECT_EQ(second->epoch, upsert->epoch);
+  ASSERT_EQ(service.epoch(), upsert->epoch);
+  EXPECT_EQ(first->value, service.evaluate(Request::Distance(1, 2))->value);
+  EXPECT_EQ(second->value, service.evaluate(Request::Distance(3, 4))->value);
+}
+
+TEST(DynamicService, ConcurrentMixedWindowsReadNoOlderThanTheirUpdates) {
+  // Four threads send windows of reads and updates at once. Each read
+  // must reflect an epoch no older than the one its window's updates
+  // published. Runs under TSan in CI.
+  EmbeddingService service(test_dynamic_ensemble(40, 2, 17));
+  const std::size_t n = service.num_points();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kWindows = 12;
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> clients;
+  clients.reserve(kThreads);
+  for (std::size_t c = 0; c < kThreads; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<std::uint64_t> mine;  // ids this thread inserted
+      for (std::size_t w = 0; w < kWindows; ++w) {
+        const std::uint64_t h = mix64(c * kWindows + w + 1);
+        const std::size_t p = h % n;
+        const std::size_t q = (h >> 20) % n;
+        std::vector<Request> window = {
+            Request::Distance(p, q),
+            Request::Upsert({static_cast<double>(h % 19),
+                             static_cast<double>((h >> 8) % 19),
+                             static_cast<double>((h >> 16) % 19)}),
+            Request::Knn(q, 3, Combiner::kExpected)};
+        if (!mine.empty() && (h & 1) != 0) {
+          window.push_back(Request::Remove(mine.back()));
+          mine.pop_back();
+        }
+        window.push_back(Request::RangeCount(p, 12.0));
+        std::vector<Result<Response>> replies;
+        for (Reply& reply : service.submit_batch(window)) {
+          replies.push_back(reply.get());
+        }
+        std::uint64_t published = 0;
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          if (!replies[i].ok()) {
+            failures[c] = "window " + std::to_string(w) + " request " +
+                          std::to_string(i) + ": " +
+                          replies[i].status().to_string();
+            return;
+          }
+          if (window[i].kind == RequestKind::kUpsert) {
+            mine.push_back(replies[i]->id);
+          }
+          if (is_update(window[i].kind)) {
+            published = std::max(published, replies[i]->epoch);
+          }
+        }
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          if (!is_update(window[i].kind) && replies[i]->epoch < published) {
+            failures[c] = "window " + std::to_string(w) + " read " +
+                          std::to_string(i) + " at epoch " +
+                          std::to_string(replies[i]->epoch) +
+                          " < published " + std::to_string(published);
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (const std::string& failure : failures) {
+    EXPECT_TRUE(failure.empty()) << failure;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.submitted, stats.completed);
 }
 
 TEST(DynamicService, NonFiniteInputsGetInvalidArgumentOverTheWire) {

@@ -25,10 +25,12 @@
 //   mpte_cli query <tree> <i> <j>
 //   mpte_cli distortion <tree> <in.csv>
 //   mpte_cli serve <tree...> --port <p> [--batch N] [--wait-us N]
-//       [--queue N] [--threads N] [--trace-out FILE] [--metrics-out FILE]
+//       [--queue N] [--trace-out FILE] [--metrics-out FILE]
 //       Long-lived query service over the newline protocol
-//       (docs/serving.md); multiple tree files form an ensemble. Runs
-//       until a client sends `shutdown`, then prints final stats.
+//       (docs/serving.md); multiple tree files form an ensemble. Each
+//       connection's thread answers its reads; --batch, --wait-us and
+//       --queue tune the update batcher. Runs until a client sends
+//       `shutdown`, then prints final stats.
 //   mpte_cli serve --dynamic <in.csv> --port <p> [--trees T] [--seed S]
 //       [--method hybrid|grid|ball] [--updates FILE] [...serve flags]
 //       Dynamic mode: builds a DynamicEnsemble over the CSV points and
@@ -116,8 +118,7 @@ int usage() {
                "  mpte_cli distortion <tree> <in.csv>\n"
                "  mpte_cli serve <tree...> --port <p> [--batch N] "
                "[--wait-us N] [--queue N]\n"
-               "            [--threads N] [--trace-out FILE] "
-               "[--metrics-out FILE]\n"
+               "            [--trace-out FILE] [--metrics-out FILE]\n"
                "  mpte_cli serve --dynamic <in.csv> --port <p> [--trees T] "
                "[--seed S]\n"
                "            [--method hybrid|grid|ball] [--updates FILE] "
@@ -809,8 +810,8 @@ int cmd_serve(int argc, char** argv) {
   Flags flags;
   if (!parse_flags(argc, argv,
                    {"--dynamic", "--port", "--updates", "--batch", "--wait-us",
-                    "--queue", "--threads", "--trace-out", "--metrics-out",
-                    "--trees", "--seed", "--method"},
+                    "--queue", "--trace-out", "--metrics-out", "--trees",
+                    "--seed", "--method"},
                    &trees, &flags)) {
     return usage();
   }
@@ -834,11 +835,10 @@ int cmd_serve(int argc, char** argv) {
       std::atoll(flag_value(flags, "--wait-us", "200").c_str()));
   options.max_queue = static_cast<std::size_t>(
       std::atoll(flag_value(flags, "--queue", "4096").c_str()));
-  options.eval_threads = static_cast<std::size_t>(
-      std::atoll(flag_value(flags, "--threads", "0").c_str()));
 
-  // EmbeddingService is neither copyable nor movable (it owns the batcher
-  // thread), so construct in place once the mode is known.
+  // EmbeddingService is neither copyable nor movable (it owns its locks
+  // and, when dynamic, the batcher thread), so construct in place once the
+  // mode is known.
   std::optional<serve::EmbeddingService> service;
   if (dynamic_csv.empty()) {
     std::vector<Embedding> members;
@@ -876,9 +876,8 @@ int cmd_serve(int argc, char** argv) {
       const std::size_t end = std::min(updates->size(), at + 512);
       std::vector<serve::Request> chunk(updates->begin() + at,
                                         updates->begin() + end);
-      auto futures = service->submit_batch(chunk);
-      for (auto& future : futures) {
-        if (future.get().ok()) {
+      for (serve::Reply& reply : service->submit_batch(chunk)) {
+        if (reply.get().ok()) {
           ++replay_ok;
         } else {
           ++replay_err;
