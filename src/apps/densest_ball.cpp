@@ -1,8 +1,6 @@
 #include "apps/densest_ball.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -51,33 +49,6 @@ DensestBallResult densest_ball_tree(const Hst& tree, double max_diameter) {
       best.count = count;
       best.center = i;
       best.diameter = bound;
-    }
-  }
-  return best;
-}
-
-DensestBallResult hierarchy_densest_ball(const Hierarchy& hierarchy,
-                                         double max_diameter) {
-  if (max_diameter < 0.0) {
-    throw MpteError("hierarchy_densest_ball: negative diameter");
-  }
-  const double sqrt_r =
-      std::sqrt(static_cast<double>(hierarchy.num_buckets));
-  DensestBallResult best;
-  best.count = 1;  // a singleton always qualifies (diameter 0)
-  best.diameter = 0.0;
-  for (std::size_t level = 0; level < hierarchy.levels(); ++level) {
-    const double bound = 2.0 * sqrt_r * hierarchy.scales[level];
-    if (bound > max_diameter) continue;
-    std::unordered_map<std::uint64_t, std::size_t> sizes;
-    for (const std::uint64_t id : hierarchy.cluster_of_point[level]) {
-      ++sizes[id];
-    }
-    for (const auto& [id, count] : sizes) {
-      if (count > best.count) {
-        best.count = count;
-        best.diameter = bound;
-      }
     }
   }
   return best;

@@ -14,7 +14,6 @@
 #include <cstddef>
 
 #include "geometry/point_set.hpp"
-#include "partition/hybrid_partition.hpp"
 #include "tree/hst.hpp"
 
 namespace mpte {
@@ -44,14 +43,5 @@ DensestBallResult densest_ball_exact(const PointSet& points, double radius);
 /// bound (twice the weight from the node down to its deepest leaf) is at
 /// most `max_diameter`. Returns count and that bound.
 DensestBallResult densest_ball_tree(const Hst& tree, double max_diameter);
-
-/// Densest ball evaluated directly on an (unpruned) Hierarchy via the
-/// level-wise Lemma 1 diameter bound 2*sqrt(r)*w_level: the largest
-/// cluster at any level whose bound is <= max_diameter (falling back to a
-/// singleton if none qualifies). This is the quantity the distributed
-/// mpc_densest_ball computes; the two routes agree exactly for equal
-/// seeds (tested). `center` is unused (no single tree node exists here).
-DensestBallResult hierarchy_densest_ball(const Hierarchy& hierarchy,
-                                         double max_diameter);
 
 }  // namespace mpte

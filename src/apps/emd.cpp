@@ -1,7 +1,6 @@
 #include "apps/emd.hpp"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "apps/min_cost_flow.hpp"
 #include "common/status.hpp"
@@ -38,76 +37,6 @@ double exact_emd(const PointSet& a, const PointSet& b) {
   return result.cost;
 }
 
-double exact_emd_weighted(const PointSet& a, const PointSet& b,
-                          const std::vector<std::int64_t>& mass_a,
-                          const std::vector<std::int64_t>& mass_b) {
-  if (mass_a.size() != a.size() || mass_b.size() != b.size()) {
-    throw MpteError("exact_emd_weighted: mass vector size mismatch");
-  }
-  if (a.dim() != b.dim()) {
-    throw MpteError("exact_emd_weighted: dimension mismatch");
-  }
-  std::int64_t total_a = 0, total_b = 0;
-  for (const std::int64_t m : mass_a) {
-    if (m < 0) throw MpteError("exact_emd_weighted: negative mass");
-    total_a += m;
-  }
-  for (const std::int64_t m : mass_b) {
-    if (m < 0) throw MpteError("exact_emd_weighted: negative mass");
-    total_b += m;
-  }
-  if (total_a != total_b) {
-    throw MpteError("exact_emd_weighted: total masses differ");
-  }
-  if (total_a == 0) return 0.0;
-
-  const std::size_t n = a.size(), m = b.size();
-  const std::size_t source = 0;
-  const std::size_t sink = n + m + 1;
-  MinCostFlow flow(n + m + 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    flow.add_edge(source, 1 + i, mass_a[i], 0.0);
-  }
-  for (std::size_t j = 0; j < m; ++j) {
-    flow.add_edge(1 + n + j, sink, mass_b[j], 0.0);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (mass_a[i] == 0) continue;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (mass_b[j] == 0) continue;
-      flow.add_edge(1 + i, 1 + n + j, std::min(mass_a[i], mass_b[j]),
-                    l2_distance(a[i], b[j]));
-    }
-  }
-  const auto result = flow.solve(source, sink, total_a);
-  if (result.flow != total_a) {
-    throw MpteError("exact_emd_weighted: transport incomplete");
-  }
-  return result.cost;
-}
-
-double tree_emd_weighted(const Hst& tree,
-                         const std::vector<std::int64_t>& mass) {
-  if (mass.size() != tree.num_points()) {
-    throw MpteError("tree_emd_weighted: mass vector size mismatch");
-  }
-  std::vector<std::int64_t> imbalance(tree.num_nodes(), 0);
-  double total = 0.0;
-  for (std::size_t i = tree.num_nodes(); i-- > 1;) {
-    const HstNode& node = tree.node(i);
-    if (node.point >= 0) {
-      imbalance[i] += mass[static_cast<std::size_t>(node.point)];
-    }
-    total += node.edge_weight *
-             static_cast<double>(std::llabs(imbalance[i]));
-    imbalance[static_cast<std::size_t>(node.parent)] += imbalance[i];
-  }
-  if (imbalance[0] != 0) {
-    throw MpteError("tree_emd_weighted: masses do not balance (sum != 0)");
-  }
-  return total;
-}
-
 double tree_emd(const Hst& tree, const std::vector<int>& side) {
   if (side.size() != tree.num_points()) {
     throw MpteError("tree_emd: side vector size mismatch");
@@ -126,30 +55,6 @@ double tree_emd(const Hst& tree, const std::vector<int>& side) {
   }
   if (imbalance[0] != 0) {
     throw MpteError("tree_emd: sides do not balance (sum != 0)");
-  }
-  return total;
-}
-
-double hierarchy_emd(const Hierarchy& hierarchy,
-                     const std::vector<int>& side) {
-  if (side.size() != hierarchy.num_points()) {
-    throw MpteError("hierarchy_emd: side vector size mismatch");
-  }
-  double total = 0.0;
-  for (std::size_t level = 1; level < hierarchy.levels(); ++level) {
-    std::unordered_map<std::uint64_t, std::int64_t> imbalance;
-    for (std::size_t i = 0; i < side.size(); ++i) {
-      imbalance[hierarchy.cluster_of_point[level][i]] += side[i];
-    }
-    std::int64_t root_check = 0;
-    for (const auto& [id, im] : imbalance) {
-      total += hierarchy.edge_weight[level] *
-               static_cast<double>(std::llabs(im));
-      root_check += im;
-    }
-    if (root_check != 0) {
-      throw MpteError("hierarchy_emd: sides do not balance (sum != 0)");
-    }
   }
   return total;
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "geometry/point_set.hpp"
-#include "partition/hybrid_partition.hpp"
 #include "tree/hst.hpp"
 
 namespace mpte {
@@ -23,36 +22,14 @@ namespace mpte {
 /// successive shortest paths). O(n^3 log n)-ish; bench-scale only.
 double exact_emd(const PointSet& a, const PointSet& b);
 
-/// Exact EMD between weighted point multisets: mass_a[i] units at a[i],
-/// mass_b[j] at b[j], sum(mass_a) == sum(mass_b) (transportation problem,
-/// solved as min-cost flow with capacities = masses).
-double exact_emd_weighted(const PointSet& a, const PointSet& b,
-                          const std::vector<std::int64_t>& mass_a,
-                          const std::vector<std::int64_t>& mass_b);
-
 /// Tree EMD on an embedding of the concatenated set A ∪ B: `side[i]` is
 /// +1 for points of A and -1 for points of B (sum must be 0). One O(nodes)
 /// sweep.
 double tree_emd(const Hst& tree, const std::vector<int>& side);
 
-/// Weighted tree EMD: signed mass per embedded point (positive = supply,
-/// negative = demand; must sum to 0). Every tree edge carries exactly the
-/// net mass below it.
-double tree_emd_weighted(const Hst& tree,
-                         const std::vector<std::int64_t>& mass);
-
 /// Convenience: embeds nothing — given a tree over the concatenation
 /// [a..., b...] (a.size() == b.size()), computes tree_emd with the
 /// canonical sides.
 double tree_emd_split(const Hst& tree, std::size_t a_count);
-
-/// Tree EMD evaluated directly on an (unpruned) Hierarchy:
-/// sum over levels and clusters of edge_weight[level] * |imbalance|.
-/// This is the quantity the distributed mpc_tree_emd computes — it differs
-/// from tree_emd on the pruned HST only by the chain edges below
-/// singletons (a bounded geometric tail), and the two MPC/sequential
-/// routes agree exactly for equal seeds (tested).
-double hierarchy_emd(const Hierarchy& hierarchy,
-                     const std::vector<int>& side);
 
 }  // namespace mpte

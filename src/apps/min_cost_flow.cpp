@@ -9,20 +9,16 @@ namespace mpte {
 
 MinCostFlow::MinCostFlow(std::size_t num_nodes) : graph_(num_nodes) {}
 
-std::size_t MinCostFlow::add_edge(std::size_t u, std::size_t v,
-                                  std::int64_t capacity, double cost) {
+void MinCostFlow::add_edge(std::size_t u, std::size_t v,
+                           std::int64_t capacity, double cost) {
   if (u >= graph_.size() || v >= graph_.size()) {
     throw MpteError("MinCostFlow::add_edge: node out of range");
   }
   if (cost < 0.0) {
     throw MpteError("MinCostFlow::add_edge: negative cost");
   }
-  const std::size_t id = edge_location_.size();
-  edge_location_.emplace_back(u, graph_[u].size());
-  initial_capacity_.push_back(capacity);
   graph_[u].push_back(Arc{v, graph_[v].size(), capacity, cost});
   graph_[v].push_back(Arc{u, graph_[u].size() - 1, 0, -cost});
-  return id;
 }
 
 MinCostFlow::FlowResult MinCostFlow::solve(std::size_t source,
@@ -79,15 +75,6 @@ MinCostFlow::FlowResult MinCostFlow::solve(std::size_t source,
     result.flow += push;
   }
   return result;
-}
-
-std::int64_t MinCostFlow::residual_capacity(std::size_t id) const {
-  const auto [node, slot] = edge_location_.at(id);
-  return graph_[node][slot].capacity;
-}
-
-std::int64_t MinCostFlow::flow_on(std::size_t id) const {
-  return initial_capacity_.at(id) - residual_capacity(id);
 }
 
 }  // namespace mpte

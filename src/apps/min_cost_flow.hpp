@@ -20,9 +20,9 @@ class MinCostFlow {
  public:
   explicit MinCostFlow(std::size_t num_nodes);
 
-  /// Adds a directed edge u -> v; returns its id. Cost must be >= 0 in the
-  /// initial graph (reduced costs stay nonnegative thereafter).
-  std::size_t add_edge(std::size_t u, std::size_t v, std::int64_t capacity,
+  /// Adds a directed edge u -> v. Cost must be >= 0 in the initial graph
+  /// (reduced costs stay nonnegative thereafter).
+  void add_edge(std::size_t u, std::size_t v, std::int64_t capacity,
                        double cost);
 
   /// Result of a run: total flow pushed and its total cost.
@@ -36,12 +36,6 @@ class MinCostFlow {
   FlowResult solve(std::size_t source, std::size_t sink,
                    std::int64_t max_flow);
 
-  /// Remaining capacity of edge `id` (for tests/diagnostics).
-  std::int64_t residual_capacity(std::size_t id) const;
-
-  /// Flow currently on edge `id`.
-  std::int64_t flow_on(std::size_t id) const;
-
  private:
   struct Arc {
     std::size_t to;
@@ -50,9 +44,6 @@ class MinCostFlow {
     double cost;
   };
   std::vector<std::vector<Arc>> graph_;
-  // (node, arc-slot) location of user edge id, to report flows.
-  std::vector<std::pair<std::size_t, std::size_t>> edge_location_;
-  std::vector<std::int64_t> initial_capacity_;
 };
 
 }  // namespace mpte

@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "core/mpc_stages.hpp"
-#include "mpc/point_blocks.hpp"
 #include "mpc/primitives.hpp"
 #include "mpc/step.hpp"
 #include "obs/trace.hpp"
@@ -26,7 +25,6 @@ using mpc::RegisterStep;
 using mpc::Step;
 using mpc::StepSpec;
 using mpc::ValueKey;
-using detail::keys::kIdx;
 using detail::keys::kLinks;
 using detail::keys::kNodes;
 
@@ -35,7 +33,6 @@ const Key<KV> kEmdIn{"emd/in"};
 const Key<KV> kEmdImbalance{"emd/imbalance"};
 const ValueKey<double> kEmdPartial{"emd/partial"};
 const ValueKey<double> kEmdTotal{"emd/total"};
-const Key<std::int64_t> kMass{"emb/mass"};
 const Key<KV> kDbIn{"db/in"};
 const Key<KV> kDbCounts{"db/counts"};
 const Key<KV> kMstRep{"mst/rep"};
@@ -67,24 +64,6 @@ Step make_emd_label(StepParams params) {
     for (KV& kv : records) {
       const std::int64_t side = kv.value < a_count ? 1 : -1;
       kv.value = static_cast<std::uint64_t>(side);
-    }
-    kEmdIn.set(ctx.store(), records);
-  };
-}
-
-Step make_emd_label_weighted(StepParams /*params*/) {
-  return [](MachineContext& ctx) {
-    const auto idx = kIdx.get(ctx.store());
-    const auto mass = kMass.get(ctx.store());
-    std::unordered_map<std::uint64_t, std::int64_t> mass_of;
-    mass_of.reserve(idx.size());
-    for (std::size_t local = 0; local < idx.size(); ++local) {
-      mass_of.emplace(idx[local], mass[local]);
-    }
-    auto records = kNodes.get(ctx.store());
-    kNodes.erase(ctx.store());
-    for (KV& kv : records) {
-      kv.value = static_cast<std::uint64_t>(mass_of.at(kv.value));
     }
     kEmdIn.set(ctx.store(), records);
   };
@@ -197,8 +176,6 @@ Step make_mst_emit_edges(StepParams /*params*/) {
 }
 
 const RegisterStep kRegEmdLabel{"emd/label", make_emd_label};
-const RegisterStep kRegEmdLabelWeighted{"emd/label-weighted",
-                                        make_emd_label_weighted};
 const RegisterStep kRegEmdWeight{"emd/weight", make_emd_weight};
 const RegisterStep kRegDensestCountPrep{"densest/count-prep",
                                         make_densest_count_prep};
@@ -209,45 +186,6 @@ const RegisterStep kRegDensestGlobalBest{"densest/global-best",
 const RegisterStep kRegMstRouteChildReps{"mst/route-child-reps",
                                          make_mst_route_child_reps};
 const RegisterStep kRegMstEmitEdges{"mst/emit-edges", make_mst_emit_edges};
-
-/// Scatters a signed per-point value in the points' block layout
-/// (mpc/point_blocks.hpp), so each machine holds the values of exactly its
-/// own points (keyed by global index in "emb/idx").
-void scatter_point_values(Cluster& cluster, const Key<std::int64_t>& key,
-                          const std::vector<std::int64_t>& values) {
-  // Host-side write: suppressed while fast-forwarding a restored run, like
-  // every other scatter — the restored stores already hold the values.
-  if (cluster.fast_forwarding()) return;
-  const mpc::PointBlocks blocks(values.size(), cluster.num_machines());
-  for (MachineId id = 0; id < cluster.num_machines(); ++id) {
-    key.set(cluster.store(id),
-            std::span<const std::int64_t>(values).subspan(
-                blocks.begin(id), blocks.end(id) - blocks.begin(id)));
-  }
-}
-
-/// Shared tail of both EMD variants: reduce per-cluster imbalances, weight
-/// by level, converge-cast, read out, clean up. The caller must have left
-/// signed per-record values under "emd/in".
-MpcEmdResult finish_emd(Cluster& cluster, const detail::MpcRun& run) {
-  mpc::reduce_kv_sum(cluster, kEmdIn.name, kEmdImbalance.name);
-
-  Serializer weight;
-  weight.write(static_cast<std::uint64_t>(run.dim));
-  weight.write(run.plan.num_buckets);
-  weight.write(run.plan.delta);
-  cluster.run_round(StepSpec("emd/weight", std::move(weight)));
-
-  mpc::sum_double(cluster, kEmdPartial.name, kEmdTotal.name, 0);
-
-  MpcEmdResult result;
-  result.emd = kEmdTotal.get(cluster.store(0)) * run.cell;
-  result.retries_used = run.attempt;
-  result.rounds_used = cluster.logical_rounds() - run.rounds_before;
-  detail::erase_run_keys(cluster,
-                         {kMass.name, kEmdPartial.name, kEmdTotal.name});
-  return result;
-}
 
 }  // namespace
 
@@ -277,63 +215,21 @@ Result<MpcEmdResult> mpc_tree_emd(Cluster& cluster, const PointSet& a,
   label.write(static_cast<std::uint64_t>(a.size()));
   cluster.run_round(StepSpec("emd/label", std::move(label)));
 
-  return finish_emd(cluster, *run);
-}
+  // Reduce per-cluster imbalances, weight by level, converge-cast.
+  mpc::reduce_kv_sum(cluster, kEmdIn.name, kEmdImbalance.name);
+  Serializer weight;
+  weight.write(static_cast<std::uint64_t>(run->dim));
+  weight.write(run->plan.num_buckets);
+  weight.write(run->plan.delta);
+  cluster.run_round(StepSpec("emd/weight", std::move(weight)));
+  mpc::sum_double(cluster, kEmdPartial.name, kEmdTotal.name, 0);
 
-Result<MpcEmdResult> mpc_tree_emd_weighted(
-    Cluster& cluster, const PointSet& a, const PointSet& b,
-    const std::vector<std::int64_t>& mass_a,
-    const std::vector<std::int64_t>& mass_b,
-    const MpcEmbedOptions& options) {
-  const obs::Span span("apps", "mpc_tree_emd_weighted", "points",
-                       a.size() + b.size());
-  if (mass_a.size() != a.size() || mass_b.size() != b.size()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "mpc_tree_emd_weighted: mass vector size mismatch");
-  }
-  if (a.dim() != b.dim()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "mpc_tree_emd_weighted: dimension mismatch");
-  }
-  std::int64_t total = 0;
-  std::vector<std::int64_t> signed_mass;
-  signed_mass.reserve(mass_a.size() + mass_b.size());
-  for (const std::int64_t m : mass_a) {
-    if (m < 0) {
-      return Status(StatusCode::kInvalidArgument,
-                    "mpc_tree_emd_weighted: negative mass");
-    }
-    total += m;
-    signed_mass.push_back(m);
-  }
-  for (const std::int64_t m : mass_b) {
-    if (m < 0) {
-      return Status(StatusCode::kInvalidArgument,
-                    "mpc_tree_emd_weighted: negative mass");
-    }
-    total -= m;
-    signed_mass.push_back(-m);
-  }
-  if (total != 0) {
-    return Status(StatusCode::kInvalidArgument,
-                  "mpc_tree_emd_weighted: total masses differ");
-  }
-
-  PointSet all = a;
-  for (std::size_t i = 0; i < b.size(); ++i) all.push_back(b[i]);
-
-  const auto run =
-      detail::run_mpc_pipeline(cluster, all, options,
-                               detail::PathOutput::kRecords,
-                               "mpc_tree_emd_weighted");
-  if (!run.ok()) return run.status();
-
-  // Distribute the masses with the points' block layout (they are part of
-  // the distributed input), then label each record with its point's mass.
-  scatter_point_values(cluster, kMass, signed_mass);
-  cluster.run_round(StepSpec("emd/label-weighted"));
-
-  return finish_emd(cluster, *run);
+  MpcEmdResult result;
+  result.emd = kEmdTotal.get(cluster.store(0)) * run->cell;
+  result.retries_used = run->attempt;
+  result.rounds_used = cluster.logical_rounds() - run->rounds_before;
+  detail::erase_run_keys(cluster, {kEmdPartial.name, kEmdTotal.name});
+  return result;
 }
 
 Result<MpcDensestBallResult> mpc_densest_ball(

@@ -16,9 +16,9 @@
 //                round, emit connecting edges; host reads out the edge
 //                list (the output), lengths evaluated in input space.
 //
-// All three inherit Theorem 1's O(1) rounds and fully scalable space, and
-// agree exactly (same seeds) with their sequential Hierarchy-based
-// counterparts in apps/emd.hpp and apps/densest_ball.hpp — tested.
+// All three inherit Theorem 1's O(1) rounds and fully scalable space. EMD
+// and densest ball agree exactly (same seeds) with sequential evaluations
+// over the same Hierarchy, which the tests keep as their oracles.
 #pragma once
 
 #include "apps/mst.hpp"
@@ -42,16 +42,6 @@ struct MpcEmdResult {
 Result<MpcEmdResult> mpc_tree_emd(mpc::Cluster& cluster, const PointSet& a,
                                   const PointSet& b,
                                   const MpcEmbedOptions& options);
-
-/// Weighted (transportation) variant: mass_a[i] units of supply at a[i],
-/// mass_b[j] of demand at b[j]; totals must agree. The masses are part of
-/// the distributed input (scattered with the points); everything else is
-/// the same constant-round reduction.
-Result<MpcEmdResult> mpc_tree_emd_weighted(
-    mpc::Cluster& cluster, const PointSet& a, const PointSet& b,
-    const std::vector<std::int64_t>& mass_a,
-    const std::vector<std::int64_t>& mass_b,
-    const MpcEmbedOptions& options);
 
 /// Result of the distributed densest ball.
 struct MpcDensestBallResult {

@@ -67,16 +67,6 @@ NeighborResult tree_nearest_neighbor(const Hst& tree, const PointSet& points,
   return best;
 }
 
-std::vector<NeighborResult> tree_all_nearest_neighbors(
-    const Hst& tree, const PointSet& points, std::size_t budget) {
-  std::vector<NeighborResult> results;
-  results.reserve(points.size());
-  for (std::size_t q = 0; q < points.size(); ++q) {
-    results.push_back(tree_nearest_neighbor(tree, points, q, budget));
-  }
-  return results;
-}
-
 NeighborResult exact_nearest_neighbor(const PointSet& points,
                                       std::size_t query) {
   if (points.size() < 2) {

@@ -36,10 +36,6 @@ struct NeighborResult {
 NeighborResult tree_nearest_neighbor(const Hst& tree, const PointSet& points,
                                      std::size_t query, std::size_t budget);
 
-/// All-pairs convenience: the approximate nearest neighbor of every point.
-std::vector<NeighborResult> tree_all_nearest_neighbors(
-    const Hst& tree, const PointSet& points, std::size_t budget);
-
 /// Exact nearest neighbor by linear scan (the baseline), O(n d) per query.
 NeighborResult exact_nearest_neighbor(const PointSet& points,
                                       std::size_t query);

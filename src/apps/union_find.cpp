@@ -27,10 +27,4 @@ bool UnionFind::unite(std::size_t a, std::size_t b) {
   return true;
 }
 
-bool UnionFind::connected(std::size_t a, std::size_t b) {
-  return find(a) == find(b);
-}
-
-std::size_t UnionFind::size_of(std::size_t x) { return size_[find(x)]; }
-
 }  // namespace mpte

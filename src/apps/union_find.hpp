@@ -17,12 +17,6 @@ class UnionFind {
   /// Merges the sets of a and b; returns false if already merged.
   bool unite(std::size_t a, std::size_t b);
 
-  /// True iff a and b share a set.
-  bool connected(std::size_t a, std::size_t b);
-
-  /// Size of x's set.
-  std::size_t size_of(std::size_t x);
-
   /// Number of disjoint sets remaining.
   std::size_t num_sets() const { return sets_; }
 

@@ -143,10 +143,6 @@ Result<Snapshot> Snapshot::from_bytes(std::vector<std::uint8_t> file_bytes,
   }
 }
 
-Status Snapshot::write(const std::string& path) const {
-  return write_file_atomic(path, to_bytes());
-}
-
 Result<Snapshot> Snapshot::read(const std::string& path) {
   auto bytes = read_file_bytes(path);
   if (!bytes.ok()) return bytes.status();

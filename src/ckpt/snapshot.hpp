@@ -43,9 +43,6 @@ struct Snapshot {
   static Result<Snapshot> from_bytes(std::vector<std::uint8_t> file_bytes,
                                      const std::string& context);
 
-  /// Atomic write (same-directory temp file + rename).
-  Status write(const std::string& path) const;
-
   static Result<Snapshot> read(const std::string& path);
 };
 

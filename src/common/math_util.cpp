@@ -1,6 +1,5 @@
 #include "common/math_util.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -46,37 +45,6 @@ double unit_ball_volume(unsigned k) {
 double ball_grid_cover_probability(unsigned k) {
   // Ball volume V_k(w) = V_k(1) w^k over cell volume (4w)^k.
   return unit_ball_volume(k) / std::pow(4.0, static_cast<double>(k));
-}
-
-double mean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (const double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
-double sample_stddev(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  double ss = 0.0;
-  for (const double v : values) ss += (v - m) * (v - m);
-  return std::sqrt(ss / static_cast<double>(values.size() - 1));
-}
-
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  assert(p >= 0.0 && p <= 1.0);
-  std::sort(values.begin(), values.end());
-  const double idx = p * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(idx);
-  const auto hi = std::min(lo + 1, values.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double max_value(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  return *std::max_element(values.begin(), values.end());
 }
 
 }  // namespace mpte

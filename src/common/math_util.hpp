@@ -1,12 +1,10 @@
 // Small numeric helpers shared across modules: power-of-two arithmetic for
-// the Walsh–Hadamard transform, unit-ball volumes for ball-partition
-// coverage probabilities (Lemmas 6–7), and statistics helpers used by the
-// distortion-measurement utilities and benches.
+// the Walsh–Hadamard transform and unit-ball volumes for ball-partition
+// coverage probabilities (Lemmas 6–7).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace mpte {
 
@@ -32,17 +30,5 @@ double unit_ball_volume(unsigned k);
 /// radius-w balls on a cell of width 4w in k dimensions: V_k(1) / 4^k.
 /// Independent of w by scaling.
 double ball_grid_cover_probability(unsigned k);
-
-/// Arithmetic mean; returns 0 for an empty range.
-double mean(const std::vector<double>& values);
-
-/// Sample standard deviation (n-1 denominator); returns 0 for size < 2.
-double sample_stddev(const std::vector<double>& values);
-
-/// p-th percentile by linear interpolation on the sorted copy, p in [0,1].
-double percentile(std::vector<double> values, double p);
-
-/// Maximum element; returns 0 for an empty range.
-double max_value(const std::vector<double>& values);
 
 }  // namespace mpte

@@ -62,11 +62,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::size_t ThreadPool::workers() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return workers_.size();
-}
-
 void ThreadPool::ensure_workers(std::size_t n) {
   std::lock_guard<std::mutex> lock(mutex_);
   while (workers_.size() < n) {

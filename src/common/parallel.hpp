@@ -89,9 +89,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Current number of worker threads.
-  std::size_t workers();
-
   /// Grows the pool to at least `n` workers (never shrinks).
   void ensure_workers(std::size_t n);
 

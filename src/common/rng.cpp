@@ -66,16 +66,6 @@ std::uint64_t Rng::uniform_u64(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) {  // full 64-bit range
-    return static_cast<std::int64_t>((*this)());
-  }
-  return lo + static_cast<std::int64_t>(uniform_u64(span));
-}
-
 double Rng::uniform() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }

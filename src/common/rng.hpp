@@ -42,9 +42,6 @@ class Rng {
   /// (Lemire-style rejection).
   std::uint64_t uniform_u64(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1) with 53 random bits.
   double uniform();
 

@@ -4,8 +4,6 @@ namespace mpte {
 
 Timer::Timer() : start_(std::chrono::steady_clock::now()) {}
 
-void Timer::reset() { start_ = std::chrono::steady_clock::now(); }
-
 double Timer::seconds() const {
   const auto elapsed = std::chrono::steady_clock::now() - start_;
   return std::chrono::duration<double>(elapsed).count();

@@ -11,13 +11,10 @@ class Timer {
  public:
   Timer();
 
-  /// Restarts the stopwatch.
-  void reset();
-
-  /// Elapsed seconds since construction or the last reset().
+  /// Elapsed seconds since construction.
   double seconds() const;
 
-  /// Elapsed milliseconds since construction or the last reset().
+  /// Elapsed milliseconds since construction.
   double milliseconds() const;
 
  private:

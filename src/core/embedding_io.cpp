@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/checksum.hpp"
@@ -27,10 +28,33 @@ double diameter_bound(const Hst& tree) {
   return 2.0 * deepest;
 }
 
+/// What keeps an embedding out of a file, or nullptr: the one rule the
+/// encoder and the decoder share. Every distance served from a file is the
+/// scale times a tree distance, and every pipeline writes a positive,
+/// finite lattice cell, so the scale must be > 0 and keep every distance
+/// finite. Every stored coordinate must be finite too.
+const char* unstorable(double scale, const Hst& tree,
+                       std::span<const double> coordinates) {
+  for (const double coordinate : coordinates) {
+    if (!std::isfinite(coordinate)) return "non-finite coordinate";
+  }
+  if (!(scale > 0.0) || !std::isfinite(scale * diameter_bound(tree))) {
+    return "scale must be > 0 and keep every distance finite";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 void serialize_embedding(const Embedding& embedding, bool include_points,
                          Serializer& out) {
+  const std::span<const double> coordinates =
+      include_points ? std::span<const double>(embedding.embedded_points.raw())
+                     : std::span<const double>();
+  if (const char* why = unstorable(embedding.scale_to_input, embedding.tree,
+                                   coordinates)) {
+    throw MpteError(std::string("serialize_embedding: ") + why);
+  }
   out.write(kMagic);
   out.write(kVersion);
   out.write(embedding.scale_to_input);
@@ -77,21 +101,11 @@ Embedding deserialize_embedding(Deserializer& in) {
   if (has_points != 0) {
     const auto n = in.read<std::uint64_t>();
     const auto dim = in.read<std::uint64_t>();
-    auto raw = in.read_vector<double>();
-    for (const double coordinate : raw) {
-      if (!std::isfinite(coordinate)) {
-        throw MpteError("deserialize_embedding: non-finite coordinate");
-      }
-    }
-    points = PointSet(n, dim, std::move(raw));
+    points = PointSet(n, dim, in.read_vector<double>());
   }
   Hst tree = deserialize_hst(in);
-  // Every distance served from the file is the scale times a tree
-  // distance. Every pipeline writes a positive, finite lattice cell, so a
-  // scale that is not > 0, or whose products are not finite, is corrupt.
-  if (!(scale > 0.0) || !std::isfinite(scale * diameter_bound(tree))) {
-    throw MpteError("deserialize_embedding: scale must be > 0 and keep "
-                    "every distance finite");
+  if (const char* why = unstorable(scale, tree, points.raw())) {
+    throw MpteError(std::string("deserialize_embedding: ") + why);
   }
   if (has_points != 0 && points.size() != tree.num_points()) {
     throw MpteError("deserialize_embedding: point/tree size mismatch");

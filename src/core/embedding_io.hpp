@@ -28,7 +28,9 @@ namespace mpte {
 /// Serializes the embedding. `include_points` controls whether the
 /// embedded (quantized) coordinates travel along — they are only needed
 /// for coordinate-based post-processing (e.g. tree_mst edge lengths), not
-/// for tree-metric queries.
+/// for tree-metric queries. Throws MpteError, before writing a byte, on
+/// what the decoder refuses: a scale that is not > 0 or that makes a tree
+/// distance overflow, or a non-finite stored coordinate.
 void serialize_embedding(const Embedding& embedding, bool include_points,
                          Serializer& out);
 
@@ -41,7 +43,8 @@ Embedding deserialize_embedding(Deserializer& in);
 
 Embedding embedding_from_bytes(const std::vector<std::uint8_t>& bytes);
 
-/// File convenience wrappers.
+/// File convenience wrappers. save_embedding throws before it creates the
+/// file when serialize_embedding refuses the embedding.
 void save_embedding(const Embedding& embedding, const std::string& path,
                     bool include_points = true);
 Embedding load_embedding(const std::string& path);

@@ -1,8 +1,6 @@
 #include "geometry/bounding_box.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 #include "common/status.hpp"
 
@@ -41,32 +39,6 @@ double BoundingBox::width() const {
   double w = 0.0;
   for (std::size_t j = 0; j < dim(); ++j) w = std::max(w, hi_[j] - lo_[j]);
   return w;
-}
-
-double BoundingBox::diagonal() const {
-  double sum = 0.0;
-  for (std::size_t j = 0; j < dim(); ++j) {
-    const double side = hi_[j] - lo_[j];
-    sum += side * side;
-  }
-  return std::sqrt(sum);
-}
-
-bool BoundingBox::contains(std::span<const double> p) const {
-  assert(p.size() == dim());
-  for (std::size_t j = 0; j < dim(); ++j) {
-    if (p[j] < lo_[j] || p[j] > hi_[j]) return false;
-  }
-  return true;
-}
-
-BoundingBox BoundingBox::expanded(double margin) const {
-  std::vector<double> lo = lo_, hi = hi_;
-  for (std::size_t j = 0; j < dim(); ++j) {
-    lo[j] -= margin;
-    hi[j] += margin;
-  }
-  return BoundingBox(std::move(lo), std::move(hi));
 }
 
 }  // namespace mpte

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "geometry/point_set.hpp"
@@ -28,16 +27,6 @@ class BoundingBox {
 
   /// Largest side length over all dimensions (the "width" of B).
   double width() const;
-
-  /// Euclidean length of the main diagonal — an upper bound on the diameter
-  /// of any subset of the box.
-  double diagonal() const;
-
-  /// True iff p lies inside the box (inclusive).
-  bool contains(std::span<const double> p) const;
-
-  /// Grows every side by `margin` on both ends.
-  BoundingBox expanded(double margin) const;
 
  private:
   std::vector<double> lo_;

@@ -1,6 +1,7 @@
 #include "geometry/csv_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -35,6 +36,11 @@ PointSet read_csv_points(std::istream& in) {
       const auto [next, ec] = std::from_chars(cursor, end, value);
       if (ec != std::errc{}) {
         throw MpteError("read_csv_points: bad number at line " +
+                        std::to_string(line_number));
+      }
+      // from_chars accepts nan and inf; no pipeline can embed them.
+      if (!std::isfinite(value)) {
+        throw MpteError("read_csv_points: non-finite number at line " +
                         std::to_string(line_number));
       }
       row.push_back(value);

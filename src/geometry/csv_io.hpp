@@ -12,8 +12,9 @@
 
 namespace mpte {
 
-/// Parses CSV text into a point set; throws MpteError on ragged rows or
-/// unparsable numbers. Empty lines are skipped.
+/// Parses CSV text into a point set; throws MpteError on ragged rows,
+/// unparsable numbers, and nan or inf, naming the line. Empty lines are
+/// skipped.
 PointSet read_csv_points(std::istream& in);
 
 /// Reads a CSV file; throws MpteError if the file cannot be opened.

@@ -77,24 +77,6 @@ PointSet generate_subspace(std::size_t n, std::size_t dim,
   return points;
 }
 
-PointSet generate_lattice(std::size_t n, std::size_t dim, double step) {
-  // Walk the lattice in row-major order: the k-th point has coordinates
-  // given by the base-s digits of k where s = ceil(n^{1/dim}).
-  const auto span = static_cast<std::size_t>(
-      std::ceil(std::pow(static_cast<double>(n), 1.0 / static_cast<double>(dim))));
-  const std::size_t base = std::max<std::size_t>(span, 2);
-  PointSet points(n, dim);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t k = i;
-    auto p = points[i];
-    for (std::size_t j = 0; j < dim; ++j) {
-      p[j] = static_cast<double>(k % base) * step;
-      k /= base;
-    }
-  }
-  return points;
-}
-
 PointSet generate_two_blobs(std::size_t n, std::size_t dim, double separation,
                             double stddev, std::uint64_t seed) {
   assert(dim >= 1);

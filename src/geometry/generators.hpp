@@ -34,11 +34,6 @@ PointSet generate_subspace(std::size_t n, std::size_t dim,
                            std::size_t intrinsic_dim, double side,
                            double noise_stddev, std::uint64_t seed);
 
-/// Points on the integer lattice {0, step, 2*step, ...}^d restricted to the
-/// first n lattice points in row-major order — an adversarial regular input
-/// where grid partitioning's axis alignment matters.
-PointSet generate_lattice(std::size_t n, std::size_t dim, double step);
-
 /// Two tight Gaussian blobs separated by `separation` along the first axis;
 /// n/2 points each. The canonical densest-ball / EMD stress input.
 PointSet generate_two_blobs(std::size_t n, std::size_t dim, double separation,

@@ -76,10 +76,6 @@ double l2_distance(std::span<const double> a, std::span<const double> b) {
   return std::sqrt(l2_distance_squared(a, b));
 }
 
-double l2_norm(std::span<const double> a) {
-  return std::sqrt(simd::ops().sumsq(a.data(), a.size()));
-}
-
 DistanceExtremes pairwise_distance_extremes(const PointSet& points) {
   DistanceExtremes out{0.0, 0.0};
   const std::size_t n = points.size();
@@ -121,15 +117,6 @@ DistanceExtremes pairwise_distance_extremes(const PointSet& points) {
   out.min = std::sqrt(min_sq);
   out.max = std::sqrt(max_sq);
   return out;
-}
-
-double aspect_ratio(const PointSet& points) {
-  const auto ext = pairwise_distance_extremes(points);
-  if (ext.max == 0.0) return 1.0;
-  if (ext.min == 0.0) {
-    throw MpteError("aspect_ratio: duplicate points (min distance 0)");
-  }
-  return ext.max / ext.min;
 }
 
 }  // namespace mpte

@@ -71,9 +71,6 @@ double l2_distance(std::span<const double> a, std::span<const double> b);
 double l2_distance_squared(std::span<const double> a,
                            std::span<const double> b);
 
-/// Euclidean norm of a coordinate span.
-double l2_norm(std::span<const double> a);
-
 /// Minimum and maximum over all pairwise distances by the exact O(n^2 d)
 /// scan (intended for test/bench-scale inputs). Returns {0, 0} if fewer
 /// than two points. The minimum alone is closest_pair_distance
@@ -83,9 +80,5 @@ struct DistanceExtremes {
   double max;
 };
 DistanceExtremes pairwise_distance_extremes(const PointSet& points);
-
-/// Aspect ratio: max pairwise distance / min pairwise distance. Returns 1
-/// for fewer than two distinct points. Requires no duplicate points.
-double aspect_ratio(const PointSet& points);
 
 }  // namespace mpte

@@ -83,15 +83,6 @@ ProcessPool::ProcessPool(ProcessPool&& other) noexcept
   other.workers_.clear();
 }
 
-ProcessPool& ProcessPool::operator=(ProcessPool&& other) noexcept {
-  if (this != &other) {
-    kill_all();
-    workers_ = std::move(other.workers_);
-    other.workers_.clear();
-  }
-  return *this;
-}
-
 ProcessPool::~ProcessPool() { kill_all(); }
 
 bool ProcessPool::try_reap(mpc::MachineId rank) {

@@ -39,7 +39,7 @@ class ProcessPool {
                                    const WorkerMain& worker_main);
 
   ProcessPool(ProcessPool&& other) noexcept;
-  ProcessPool& operator=(ProcessPool&& other) noexcept;
+  ProcessPool& operator=(ProcessPool&&) = delete;
   ProcessPool(const ProcessPool&) = delete;
   ProcessPool& operator=(const ProcessPool&) = delete;
   ~ProcessPool();

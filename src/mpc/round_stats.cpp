@@ -175,14 +175,4 @@ std::string RoundStats::summary() const {
   return out.str();
 }
 
-void RoundStats::reset() {
-  resilience_ = ResilienceCounters{};
-  records_.clear();
-  peak_local_bytes_ = 0;
-  peak_total_bytes_ = 0;
-  peak_round_io_bytes_ = 0;
-  total_violations_ = 0;
-  channel_totals_.clear();
-}
-
 }  // namespace mpte::mpc

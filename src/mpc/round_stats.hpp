@@ -132,8 +132,6 @@ class RoundStats {
   /// records.
   std::string summary() const;
 
-  void reset();
-
  private:
   std::vector<RoundRecord> records_;
   ResilienceCounters resilience_;

@@ -36,12 +36,6 @@ void StepRegistry::add(std::string name, Factory factory) {
   }
 }
 
-bool StepRegistry::contains(std::string_view name) const {
-  auto& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  return state.factories.find(std::string(name)) != state.factories.end();
-}
-
 Step StepRegistry::instantiate(const std::string& name,
                                StepParams params) const {
   Factory factory;
@@ -55,15 +49,6 @@ Step StepRegistry::instantiate(const std::string& name,
     factory = it->second;
   }
   return factory(params);
-}
-
-std::vector<std::string> StepRegistry::names() const {
-  auto& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  std::vector<std::string> out;
-  out.reserve(state.factories.size());
-  for (const auto& [name, factory] : state.factories) out.push_back(name);
-  return out;
 }
 
 RegisterStep::RegisterStep(const char* name, StepRegistry::Factory factory) {

@@ -20,7 +20,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -78,14 +77,9 @@ class StepRegistry {
   /// (two TUs claiming one name is a program bug, not a race to win).
   void add(std::string name, Factory factory);
 
-  bool contains(std::string_view name) const;
-
   /// Builds the step for (name, params); throws MpteError on an unknown
   /// name — the caller's binary does not link the driver that defines it.
   Step instantiate(const std::string& name, StepParams params) const;
-
-  /// Registered names, sorted (diagnostics).
-  std::vector<std::string> names() const;
 
  private:
   StepRegistry() = default;

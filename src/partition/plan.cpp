@@ -10,18 +10,6 @@
 
 namespace mpte {
 
-const char* to_string(PartitionMethod method) {
-  switch (method) {
-    case PartitionMethod::kGrid:
-      return "grid";
-    case PartitionMethod::kBall:
-      return "ball";
-    case PartitionMethod::kHybrid:
-      return "hybrid";
-  }
-  return "unknown";
-}
-
 std::uint32_t theorem1_num_buckets(std::size_t n, std::size_t dim) {
   const double ln_n = std::log(std::max<double>(3.0, static_cast<double>(n)));
   const double r = 2.0 * std::log(std::max(std::numbers::e_v<double>, ln_n));

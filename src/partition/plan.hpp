@@ -26,8 +26,6 @@ enum class PartitionMethod {
   kHybrid,
 };
 
-const char* to_string(PartitionMethod method);
-
 /// The r used by Theorem 1's parameterization: max(1, round(2·ln ln n)),
 /// clamped to [1, dim].
 std::uint32_t theorem1_num_buckets(std::size_t n, std::size_t dim);

@@ -8,7 +8,6 @@ namespace mpte::serve {
 
 namespace {
 
-const char* kCombinerNames[] = {"min", "exp"};
 const char* kKindNames[] = {"dist", "knn", "range", "upsert", "remove"};
 
 using Clock = std::chrono::steady_clock;
@@ -49,10 +48,6 @@ ServiceOptions normalized(ServiceOptions options) {
 
 }  // namespace
 
-const char* to_string(Combiner combiner) {
-  return kCombinerNames[static_cast<std::size_t>(combiner)];
-}
-
 const char* to_string(RequestKind kind) {
   return kKindNames[static_cast<std::size_t>(kind)];
 }
@@ -67,8 +62,7 @@ EmbeddingService::EmbeddingService(
     std::unique_ptr<dyn::DynamicEnsemble> dynamic, ServiceOptions options)
     : dynamic_(std::move(dynamic)),
       options_(normalized(options)),
-      started_(Clock::now()),
-      paused_(options.start_paused) {
+      started_(Clock::now()) {
   batcher_ = std::thread([this] { batcher_loop(); });
 }
 

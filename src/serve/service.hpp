@@ -48,7 +48,7 @@
 
 namespace mpte::serve {
 
-/// The batcher's settings. Reads never queue, so all four govern updates
+/// The batcher's settings. Reads never queue, so all three govern updates
 /// only.
 struct ServiceOptions {
   /// Most updates applied per batcher wakeup (one publish each).
@@ -59,9 +59,6 @@ struct ServiceOptions {
   /// Admission bound: updates beyond this many queued are rejected with
   /// kResourceExhausted.
   std::size_t max_queue = 4096;
-  /// Start with the batcher paused (tests exercise admission control by
-  /// filling the update queue deterministically; see pause()/resume()).
-  bool start_paused = false;
 };
 
 /// One request's answer as submit() hands it back. A read's answer, and
@@ -143,7 +140,8 @@ class EmbeddingService {
   /// Suspends / resumes the batcher's draining of updates. While paused,
   /// updates still enqueue (and admission control still applies), and
   /// reads are still answered — used to exercise backpressure and
-  /// deadline paths deterministically.
+  /// deadline paths deterministically. Nothing is queued before the first
+  /// submit, so pause() right after construction holds every update.
   void pause();
   void resume();
 

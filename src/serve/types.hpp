@@ -22,8 +22,6 @@ enum class Combiner : std::uint8_t {
   kExpected,
 };
 
-const char* to_string(Combiner combiner);
-
 enum class RequestKind : std::uint8_t {
   /// Tree-metric distance between two embedded points.
   kDistance,

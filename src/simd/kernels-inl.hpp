@@ -155,30 +155,6 @@ double l2sq_impl(const double* a, const double* b, std::size_t n) {
 }
 
 template <class V>
-double sumsq_impl(const double* a, std::size_t n) {
-  constexpr std::size_t kSub = V::kLanes;
-  constexpr std::size_t kBlock = 4 * kSub;
-  Acc4<V> acc;
-  std::size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    const V x0 = V::load(a + i);
-    const V x1 = V::load(a + i + kSub);
-    const V x2 = V::load(a + i + 2 * kSub);
-    const V x3 = V::load(a + i + 3 * kSub);
-    acc.v0 = acc.v0 + x0 * x0;
-    acc.v1 = acc.v1 + x1 * x1;
-    acc.v2 = acc.v2 + x2 * x2;
-    acc.v3 = acc.v3 + x3 * x3;
-  }
-  for (std::size_t j = 0; i < n; i += kSub, ++j) {
-    const std::size_t m = std::min(kSub, n - i);
-    const V x = V::load_partial(a + i, m);
-    acc.add_tail(j, x * x);
-  }
-  return acc.merge();
-}
-
-template <class V>
 double dot_impl(const double* a, const double* b, std::size_t n) {
   constexpr std::size_t kSub = V::kLanes;
   constexpr std::size_t kBlock = 4 * kSub;
@@ -374,7 +350,6 @@ constexpr Ops make_ops(const char* name) {
       &fwht_row_impl<V>,
       &scale_impl<V>,
       &l2sq_impl<V>,
-      &sumsq_impl<V>,
       &dot_impl<V>,
       &gemv_impl<V>,
       &csr_row_dot_impl<V>,

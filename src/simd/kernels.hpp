@@ -47,9 +47,6 @@ struct Ops {
   /// Sum of (a[i] - b[i])^2 under the virtual-lane scheme.
   double (*l2sq)(const double* a, const double* b, std::size_t n);
 
-  /// Sum of a[i]^2 under the virtual-lane scheme.
-  double (*sumsq)(const double* a, std::size_t n);
-
   /// Dot product under the virtual-lane scheme.
   double (*dot)(const double* a, const double* b, std::size_t n);
 

@@ -1,6 +1,5 @@
 #include "transform/dense_jl.hpp"
 
-#include <cassert>
 #include <cmath>
 
 #include "common/parallel.hpp"
@@ -23,14 +22,6 @@ DenseJl::DenseJl(std::size_t input_dim, std::size_t output_dim,
   for (double& entry : matrix_) entry = rng.normal() * scale;
 }
 
-std::vector<double> DenseJl::apply(std::span<const double> p) const {
-  assert(p.size() == input_dim_);
-  std::vector<double> out(output_dim_, 0.0);
-  simd::ops().gemv(matrix_.data(), output_dim_, input_dim_, p.data(),
-                   out.data());
-  return out;
-}
-
 PointSet DenseJl::transform(const PointSet& points) const {
   PointSet out(points.size(), output_dim_);
   // Each point's projection reads the shared matrix and writes its own
@@ -46,13 +37,6 @@ PointSet DenseJl::transform(const PointSet& points) const {
         }
       });
   return out;
-}
-
-std::size_t DenseJl::recommended_dim(std::size_t n, double xi) {
-  assert(xi > 0.0);
-  const double k = 8.0 * std::log(std::max<double>(2.0, static_cast<double>(n))) /
-                   (xi * xi);
-  return static_cast<std::size_t>(std::ceil(k));
 }
 
 }  // namespace mpte

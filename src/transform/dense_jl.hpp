@@ -22,14 +22,8 @@ class DenseJl {
   std::size_t input_dim() const { return input_dim_; }
   std::size_t output_dim() const { return output_dim_; }
 
-  /// Applies the map to one point (p.size() == input_dim()).
-  std::vector<double> apply(std::span<const double> p) const;
-
   /// Applies the map to every point.
   PointSet transform(const PointSet& points) const;
-
-  /// The standard JL target dimension k = ceil(c * log(n) / xi^2), c = 8.
-  static std::size_t recommended_dim(std::size_t n, double xi);
 
  private:
   std::size_t input_dim_;

@@ -1,6 +1,5 @@
 #include "transform/sparse_jl.hpp"
 
-#include <cassert>
 #include <cmath>
 
 #include "common/parallel.hpp"
@@ -38,22 +37,6 @@ SparseJl::SparseJl(std::size_t input_dim, std::size_t output_dim,
     }
     row_begin_.push_back(cols_.size());
   }
-}
-
-std::vector<double> SparseJl::apply(std::span<const double> p) const {
-  assert(p.size() == input_dim_);
-  const double scale =
-      std::sqrt(3.0 / static_cast<double>(output_dim_));
-  std::vector<double> out(output_dim_, 0.0);
-  const simd::Ops& ops = simd::ops();
-  for (std::size_t row = 0; row < output_dim_; ++row) {
-    const std::size_t begin = row_begin_[row];
-    const double sum = ops.csr_row_dot(values_.data() + begin,
-                                       cols_.data() + begin,
-                                       row_begin_[row + 1] - begin, p.data());
-    out[row] = sum * scale;
-  }
-  return out;
 }
 
 PointSet SparseJl::transform(const PointSet& points) const {

@@ -32,9 +32,6 @@ class SparseJl {
   /// Number of nonzero matrix entries (~ k*d/3).
   std::size_t nonzeros() const { return cols_.size(); }
 
-  /// Applies the map to one point.
-  std::vector<double> apply(std::span<const double> p) const;
-
   /// Applies the map to every point.
   PointSet transform(const PointSet& points) const;
 
@@ -44,7 +41,7 @@ class SparseJl {
   std::uint64_t seed_;
   // CSR of the +-1 pattern. Values are the signs stored as doubles so the
   // dispatched gather kernel reads them without a widening pass; the
-  // sqrt(3/k) scale is applied at the end of apply().
+  // sqrt(3/k) scale is applied at the end of transform().
   std::vector<std::size_t> row_begin_;
   std::vector<std::uint32_t> cols_;
   std::vector<double> values_;

@@ -1,6 +1,5 @@
 #include "transform/walsh_hadamard.hpp"
 
-#include <bit>
 #include <cmath>
 
 #include "common/math_util.hpp"
@@ -24,15 +23,6 @@ void fwht_normalized(std::span<double> data) {
   fwht(data);
   const double scale = 1.0 / std::sqrt(static_cast<double>(data.size()));
   simd::ops().scale(data.data(), data.size(), scale);
-}
-
-double hadamard_entry(std::size_t dim, std::size_t i, std::size_t j) {
-  if (!is_power_of_two(dim)) {
-    throw MpteError("hadamard_entry: dim must be a power of two");
-  }
-  const int parity = std::popcount(i & j) & 1;
-  const double sign = parity ? -1.0 : 1.0;
-  return sign / std::sqrt(static_cast<double>(dim));
 }
 
 PointSet fwht_points(const PointSet& points) {

@@ -24,11 +24,6 @@ void fwht(std::span<double> data);
 /// the map an isometry (||H x||_2 = ||x||_2).
 void fwht_normalized(std::span<double> data);
 
-/// Entry of the orthonormal Walsh–Hadamard matrix, H[i][j] =
-/// d^{-1/2}(-1)^{popcount(i & j)} for 0-based i, j. For tests comparing
-/// the fast transform against the dense definition.
-double hadamard_entry(std::size_t dim, std::size_t i, std::size_t j);
-
 /// Applies the orthonormal FWHT to every point of a power-of-two-dimension
 /// point set, returning the transformed set.
 PointSet fwht_points(const PointSet& points);

@@ -36,28 +36,6 @@ double Hst::distance(std::size_t p, std::size_t q) const {
   return total;
 }
 
-std::size_t Hst::lca(std::size_t p, std::size_t q) const {
-  std::size_t a = leaf(p);
-  std::size_t b = leaf(q);
-  while (a != b) {
-    if (a > b) {
-      a = static_cast<std::size_t>(nodes_[a].parent);
-    } else {
-      b = static_cast<std::size_t>(nodes_[b].parent);
-    }
-  }
-  return a;
-}
-
-double Hst::depth_weight(std::size_t i) const {
-  double total = 0.0;
-  while (nodes_[i].parent >= 0) {
-    total += nodes_[i].edge_weight;
-    i = static_cast<std::size_t>(nodes_[i].parent);
-  }
-  return total;
-}
-
 std::size_t Hst::depth() const {
   std::vector<std::size_t> depth(nodes_.size(), 0);
   std::size_t deepest = 0;

@@ -55,12 +55,6 @@ class Hst {
   /// the leaf-to-leaf path. O(depth).
   double distance(std::size_t p, std::size_t q) const;
 
-  /// Deepest common ancestor of two points' leaves. O(depth).
-  std::size_t lca(std::size_t p, std::size_t q) const;
-
-  /// Sum of edge weights from node i up to (excluding) the root.
-  double depth_weight(std::size_t i) const;
-
   /// Maximum node depth in edges.
   std::size_t depth() const;
 

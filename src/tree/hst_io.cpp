@@ -75,9 +75,4 @@ Hst deserialize_hst(Deserializer& in) {
   return tree;
 }
 
-Hst hst_from_bytes(const std::vector<std::uint8_t>& bytes) {
-  Deserializer d(bytes);
-  return deserialize_hst(d);
-}
-
 }  // namespace mpte

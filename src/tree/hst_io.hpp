@@ -32,7 +32,4 @@ std::vector<std::uint8_t> hst_to_bytes(const Hst& tree);
 /// version but 1, or when the decoded tree fails Hst::validate.
 Hst deserialize_hst(Deserializer& in);
 
-/// Convenience over a byte buffer.
-Hst hst_from_bytes(const std::vector<std::uint8_t>& bytes);
-
 }  // namespace mpte

@@ -108,14 +108,11 @@ inline constexpr std::uint64_t kFjltDelta = 2903;
 inline constexpr int kFjltRetries = 2;
 
 /// What the Corollary 1 applications report on one configuration, bit for
-/// bit. The EMD sides are the first and the second half of the points;
-/// the weighted EMD's masses are 1 + i % 3 on side a and 1 + (i + 1) % 3
-/// on side b.
+/// bit. The EMD sides are the first and the second half of the points.
 struct AppPins {
   /// The densest-ball query diameter, in input units.
   double max_diameter;
   double emd;
-  double weighted_emd;
   std::size_t ball_count;
   double ball_diameter;
   /// FNV-1a over the MST's (u, v) index pairs as u64, in result order.
@@ -124,7 +121,7 @@ struct AppPins {
   /// retries_used: the same for every application, which all embed the
   /// same points.
   int retries;
-  /// rounds_used of the EMD (plain and weighted), densest ball and MST.
+  /// rounds_used of the EMD, densest ball and MST.
   std::size_t emd_rounds;
   std::size_t ball_rounds;
   std::size_t mst_rounds;
@@ -133,11 +130,11 @@ struct AppPins {
 /// The applications on golden_points()/golden_options() and on
 /// fjlt_points()/fjlt_options(), captured with kFjltMpcHash.
 inline constexpr AppPins kGoldenAppPins{
-    80.0, 0x1.50aba79658643p+14, 0x1.5558d3c207338p+15, 8,
+    80.0, 0x1.50aba79658643p+14, 8,
     0x1.dede77df861c7p+5, 13975696757314228887ull, 0x1.08a4d618690e5p+12,
     0, 20, 19, 24};
 inline constexpr AppPins kFjltAppPins{
-    2000.0, 0x1.5108f1eeac294p+20, 0x1.42119df7af8f1p+21, 3,
+    2000.0, 0x1.5108f1eeac294p+20, 3,
     0x1.328198e1021d4p+10, 6767017456479305469ull, 0x1.c9d6370b023ecp+12,
     2, 35, 34, 39};
 

@@ -12,6 +12,19 @@
 
 namespace mpte {
 
+/// The method's name in test names and failure messages.
+inline const char* method_name(PartitionMethod method) {
+  switch (method) {
+    case PartitionMethod::kGrid:
+      return "grid";
+    case PartitionMethod::kBall:
+      return "ball";
+    case PartitionMethod::kHybrid:
+      return "hybrid";
+  }
+  return "unknown";
+}
+
 /// Plans `method` over `points` in [1, delta]^dim with `options` (the
 /// default leaves r automatic) and draws one hierarchy under `seed`. A
 /// plan or build failure comes back as the Status.

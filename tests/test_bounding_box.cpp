@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/status.hpp"
 #include "geometry/generators.hpp"
 
@@ -16,7 +14,6 @@ TEST(BoundingBox, OfComputesTightBounds) {
   EXPECT_EQ(box.lo(), (std::vector<double>{0, -1}));
   EXPECT_EQ(box.hi(), (std::vector<double>{2, 5}));
   EXPECT_EQ(box.width(), 6.0);
-  EXPECT_NEAR(box.diagonal(), std::sqrt(4.0 + 36.0), 1e-12);
 }
 
 TEST(BoundingBox, EmptySetThrows) {
@@ -28,29 +25,14 @@ TEST(BoundingBox, MismatchedLoHiThrows) {
   EXPECT_THROW(BoundingBox({2.0}, {1.0}), MpteError);
 }
 
-TEST(BoundingBox, ContainsIsInclusive) {
-  const BoundingBox box({0.0, 0.0}, {1.0, 1.0});
-  const double inside[] = {0.5, 0.5};
-  const double corner[] = {1.0, 0.0};
-  const double outside[] = {1.0, 1.5};
-  EXPECT_TRUE(box.contains(inside));
-  EXPECT_TRUE(box.contains(corner));
-  EXPECT_FALSE(box.contains(outside));
-}
-
-TEST(BoundingBox, ExpandedGrowsBothSides) {
-  const BoundingBox box({0.0}, {1.0});
-  const BoundingBox bigger = box.expanded(0.5);
-  EXPECT_EQ(bigger.lo()[0], -0.5);
-  EXPECT_EQ(bigger.hi()[0], 1.5);
-  EXPECT_EQ(bigger.width(), 2.0);
-}
-
 TEST(BoundingBox, ContainsAllGeneratedPoints) {
   const PointSet points = generate_uniform_cube(200, 5, 10.0, 42);
   const BoundingBox box = BoundingBox::of(points);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_TRUE(box.contains(points[i]));
+    for (std::size_t j = 0; j < points.dim(); ++j) {
+      EXPECT_LE(box.lo()[j], points.coord(i, j));
+      EXPECT_GE(box.hi()[j], points.coord(i, j));
+    }
   }
   EXPECT_LE(box.width(), 10.0);
 }
@@ -59,8 +41,8 @@ TEST(BoundingBox, DegeneratePointBox) {
   PointSet points(1, 3, {1.0, 2.0, 3.0});
   const BoundingBox box = BoundingBox::of(points);
   EXPECT_EQ(box.width(), 0.0);
-  EXPECT_EQ(box.diagonal(), 0.0);
-  EXPECT_TRUE(box.contains(points[0]));
+  EXPECT_EQ(box.lo(), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(box.hi(), box.lo());
 }
 
 }  // namespace

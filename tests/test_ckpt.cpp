@@ -5,7 +5,7 @@
 // recover from the newest checkpoint, and require the recovered embedding
 // to match the golden fingerprint byte for byte, and its rounds_used the
 // fault-free count — at 1 and 8 cluster threads. test_mpc_apps sweeps the
-// four applications the same way.
+// three applications the same way.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -104,7 +104,7 @@ TEST(Snapshot, FileRoundTripAndCorruptionRejection) {
 
   const Snapshot snapshot = Snapshot::capture(cluster);
   const std::string path = (dir / "snap.mpck").string();
-  ASSERT_TRUE(snapshot.write(path).ok());
+  ASSERT_TRUE(write_file_atomic(path, snapshot.to_bytes()).ok());
   const auto loaded = Snapshot::read(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded->rounds, snapshot.rounds);

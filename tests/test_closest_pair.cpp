@@ -15,6 +15,7 @@
 #include "geometry/generators.hpp"
 #include "geometry/point_set.hpp"
 #include "geometry/quantize.hpp"
+#include "oracles.hpp"
 #include "simd/dispatch.hpp"
 
 namespace mpte {

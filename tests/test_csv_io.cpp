@@ -47,6 +47,20 @@ TEST(CsvIo, RejectsGarbage) {
   EXPECT_THROW((void)read_csv_points(bad_separator), MpteError);
 }
 
+TEST(CsvIo, RejectsNonFiniteNumbersNamingTheLine) {
+  // from_chars parses these; no pipeline can embed them.
+  for (const char* field : {"nan", "inf", "-inf"}) {
+    std::istringstream in(std::string("1,2\n3,") + field + "\n");
+    try {
+      (void)read_csv_points(in);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const MpteError& error) {
+      EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(CsvIo, EmptyInputGivesEmptySet) {
   std::istringstream in("");
   EXPECT_TRUE(read_csv_points(in).empty());

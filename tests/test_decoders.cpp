@@ -1,8 +1,9 @@
-// A seeded mutation harness over the four decoders of outside bytes:
+// A seeded mutation harness over the five decoders of outside bytes:
 // embedding files (embedding_from_file_bytes, the decoder behind
 // try_load_embedding), checkpoint snapshots (ckpt::Snapshot::from_bytes),
-// ipc frames (ipc::decode_envelope) and serve request lines
-// (serve::parse_request).
+// ipc frames (ipc::decode_envelope), serve request lines
+// (serve::parse_request) and the CLI's CSV point files
+// (read_csv_points).
 //
 // Each decoder starts from a small valid encoding and is fed its
 // mutations: seeded bit flips, every truncation, and at every byte offset
@@ -11,8 +12,8 @@
 // count or dimension at any position is tried deterministically. For the
 // enveloped formats the payload is mutated and re-wrapped with
 // wrap_checksummed, so each mutation reaches the decoder behind a valid
-// digest. Serve lines get their numeric tokens replaced by huge,
-// negative and non-finite values.
+// digest. Serve lines and CSV files get their numeric tokens replaced by
+// huge, negative and non-finite values.
 //
 // The property: every input yields a kInvalidArgument Status, or an
 // object that passes its own checks, and what it holds is bounded by the
@@ -34,6 +35,7 @@
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "core/embedding_io.hpp"
+#include "geometry/csv_io.hpp"
 #include "geometry/generators.hpp"
 #include "ipc/frames.hpp"
 #include "mpc/cluster.hpp"
@@ -345,6 +347,62 @@ TEST(Decoders, ServeLines) {
                         check_line(std::string(bytes.begin(), bytes.end()));
                       });
   }
+}
+
+// -------------------------------------------------------------- CSV points
+
+void check_csv(const std::string& text) {
+  std::istringstream in(text);
+  PointSet points;
+  try {
+    points = read_csv_points(in);
+  } catch (const MpteError&) {
+    return;
+  }
+  for (const double coordinate : points.raw()) {
+    ASSERT_TRUE(std::isfinite(coordinate)) << text;
+  }
+  ASSERT_EQ(points.raw().size(), points.size() * points.dim()) << text;
+}
+
+TEST(Decoders, CsvPoints) {
+  // What `mpte_cli generate ... clusters` writes, at a testable size.
+  std::ostringstream out;
+  write_csv_points(generate_gaussian_clusters(12, 3, 3, 100.0, 1.0, 11), out);
+  const std::string valid = out.str();
+  std::istringstream in(valid);
+  ASSERT_EQ(read_csv_points(in).size(), 12u);
+
+  // Each field in turn replaced by each hostile number.
+  std::vector<std::vector<std::string>> rows;
+  std::istringstream lines(valid);
+  for (std::string line; std::getline(lines, line);) {
+    std::vector<std::string> fields;
+    std::istringstream cells(line);
+    for (std::string cell; std::getline(cells, cell, ',');) {
+      fields.push_back(cell);
+    }
+    rows.push_back(fields);
+  }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t f = 0; f < rows[r].size(); ++f) {
+      for (const std::string hostile : kHostileNumbers) {
+        std::string text;
+        for (std::size_t s = 0; s < rows.size(); ++s) {
+          for (std::size_t g = 0; g < rows[s].size(); ++g) {
+            if (g > 0) text += ',';
+            text += s == r && g == f ? hostile : rows[s][g];
+          }
+          text += '\n';
+        }
+        check_csv(text);
+      }
+    }
+  }
+  for_each_mutation(Bytes(valid.begin(), valid.end()), 13,
+                    [](const Bytes& bytes) {
+                      check_csv(std::string(bytes.begin(), bytes.end()));
+                    });
 }
 
 }  // namespace

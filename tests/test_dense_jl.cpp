@@ -36,9 +36,9 @@ TEST(DenseJl, NormPreservedInExpectation) {
   const int trials = 200;
   for (int t = 0; t < trials; ++t) {
     const DenseJl jl(64, 16, 1000 + t);
-    const auto mapped = jl.apply(points[0]);
+    const PointSet mapped = jl.transform(points);
     double mapped_sq = 0.0;
-    for (const double x : mapped) mapped_sq += x * x;
+    for (const double x : mapped.raw()) mapped_sq += x * x;
     sum_ratio += mapped_sq / norm_sq;
   }
   EXPECT_NEAR(sum_ratio / trials, 1.0, 0.06);
@@ -46,9 +46,10 @@ TEST(DenseJl, NormPreservedInExpectation) {
 
 TEST(DenseJl, PairwiseDistancesWithinXi) {
   const std::size_t n = 30;
-  const double xi = 0.5;  // generous; k = recommended for this xi
+  const double xi = 0.5;  // generous
   const PointSet points = generate_gaussian_clusters(n, 80, 3, 10.0, 1.0, 5);
-  const std::size_t k = DenseJl::recommended_dim(n, xi);
+  // The standard JL target dimension ceil(8 ln(n) / xi^2).
+  const std::size_t k = 109;
   const DenseJl jl(80, k, 11);
   const PointSet mapped = jl.transform(points);
   std::size_t violations = 0;
@@ -65,28 +66,16 @@ TEST(DenseJl, PairwiseDistancesWithinXi) {
   EXPECT_LE(violations, pairs / 50);
 }
 
-TEST(DenseJl, RecommendedDimGrowsLogarithmically) {
-  const std::size_t k1 = DenseJl::recommended_dim(1000, 0.25);
-  const std::size_t k2 = DenseJl::recommended_dim(1000000, 0.25);
-  EXPECT_GT(k2, k1);
-  EXPECT_LT(k2, 3 * k1);  // log growth, not polynomial
-  EXPECT_GT(DenseJl::recommended_dim(1000, 0.1),
-            DenseJl::recommended_dim(1000, 0.5));
-}
-
 TEST(DenseJl, LinearMap) {
   const DenseJl jl(10, 4, 13);
-  std::vector<double> x(10, 0.0), y(10, 0.0);
-  x[3] = 2.0;
-  y[7] = -1.0;
-  std::vector<double> sum(10, 0.0);
-  sum[3] = 2.0;
-  sum[7] = -1.0;
-  const auto fx = jl.apply(x);
-  const auto fy = jl.apply(y);
-  const auto fsum = jl.apply(sum);
+  // Rows: x, y and x + y.
+  PointSet points(3, 10);
+  points.coord(0, 3) = points.coord(2, 3) = 2.0;
+  points.coord(1, 7) = points.coord(2, 7) = -1.0;
+  const PointSet mapped = jl.transform(points);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(fsum[i], fx[i] + fy[i], 1e-12);
+    EXPECT_NEAR(mapped.coord(2, i), mapped.coord(0, i) + mapped.coord(1, i),
+                1e-12);
   }
 }
 

@@ -7,6 +7,7 @@
 #include "common/parallel.hpp"
 #include "geometry/generators.hpp"
 #include "golden.hpp"
+#include "plan_hierarchy.hpp"
 #include "tree/distortion.hpp"
 #include "tree/embedding_builder.hpp"
 
@@ -50,12 +51,6 @@ TEST(Embedder, BucketsAboveDimensionAreClamped) {
   EXPECT_EQ(golden::fingerprint(*clamped), golden::fingerprint(*exact));
 }
 
-TEST(Embedder, MethodNames) {
-  EXPECT_STREQ(to_string(PartitionMethod::kGrid), "grid");
-  EXPECT_STREQ(to_string(PartitionMethod::kBall), "ball");
-  EXPECT_STREQ(to_string(PartitionMethod::kHybrid), "hybrid");
-}
-
 TEST(Embedder, AutoBucketsCapBucketDimension) {
   // The auto choice must never leave bucket dims above the cap (U would
   // explode as 2^{k log k}).
@@ -96,7 +91,7 @@ TEST_P(EmbedderMethodTest, ProducesValidDominatingTree) {
   const auto stats =
       measure_distortion(result->tree, result->embedded_points, 5000, 1);
   EXPECT_GE(stats.min_ratio, 1.0)
-      << "method " << to_string(GetParam());
+      << "method " << method_name(GetParam());
 }
 
 TEST_P(EmbedderMethodTest, ApproximatesInputDistances) {

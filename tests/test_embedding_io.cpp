@@ -205,6 +205,23 @@ TEST(EmbeddingIo, NonFiniteScaleOrCoordinateIsRejected) {
   }
 }
 
+TEST(EmbeddingIo, SaveRefusesWhatTheLoaderRefusesAndLeavesNoFile) {
+  // One coordinate of 1e308 is finite, but the scale times the tree's
+  // diameter bound overflows, so the decoder would refuse the file.
+  PointSet points = generate_gaussian_clusters(200, 4, 3, 100.0, 1.0, 37);
+  points.coord(4, 0) = 1e308;
+  EmbedOptions options;
+  options.seed = 1;
+  const auto embedding = embed(points, options);
+  ASSERT_TRUE(embedding.ok()) << embedding.status().to_string();
+  const std::string path = ::testing::TempDir() + "mpte_embedding_io_wide.bin";
+  std::remove(path.c_str());
+  for (const bool include_points : {false, true}) {
+    EXPECT_THROW(save_embedding(*embedding, path, include_points), MpteError);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+}
+
 TEST(EmbeddingIo, RawPayloadFileIsRejected) {
   // Files without the checksummed envelope are not read.
   const auto payload = embedding_to_bytes(sample_embedding(29));

@@ -110,84 +110,6 @@ TEST(TreeEmd, ZeroWhenSidesCoincide) {
   EXPECT_NEAR(tree_emd_split(embedding.tree, a.size()), 0.0, 1e-9);
 }
 
-TEST(ExactEmdWeighted, ReducesToUnweightedForUnitMasses) {
-  const PointSet a = generate_uniform_cube(8, 2, 20.0, 31);
-  const PointSet b = generate_uniform_cube(8, 2, 20.0, 32);
-  const std::vector<std::int64_t> unit(8, 1);
-  EXPECT_NEAR(exact_emd_weighted(a, b, unit, unit), exact_emd(a, b), 1e-9);
-}
-
-TEST(ExactEmdWeighted, KnownTransportPlan) {
-  // 3 units at x=0 must split to 2 units at x=1 and 1 unit at x=5.
-  PointSet a(1, 1, {0.0});
-  PointSet b(2, 1, {1.0, 5.0});
-  EXPECT_NEAR(exact_emd_weighted(a, b, {3}, {2, 1}), 2.0 * 1.0 + 1.0 * 5.0,
-              1e-12);
-}
-
-TEST(ExactEmdWeighted, Validation) {
-  PointSet a(1, 1, {0.0});
-  PointSet b(1, 1, {1.0});
-  EXPECT_THROW((void)exact_emd_weighted(a, b, {1}, {2}), MpteError);
-  EXPECT_THROW((void)exact_emd_weighted(a, b, {-1}, {-1}), MpteError);
-  EXPECT_THROW((void)exact_emd_weighted(a, b, {1, 2}, {3}), MpteError);
-  EXPECT_EQ(exact_emd_weighted(a, b, {0}, {0}), 0.0);
-}
-
-TEST(TreeEmdWeighted, MatchesUnweightedForUnitSides) {
-  const PointSet a = generate_uniform_cube(10, 2, 20.0, 33);
-  const PointSet b = generate_uniform_cube(10, 2, 20.0, 34);
-  const Embedding embedding = embed_union(a, b, 35);
-  std::vector<std::int64_t> mass(20);
-  for (std::size_t i = 0; i < 20; ++i) mass[i] = i < 10 ? 1 : -1;
-  EXPECT_EQ(tree_emd_weighted(embedding.tree, mass),
-            tree_emd_split(embedding.tree, 10));
-}
-
-TEST(TreeEmdWeighted, ScalesLinearlyInMass) {
-  const PointSet a = generate_uniform_cube(6, 2, 20.0, 36);
-  const PointSet b = generate_uniform_cube(6, 2, 20.0, 37);
-  const Embedding embedding = embed_union(a, b, 38);
-  std::vector<std::int64_t> mass(12), triple(12);
-  for (std::size_t i = 0; i < 12; ++i) {
-    mass[i] = i < 6 ? 1 : -1;
-    triple[i] = 3 * mass[i];
-  }
-  EXPECT_NEAR(tree_emd_weighted(embedding.tree, triple),
-              3.0 * tree_emd_weighted(embedding.tree, mass), 1e-9);
-}
-
-TEST(TreeEmdWeighted, DominatesExactWeighted) {
-  const PointSet a = generate_uniform_cube(6, 2, 20.0, 39);
-  const PointSet b = generate_uniform_cube(4, 2, 20.0, 40);
-  const std::vector<std::int64_t> mass_a{2, 1, 1, 3, 1, 2};
-  const std::vector<std::int64_t> mass_b{4, 2, 3, 1};
-  const double exact = exact_emd_weighted(a, b, mass_a, mass_b);
-
-  PointSet all = a;
-  for (std::size_t i = 0; i < b.size(); ++i) all.push_back(b[i]);
-  EmbedOptions options;
-  options.use_fjlt = false;
-  options.seed = 41;
-  const auto embedding = embed(all, options);
-  ASSERT_TRUE(embedding.ok());
-  std::vector<std::int64_t> mass(10);
-  for (std::size_t i = 0; i < 6; ++i) mass[i] = mass_a[i];
-  for (std::size_t j = 0; j < 4; ++j) mass[6 + j] = -mass_b[j];
-  const double tree = tree_emd_weighted(embedding->tree, mass) *
-                      embedding->scale_to_input;
-  EXPECT_GE(tree, exact * 0.9);
-}
-
-TEST(TreeEmdWeighted, UnbalancedMassThrows) {
-  const PointSet a = generate_uniform_cube(4, 2, 20.0, 42);
-  const Embedding embedding = embed_union(a, a, 43);
-  EXPECT_THROW(
-      (void)tree_emd_weighted(embedding.tree,
-                              std::vector<std::int64_t>(8, 1)),
-      MpteError);
-}
-
 TEST(TreeEmd, CustomSidesMatchSplitHelper) {
   const PointSet a = generate_uniform_cube(6, 2, 10.0, 23);
   const PointSet b = generate_uniform_cube(6, 2, 10.0, 24);

@@ -4,6 +4,8 @@
 
 #include <limits>
 
+#include "oracles.hpp"
+
 namespace mpte {
 namespace {
 
@@ -73,15 +75,15 @@ TEST(Hst, TriangleInequality) {
 
 TEST(Hst, LcaIdentities) {
   const Hst tree = make_small_tree();
-  EXPECT_EQ(tree.lca(0, 1), 1u);
-  EXPECT_EQ(tree.lca(0, 2), 0u);
-  EXPECT_EQ(tree.lca(2, 2), 5u);  // leaf itself
+  EXPECT_EQ(walk_lca(tree, 0, 1), 1u);
+  EXPECT_EQ(walk_lca(tree, 0, 2), 0u);
+  EXPECT_EQ(walk_lca(tree, 2, 2), 5u);  // leaf itself
 }
 
 TEST(Hst, DepthWeight) {
   const Hst tree = make_small_tree();
-  EXPECT_EQ(tree.depth_weight(4), 6.0);  // 2 + 4
-  EXPECT_EQ(tree.depth_weight(0), 0.0);
+  EXPECT_EQ(walk_depth_weight(tree, 4), 6.0);  // 2 + 4
+  EXPECT_EQ(walk_depth_weight(tree, 0), 0.0);
 }
 
 TEST(Hst, NonTopologicalOrderThrows) {

@@ -18,6 +18,12 @@ Hst sample_tree(std::uint64_t seed = 3) {
   return std::move(result->tree);
 }
 
+/// Decodes a whole byte buffer as one tree.
+Hst decode(const std::vector<std::uint8_t>& bytes) {
+  Deserializer in(bytes);
+  return deserialize_hst(in);
+}
+
 void expect_same_metric(const Hst& a, const Hst& b) {
   ASSERT_EQ(a.num_points(), b.num_points());
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
@@ -31,14 +37,14 @@ void expect_same_metric(const Hst& a, const Hst& b) {
 TEST(HstIo, BytesRoundTrip) {
   const Hst tree = sample_tree();
   const auto bytes = hst_to_bytes(tree);
-  const Hst restored = hst_from_bytes(bytes);
+  const Hst restored = decode(bytes);
   EXPECT_TRUE(restored.validate().ok());
   expect_same_metric(tree, restored);
 }
 
 TEST(HstIo, PreservesNodeFields) {
   const Hst tree = sample_tree(7);
-  const Hst restored = hst_from_bytes(hst_to_bytes(tree));
+  const Hst restored = decode(hst_to_bytes(tree));
   for (std::size_t i = 0; i < tree.num_nodes(); ++i) {
     EXPECT_EQ(tree.node(i).cluster_id, restored.node(i).cluster_id);
     EXPECT_EQ(tree.node(i).parent, restored.node(i).parent);
@@ -52,7 +58,7 @@ TEST(HstIo, PreservesNodeFields) {
 TEST(HstIo, RejectsBadMagic) {
   auto bytes = hst_to_bytes(sample_tree());
   bytes[0] ^= 0xff;
-  EXPECT_THROW((void)hst_from_bytes(bytes), MpteError);
+  EXPECT_THROW((void)decode(bytes), MpteError);
 }
 
 TEST(HstIo, RejectsBadVersion) {
@@ -60,14 +66,14 @@ TEST(HstIo, RejectsBadVersion) {
   for (const std::uint8_t version : {std::uint8_t{0x7f}, std::uint8_t{2}}) {
     auto bytes = hst_to_bytes(sample_tree());
     bytes[4] = version;  // version field
-    EXPECT_THROW((void)hst_from_bytes(bytes), MpteError);
+    EXPECT_THROW((void)decode(bytes), MpteError);
   }
 }
 
 TEST(HstIo, RejectsTruncatedInput) {
   auto bytes = hst_to_bytes(sample_tree());
   bytes.resize(bytes.size() / 2);
-  EXPECT_THROW((void)hst_from_bytes(bytes), MpteError);
+  EXPECT_THROW((void)decode(bytes), MpteError);
 }
 
 TEST(HstIo, RejectsCorruptedStructure) {
@@ -79,7 +85,7 @@ TEST(HstIo, RejectsCorruptedStructure) {
   // subtree_size(4) padding(4). Flip node 1's subtree_size low byte.
   const std::size_t node1 = 4 + 4 + 8 + 40;
   bytes[node1 + 32] ^= 0x3f;
-  EXPECT_THROW((void)hst_from_bytes(bytes), MpteError);
+  EXPECT_THROW((void)decode(bytes), MpteError);
 }
 
 TEST(HstIo, SizeIsCompact) {

@@ -13,6 +13,8 @@
 #include "core/embedder.hpp"
 #include "core/mpc_embedder.hpp"
 #include "geometry/generators.hpp"
+#include "oracles.hpp"
+#include "plan_hierarchy.hpp"
 #include "tree/distortion.hpp"
 #include "tree/embedding_builder.hpp"
 #include "tree/hst_io.hpp"
@@ -157,10 +159,10 @@ TEST(Integration, EveryMethodDominatesOnAdversarialLattice) {
     options.use_fjlt = false;
     options.seed = 29;
     const auto result = embed(points, options);
-    ASSERT_TRUE(result.ok()) << to_string(method);
+    ASSERT_TRUE(result.ok()) << method_name(method);
     const auto stats =
         measure_distortion(result->tree, result->embedded_points, 4000, 1);
-    EXPECT_GE(stats.min_ratio, 1.0) << to_string(method);
+    EXPECT_GE(stats.min_ratio, 1.0) << method_name(method);
   }
 }
 

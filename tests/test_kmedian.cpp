@@ -8,6 +8,7 @@
 #include "common/status.hpp"
 #include "core/embedder.hpp"
 #include "geometry/generators.hpp"
+#include "oracles.hpp"
 
 namespace mpte {
 namespace {
@@ -32,7 +33,7 @@ double brute_force_cluster_metric(const Hst& tree, std::size_t k) {
     down[parent] = std::max(down[parent], down[i] + tree.node(i).edge_weight);
   }
   const auto dist = [&](std::size_t a, std::size_t b) {
-    return a == b ? 0.0 : 2.0 * down[tree.lca(a, b)];
+    return a == b ? 0.0 : 2.0 * down[walk_lca(tree, a, b)];
   };
   std::vector<std::size_t> combo(k);
   for (std::size_t i = 0; i < k; ++i) combo[i] = i;

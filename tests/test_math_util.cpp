@@ -68,27 +68,5 @@ TEST(MathUtil, CoverProbabilityMatchesDefinition) {
   }
 }
 
-TEST(MathUtil, MeanAndStddev) {
-  EXPECT_EQ(mean({}), 0.0);
-  EXPECT_NEAR(mean({1.0, 2.0, 3.0}), 2.0, 1e-12);
-  EXPECT_EQ(sample_stddev({1.0}), 0.0);
-  EXPECT_NEAR(sample_stddev({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}),
-              std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(MathUtil, Percentile) {
-  std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_NEAR(percentile(v, 0.0), 1.0, 1e-12);
-  EXPECT_NEAR(percentile(v, 1.0), 5.0, 1e-12);
-  EXPECT_NEAR(percentile(v, 0.5), 3.0, 1e-12);
-  EXPECT_NEAR(percentile(v, 0.25), 2.0, 1e-12);
-  EXPECT_EQ(percentile({}, 0.5), 0.0);
-}
-
-TEST(MathUtil, MaxValue) {
-  EXPECT_EQ(max_value({}), 0.0);
-  EXPECT_EQ(max_value({-3.0, -1.0, -2.0}), -1.0);
-}
-
 }  // namespace
 }  // namespace mpte

@@ -44,16 +44,6 @@ TEST(MinCostFlow, DisconnectedReturnsZero) {
   EXPECT_EQ(result.cost, 0.0);
 }
 
-TEST(MinCostFlow, FlowOnEdgeReporting) {
-  MinCostFlow mcf(3);
-  const auto e0 = mcf.add_edge(0, 1, 4, 1.0);
-  const auto e1 = mcf.add_edge(1, 2, 2, 1.0);
-  (void)mcf.solve(0, 2, 10);
-  EXPECT_EQ(mcf.flow_on(e0), 2);
-  EXPECT_EQ(mcf.flow_on(e1), 2);
-  EXPECT_EQ(mcf.residual_capacity(e0), 2);
-}
-
 TEST(MinCostFlow, NegativeCostRejected) {
   MinCostFlow mcf(2);
   EXPECT_THROW(mcf.add_edge(0, 1, 1, -1.0), MpteError);

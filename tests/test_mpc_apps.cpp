@@ -8,7 +8,6 @@
 #include <span>
 #include <string>
 
-#include "apps/densest_ball.hpp"
 #include "apps/emd.hpp"
 #include "apps/mst.hpp"
 #include "apps/union_find.hpp"
@@ -18,6 +17,7 @@
 #include "geometry/generators.hpp"
 #include "geometry/quantize.hpp"
 #include "golden.hpp"
+#include "oracles.hpp"
 #include "plan_hierarchy.hpp"
 
 namespace mpte {
@@ -111,67 +111,6 @@ TEST(MpcTreeEmd, ConstantRounds) {
     (half == 16 ? rounds_small : rounds_large) = result->rounds_used;
   }
   EXPECT_EQ(rounds_small, rounds_large);
-}
-
-TEST(MpcTreeEmdWeighted, ReducesToUnweightedForUnitMasses) {
-  const PointSet a = generate_uniform_cube(12, 3, 30.0, 61);
-  const PointSet b = generate_uniform_cube(12, 3, 30.0, 62);
-  const std::vector<std::int64_t> unit(12, 1);
-  Cluster c1 = big_cluster();
-  Cluster c2 = big_cluster();
-  const auto weighted =
-      mpc_tree_emd_weighted(c1, a, b, unit, unit, base_options(63));
-  const auto plain = mpc_tree_emd(c2, a, b, base_options(63));
-  ASSERT_TRUE(weighted.ok() && plain.ok());
-  EXPECT_NEAR(weighted->emd, plain->emd, 1e-9 * (1.0 + plain->emd));
-}
-
-TEST(MpcTreeEmdWeighted, MatchesSequentialWeightedHierarchyEmd) {
-  const PointSet a = generate_uniform_cube(8, 3, 30.0, 64);
-  const PointSet b = generate_uniform_cube(6, 3, 30.0, 65);
-  const std::vector<std::int64_t> mass_a{3, 1, 2, 1, 4, 1, 2, 1};
-  const std::vector<std::int64_t> mass_b{5, 2, 1, 3, 2, 2};
-  PointSet all = a;
-  for (std::size_t i = 0; i < b.size(); ++i) all.push_back(b[i]);
-
-  const MpcEmbedOptions options = base_options(66);
-  Cluster cluster = big_cluster();
-  const auto mpc_result =
-      mpc_tree_emd_weighted(cluster, a, b, mass_a, mass_b, options);
-  ASSERT_TRUE(mpc_result.ok()) << mpc_result.status().to_string();
-
-  // Sequential reference: weighted imbalance over the same hierarchy.
-  const Hierarchy hierarchy = reference_hierarchy(all, options);
-  const Quantized q = quantize_to_grid(all, options.delta);
-  double expected = 0.0;
-  for (std::size_t level = 1; level < hierarchy.levels(); ++level) {
-    std::unordered_map<std::uint64_t, std::int64_t> imbalance;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      const std::int64_t m = i < 8 ? mass_a[i] : -mass_b[i - 8];
-      imbalance[hierarchy.cluster_of_point[level][i]] += m;
-    }
-    for (const auto& [id, im] : imbalance) {
-      expected += hierarchy.edge_weight[level] *
-                  static_cast<double>(std::llabs(im));
-    }
-  }
-  expected *= q.scale_back;
-  EXPECT_NEAR(mpc_result->emd, expected, 1e-9 * (1.0 + expected));
-}
-
-TEST(MpcTreeEmdWeighted, Validation) {
-  Cluster cluster = big_cluster();
-  const PointSet a = generate_uniform_cube(3, 2, 10.0, 67);
-  const PointSet b = generate_uniform_cube(3, 2, 10.0, 68);
-  EXPECT_FALSE(mpc_tree_emd_weighted(cluster, a, b, {1, 1}, {1, 1, 0},
-                                     base_options(69))
-                   .ok());
-  EXPECT_FALSE(mpc_tree_emd_weighted(cluster, a, b, {1, 1, 1}, {1, 1, 2},
-                                     base_options(69))
-                   .ok());
-  EXPECT_FALSE(mpc_tree_emd_weighted(cluster, a, b, {1, -1, 1}, {1, 0, 0},
-                                     base_options(69))
-                   .ok());
 }
 
 TEST(MpcDensestBall, MatchesSequentialHierarchyVersion) {
@@ -313,7 +252,7 @@ constexpr auto run_directly = [](std::size_t threads, auto&& app) {
   return app(cluster);
 };
 
-/// Runs the four applications on `points` (EMD sides: the two halves), each
+/// Runs the three applications on `points` (EMD sides: the two halves), each
 /// through `run` — directly by default — and expects every reported field
 /// to equal `pins` bit for bit.
 template <typename Run = decltype(run_directly)>
@@ -321,12 +260,9 @@ void expect_app_pins(const PointSet& points, const MpcEmbedOptions& options,
                      const golden::AppPins& pins, Run run = run_directly) {
   const std::size_t half = points.size() / 2;
   PointSet a, b;
-  std::vector<std::int64_t> mass_a, mass_b;
   for (std::size_t i = 0; i < half; ++i) {
     a.push_back(points[i]);
     b.push_back(points[half + i]);
-    mass_a.push_back(1 + static_cast<std::int64_t>(i % 3));
-    mass_b.push_back(1 + static_cast<std::int64_t>((i + 1) % 3));
   }
   for (const std::size_t threads : {1u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -336,15 +272,6 @@ void expect_app_pins(const PointSet& points, const MpcEmbedOptions& options,
       });
       ASSERT_TRUE(emd.ok()) << emd.status().to_string();
       EXPECT_EQ(emd->emd, pins.emd);
-      EXPECT_EQ(emd->retries_used, pins.retries);
-      EXPECT_EQ(emd->rounds_used, pins.emd_rounds);
-    }
-    {
-      const auto emd = run(threads, [&](Cluster& cluster) {
-        return mpc_tree_emd_weighted(cluster, a, b, mass_a, mass_b, options);
-      });
-      ASSERT_TRUE(emd.ok()) << emd.status().to_string();
-      EXPECT_EQ(emd->emd, pins.weighted_emd);
       EXPECT_EQ(emd->retries_used, pins.retries);
       EXPECT_EQ(emd->rounds_used, pins.emd_rounds);
     }
@@ -426,18 +353,15 @@ TEST(Recovery, CrashAtEveryRoundRecoversEveryApplication) {
   std::filesystem::remove_all(dir);
 }
 
-/// The status each of the four applications returns for `options`.
+/// The status each of the three applications returns for `options`.
 std::vector<Status> app_statuses(const MpcEmbedOptions& options) {
   const PointSet a = generate_uniform_cube(12, 4, 30.0, 71);
   const PointSet b = generate_uniform_cube(12, 4, 30.0, 72);
-  const std::vector<std::int64_t> unit(12, 1);
   PointSet all = a;
   for (std::size_t i = 0; i < b.size(); ++i) all.push_back(b[i]);
   std::vector<Status> out;
   Cluster cluster = big_cluster();
   out.push_back(mpc_tree_emd(cluster, a, b, options).status());
-  out.push_back(
-      mpc_tree_emd_weighted(cluster, a, b, unit, unit, options).status());
   out.push_back(mpc_densest_ball(cluster, all, 10.0, options).status());
   out.push_back(mpc_tree_mst(cluster, all, options).status());
   return out;

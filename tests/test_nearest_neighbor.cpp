@@ -83,14 +83,6 @@ TEST(TreeNearestNeighbor, HandlesDuplicatePoints) {
   EXPECT_NEAR(nn.distance, 0.0, 1e-12);  // a duplicate
 }
 
-TEST(TreeNearestNeighbor, AllPairsConvenience) {
-  const PointSet points = generate_uniform_cube(40, 3, 20.0, 21);
-  const Embedding embedding = make_embedding(points, 23);
-  const auto all = tree_all_nearest_neighbors(embedding.tree, points, 8);
-  ASSERT_EQ(all.size(), 40u);
-  for (std::size_t q = 0; q < 40; ++q) EXPECT_NE(all[q].neighbor, q);
-}
-
 TEST(TreeNearestNeighbor, ValidatesInputs) {
   const PointSet points = generate_uniform_cube(20, 3, 20.0, 25);
   const Embedding embedding = make_embedding(points, 27);

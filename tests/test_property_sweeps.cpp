@@ -11,6 +11,8 @@
 #include "core/embedder.hpp"
 #include "core/mpc_embedder.hpp"
 #include "geometry/generators.hpp"
+#include "oracles.hpp"
+#include "plan_hierarchy.hpp"
 #include "tree/distortion.hpp"
 #include "tree/embedding_builder.hpp"
 
@@ -60,7 +62,7 @@ class EmbeddingPropertySweep : public ::testing::TestWithParam<SweepParam> {
   static std::string Name(
       const ::testing::TestParamInfo<SweepParam>& info) {
     const auto [method, workload, n] = info.param;
-    return std::string(to_string(method)) + "_" + workload_name(workload) +
+    return std::string(method_name(method)) + "_" + workload_name(workload) +
            "_" + std::to_string(n);
   }
 };

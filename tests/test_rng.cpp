@@ -53,20 +53,6 @@ TEST(Rng, UniformU64CoversSmallRange) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(Rng, UniformIntInclusiveRange) {
-  Rng rng(11);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 500; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(13);
   for (int i = 0; i < 1000; ++i) {

@@ -234,9 +234,8 @@ TEST(Service, InvalidRequestsGetTypedStatuses) {
 TEST(Service, PausedServiceStillAnswersReadsAtOnce) {
   // Reads never wait for the batcher: submit() evaluates them on the
   // calling thread, so the reply is ready when it returns.
-  ServiceOptions options;
-  options.start_paused = true;
-  EmbeddingService service(test_ensemble(30, 1, 7), options);
+  EmbeddingService service(test_ensemble(30, 1, 7));
+  service.pause();
   for (const Request& request :
        {Request::Distance(0, 1), Request::Knn(2, 3),
         Request::RangeCount(4, 10.0, Combiner::kExpected)}) {
@@ -254,8 +253,8 @@ TEST(Service, PausedServiceStillAnswersReadsAtOnce) {
 TEST(Service, BackpressureRejectsBeyondQueueBound) {
   ServiceOptions options;
   options.max_queue = 2;
-  options.start_paused = true;
   EmbeddingService service(test_dynamic_ensemble(), options);
+  service.pause();
   auto a = service.submit(Request::Upsert({1.0, 2.0, 3.0}));
   auto b = service.submit(Request::Upsert({4.0, 5.0, 6.0}));
   auto c = service.submit(Request::Upsert({7.0, 8.0, 9.0}));  // over capacity
@@ -273,9 +272,8 @@ TEST(Service, BackpressureRejectsBeyondQueueBound) {
 }
 
 TEST(Service, ExpiredDeadlineIsRejectedNotEvaluatedLate) {
-  ServiceOptions options;
-  options.start_paused = true;
-  EmbeddingService service(test_dynamic_ensemble(), options);
+  EmbeddingService service(test_dynamic_ensemble());
+  service.pause();
   const std::size_t points = service.num_points();
   Request hurried = Request::Upsert({1.0, 2.0, 3.0});
   hurried.deadline = std::chrono::microseconds(1000);  // 1ms
@@ -302,9 +300,8 @@ TEST(Service, ExpiredDeadlineIsRejectedNotEvaluatedLate) {
 }
 
 TEST(Service, StopRejectsQueuedAndSubsequentRequests) {
-  ServiceOptions options;
-  options.start_paused = true;
-  EmbeddingService service(test_dynamic_ensemble(), options);
+  EmbeddingService service(test_dynamic_ensemble());
+  service.pause();
   auto queued = service.submit(Request::Upsert({1.0, 2.0, 3.0}));
   service.stop();
   const auto abandoned = queued.get();

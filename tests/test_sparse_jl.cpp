@@ -6,7 +6,6 @@
 
 #include "common/status.hpp"
 #include "geometry/generators.hpp"
-#include "transform/dense_jl.hpp"
 
 namespace mpte {
 namespace {
@@ -48,9 +47,9 @@ TEST(SparseJl, NormPreservedInExpectation) {
   const int trials = 300;
   for (int t = 0; t < trials; ++t) {
     const SparseJl jl(64, 16, 500 + t);
-    const auto mapped = jl.apply(point[0]);
+    const PointSet mapped = jl.transform(point);
     double mapped_sq = 0.0;
-    for (const double v : mapped) mapped_sq += v * v;
+    for (const double v : mapped.raw()) mapped_sq += v * v;
     sum_ratio += mapped_sq / norm_sq;
   }
   EXPECT_NEAR(sum_ratio / trials, 1.0, 0.08);
@@ -61,7 +60,8 @@ TEST(SparseJl, PairwiseDistancesWithinXi) {
   const double xi = 0.5;
   const PointSet points =
       generate_gaussian_clusters(n, 100, 4, 10.0, 1.0, 7);
-  const std::size_t k = DenseJl::recommended_dim(n, xi);
+  // The standard JL target dimension ceil(8 ln(n) / xi^2).
+  const std::size_t k = 119;
   const SparseJl jl(100, k, 9);
   const PointSet mapped = jl.transform(points);
   std::size_t violations = 0, pairs = 0;
@@ -87,16 +87,14 @@ TEST(SparseJl, DeterministicTransform) {
 
 TEST(SparseJl, LinearMap) {
   const SparseJl jl(20, 6, 15);
-  std::vector<double> x(20, 0.0), y(20, 0.0), sum(20, 0.0);
-  x[2] = 3.0;
-  y[17] = -1.5;
-  sum[2] = 3.0;
-  sum[17] = -1.5;
-  const auto fx = jl.apply(x);
-  const auto fy = jl.apply(y);
-  const auto fsum = jl.apply(sum);
+  // Rows: x, y and x + y.
+  PointSet points(3, 20);
+  points.coord(0, 2) = points.coord(2, 2) = 3.0;
+  points.coord(1, 17) = points.coord(2, 17) = -1.5;
+  const PointSet mapped = jl.transform(points);
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_NEAR(fsum[i], fx[i] + fy[i], 1e-12);
+    EXPECT_NEAR(mapped.coord(2, i), mapped.coord(0, i) + mapped.coord(1, i),
+                1e-12);
   }
 }
 

@@ -7,14 +7,21 @@
 namespace mpte {
 namespace {
 
+/// Size of x's set among elements [0, n), counted through find().
+std::size_t set_size(UnionFind& uf, std::size_t n, std::size_t x) {
+  std::size_t size = 0;
+  for (std::size_t i = 0; i < n; ++i) size += uf.find(i) == uf.find(x);
+  return size;
+}
+
 TEST(UnionFind, InitiallyDisjoint) {
   UnionFind uf(5);
   EXPECT_EQ(uf.num_sets(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(uf.find(i), i);
-    EXPECT_EQ(uf.size_of(i), 1u);
+    EXPECT_EQ(set_size(uf, 5, i), 1u);
   }
-  EXPECT_FALSE(uf.connected(0, 1));
+  EXPECT_NE(uf.find(0), uf.find(1));
 }
 
 TEST(UnionFind, UniteMergesAndCounts) {
@@ -24,9 +31,9 @@ TEST(UnionFind, UniteMergesAndCounts) {
   EXPECT_TRUE(uf.unite(0, 2));
   EXPECT_FALSE(uf.unite(1, 3));  // already connected
   EXPECT_EQ(uf.num_sets(), 3u);
-  EXPECT_EQ(uf.size_of(3), 4u);
-  EXPECT_TRUE(uf.connected(1, 2));
-  EXPECT_FALSE(uf.connected(0, 4));
+  EXPECT_EQ(set_size(uf, 6, 3), 4u);
+  EXPECT_EQ(uf.find(1), uf.find(2));
+  EXPECT_NE(uf.find(0), uf.find(4));
 }
 
 TEST(UnionFind, TransitivityStress) {
@@ -35,10 +42,10 @@ TEST(UnionFind, TransitivityStress) {
   // Chain unions: everything ends connected.
   for (std::size_t i = 1; i < n; ++i) uf.unite(i - 1, i);
   EXPECT_EQ(uf.num_sets(), 1u);
-  EXPECT_EQ(uf.size_of(0), n);
+  EXPECT_EQ(set_size(uf, n, 0), n);
   Rng rng(1);
   for (int t = 0; t < 100; ++t) {
-    EXPECT_TRUE(uf.connected(rng.uniform_u64(n), rng.uniform_u64(n)));
+    EXPECT_EQ(uf.find(rng.uniform_u64(n)), uf.find(rng.uniform_u64(n)));
   }
 }
 
@@ -63,7 +70,7 @@ TEST(UnionFind, RandomUnionsMatchNaive) {
     for (int s = 0; s < 10; ++s) {
       const std::size_t x = rng.uniform_u64(n);
       const std::size_t y = rng.uniform_u64(n);
-      EXPECT_EQ(uf.connected(x, y), label[x] == label[y]);
+      EXPECT_EQ(uf.find(x) == uf.find(y), label[x] == label[y]);
     }
   }
 }

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "geometry/generators.hpp"
+#include "oracles.hpp"
 
 namespace mpte {
 namespace {
